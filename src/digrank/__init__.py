@@ -2,9 +2,10 @@
 
 The adjacency rank of a digraph with rational arc weights is computed two
 independent ways: dense fraction-free elimination (the oracle) and a
-recursive engine that splits the graph at cut-vertices, classifies each
-border by the 0/1/2 rank-increment trichotomy, and applies closed-form
-rules for trees, r2/r0 block structures and the simple-graph families.
+structural engine that splits the graph at cut-vertices, peels each block
+at its border by the 0/1/2 rank-increment trichotomy, and applies
+closed-form rules for trees and r2/r0 block structures; the simple-graph
+families have closed forms of their own.
 The engine emits a certificate recording every rule application.
 """
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import WeightedDigraph
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InternalMismatch
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
                         cuts.add(u)
         if root_children >= 2:
             cuts.add(root)
-        assert not estack, "edge stack must drain for each DFS root"
+        if estack:
+            raise InternalMismatch("edge stack must drain for each DFS root")
 
     blocks.sort()
     member: list[list[int]] = [[] for _ in range(n)]

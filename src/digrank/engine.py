@@ -1,4 +1,4 @@
-"""Rank formulas, decomposition rules, and the recursive rank engine.
+"""Rank formulas, decomposition rules, and the structural rank engine.
 
 The engine computes the adjacency rank of a weighted digraph by structural
 decomposition, producing a certificate tree that records which rule fired
@@ -7,28 +7,31 @@ available as a standalone operation with explicit preconditions
 (PreconditionViolated when the hypotheses do not hold), so tests can pit
 each one against the dense-elimination oracle independently.
 
-Rule vocabulary (RuleTag):
+Rule vocabulary (RuleTag).  The four peel tags are the outcomes of one
+peel of block b at its parent cut-vertex v, with B the current matrix on
+b - v; each node contributes r(B) plus the rows/columns of v it deleted:
 
-- CASE_I_PEEL: split off a pendant side H at a cut-vertex v whose border
-  adds 2; r(G) = r(H-v) + r(G-H) + 2.
-- R0_PEEL: border adds 0 and v's outside neighbourhood cooperates;
-  r(G) = r(H-v) + r(G-(H-v)).
-- CASE_III_PEEL: border adds 1 and exactly one of v's inside membership
-  tests holds; one extra membership test against the outside decides a
-  0/1 correction.
-- CASE_III_LT: border adds 1 with both inside memberships; v's loop is
-  replaced by its Schur-style residue and the outside graph recursed.
+- CASE_I_PEEL: v's row lies outside the row space of B and v's column
+  outside its column space; both are deleted, +2.
+- CASE_III_PEEL: exactly one of v's row and column lies outside; that one
+  is deleted, +1, and v stays in the rest with only the other.
+- CASE_III_LT: both lie inside; v's loop is replaced by its Schur-style
+  residue alpha - x.d (B d = y), which is nonzero.
+- R0_PEEL: nothing is deleted and no nonzero residue is left (case II,
+  or v had already lost its row or column to an earlier peel).
 - R2_DIGRAPH: every cut-vertex has an incident block whose rank drops by
   exactly 2 when the cut-vertex is removed; r(G) = sum r(breve B_i) + 2m.
 - R0_DIGRAPH: at most one block fails the all-cuts rank-drop-0 test and
   no cut-vertex carries a loop; r(G) = sum r(B_i).
 - TREE_MATCHING / R2_TREE: closed forms for tree-shaped components.
 - BLOCK_GRAPH_2K / BIBLOCK_GRAPH_2K: family formulas (rank = n, rank = 2k);
-  used by the dedicated family operations, never by the recursion, so that
+  used by the dedicated family operations, never by the engine, so that
   block graphs still exercise the peeling rules.
 - MDT_FORMULA / GEN_R2: per-block and attachment variants of the r2 sum.
-- DIRECT_RANK: dense exact elimination, the fallback and the leaf rule.
-- COMPONENT_SUM: plumbing node summing over connected components.
+- DIRECT_RANK: dense exact elimination of what the peels leave of a root
+  block (a whole one-block component included).
+- COMPONENT_SUM: plumbing node summing over connected components, or over
+  the flat list of nodes of one peel pass.
 """
 
 from __future__ import annotations
@@ -38,16 +41,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .blocks import BlockDecomposition, breve, block_subdigraph, decompose
-from .classify import (
-    Classification,
-    CutSplit,
-    CutVertexCase,
-    classify_cut,
-    make_split,
-)
+from .classify import CutSplit, CutVertexCase, classify_cut, make_split
 from .digraph import EdgeKind, WeightedDigraph, build
 from .errors import (
     InconsistentClassification,
@@ -55,8 +52,10 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import dot, in_column_space, in_row_space, rank
+from .linalg import RationalMatrix, dot, in_column_space, in_row_space, rank
 from .trees import TreeKind, classify_tree, count_loop_attachments, max_matching
+
+_ZERO = Fraction(0)
 
 
 def oracle_rank(G: WeightedDigraph) -> int:
@@ -621,20 +620,29 @@ def rank_r0_biblock_graph(G: WeightedDigraph) -> RankCertificate:
     return RankCertificate(2 * k, node)
 
 
-# -- the recursive engine ------------------------------------------------------
+# -- the structural engine -----------------------------------------------------
 
 
 def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertificate:
-    """Decompose-and-recurse rank with a certificate.
+    """Structural rank with a certificate, computed without recursion.
 
-    Component split first; per component: closed tree forms, then the
-    whole-graph sum rules, then pendant-block peels (preferring case I,
-    then case II, then case III, then lowest block index), and dense
-    elimination when nothing applies.  With oracle_check=True the final
-    value is compared against the dense oracle and InternalMismatch is
-    raised on disagreement.
+    Each connected component gets the first rule that applies: the closed
+    tree forms; the r2-digraph or r0-digraph sum rule, each of whose
+    summands then gets one peel pass; otherwise one peel pass over the
+    component's block-cut tree (`_peel_pass`), which ends in dense
+    elimination of what is left of the root block.  The certificate is at
+    most four levels deep.  With oracle_check=True the final value is
+    compared against the dense oracle and InternalMismatch is raised on
+    disagreement.
     """
-    root = _node(G, tuple(range(G.n)))
+    comps = G.connected_components()
+    if not comps:
+        root = CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
+    elif len(comps) == 1:
+        root = _component_rule(G, tuple(range(G.n)))
+    else:
+        children = [_component_rule(*G.induced_with_labels(comp)) for comp in comps]
+        root = CertNode(RuleTag.COMPONENT_SUM, 0, tuple(children))
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -645,20 +653,8 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     return cert
 
 
-def _node(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
-    if G.n == 0:
-        return CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
-    comps = G.connected_components()
-    if len(comps) > 1:
-        children = []
-        for comp in comps:
-            sub, keep = G.induced_with_labels(comp)
-            children.append(_node(sub, tuple(labels[i] for i in keep)))
-        return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(children))
-    return _component_node(G, labels)
-
-
-def _component_node(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
+def _component_rule(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
+    """Tree closed form, else a sum rule, else one peel pass (G connected)."""
     kind = classify_tree(G)
     if kind is TreeKind.LOOPLESS_BI_ARC:
         q = max_matching(G).size
@@ -669,160 +665,147 @@ def _component_node(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
         return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
     d = decompose(G)
-    k = d.block_count
-    if k <= 1:
-        return _direct_leaf(G)
-
-    if is_r2_digraph(G, d):
-        m = len(d.cut_vertices)
-        children = []
-        for i in range(d.block_count):
-            keep = [v for v in d.blocks[i] if v not in d.cut_vertices]
-            sub, kept = G.induced_with_labels(keep)
-            child = _node(sub, tuple(labels[i2] for i2 in kept))
-            children.append(
-                replace(
-                    child,
-                    block_index=i,
-                    block_vertices=tuple(labels[v] for v in d.blocks[i]),
-                )
-            )
-        return CertNode(RuleTag.R2_DIGRAPH, 2 * m, tuple(children), note=f"m={m}")
-
-    if is_r0_digraph(G, d) and not any(G.has_loop(v) for v in d.cut_vertices):
-        children = []
-        for i in range(d.block_count):
-            sub, kept = G.induced_with_labels(d.blocks[i])
-            child = _node(sub, tuple(labels[i2] for i2 in kept))
-            children.append(
-                replace(
-                    child,
-                    block_index=i,
-                    block_vertices=tuple(labels[v] for v in d.blocks[i]),
-                )
-            )
-        return CertNode(RuleTag.R0_DIGRAPH, 0, tuple(children))
-
-    choice = _pick_peel(G, d)
-    if choice is None:
-        return _direct_leaf(G)
-    return _apply_peel(G, labels, d, *choice)
+    if d.block_count > 1:
+        if is_r2_digraph(G, d):
+            m = len(d.cut_vertices)
+            breves = [[v for v in blk if v not in d.cut_vertices] for blk in d.blocks]
+            children = _summand_passes(G, labels, d, breves)
+            return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
+        if is_r0_digraph(G, d) and not any(G.has_loop(v) for v in d.cut_vertices):
+            children = _summand_passes(G, labels, d, d.blocks)
+            return CertNode(RuleTag.R0_DIGRAPH, 0, children)
+    return _peel_pass(G, labels, d)
 
 
-def _direct_leaf(G: WeightedDigraph) -> CertNode:
-    return CertNode(RuleTag.DIRECT_RANK, oracle_rank(G), note=f"n={G.n}")
-
-
-_CASE_PRIORITY = {
-    CutVertexCase.RANK_PLUS_2: 0,
-    CutVertexCase.RANK_PLUS_0: 1,
-    CutVertexCase.RANK_PLUS_1: 2,
-}
-
-
-def _pick_peel(G: WeightedDigraph, d: BlockDecomposition):
-    """Lowest (case priority, block index) applicable pendant-block peel."""
-    best = None
-    for i in range(d.block_count):
-        if not d.pendant[i]:
-            continue
-        cuts = d.cuts_in_block(i)
-        if len(cuts) != 1:
-            continue
-        v = cuts[0]
-        split = make_split(G, v, d.blocks[i])
-        cls = classify_cut(G, split)
-        if cls.case is CutVertexCase.RANK_PLUS_0:
-            rest = sorted(u for u in range(G.n) if u not in split.side)
-            if not _case2_outside_ok(G, v, rest):
-                continue
-        key = (_CASE_PRIORITY[cls.case], i)
-        if best is None or key < best[0]:
-            best = (key, i, v, split, cls)
-            if key[0] == 0 and i == 0:
-                break
-    if best is None:
-        return None
-    return best[1], best[2], best[3], best[4]
-
-
-def _apply_peel(
+def _summand_passes(
     G: WeightedDigraph,
     labels: tuple[int, ...],
     d: BlockDecomposition,
-    i: int,
-    v: int,
-    split: CutSplit,
-    cls: Classification,
-) -> CertNode:
-    inner = sorted(split.side - {v})
-    rest = sorted(u for u in range(G.n) if u not in split.side)
-    blk_orig = tuple(labels[u] for u in d.blocks[i])
-
-    def sub(vertices: Iterable[int]) -> tuple[WeightedDigraph, tuple[int, ...]]:
-        g, kept = G.induced_with_labels(vertices)
-        return g, tuple(labels[u] for u in kept)
-
-    inner_g, inner_lab = sub(inner)
-    inner_node = _node(inner_g, inner_lab)
-
-    if cls.case is CutVertexCase.RANK_PLUS_2:
-        rest_g, rest_lab = sub(rest)
-        return CertNode(
-            RuleTag.CASE_I_PEEL,
-            2,
-            (inner_node, _node(rest_g, rest_lab)),
-            block_index=i,
-            block_vertices=blk_orig,
-            cut_vertex=labels[v],
-        )
-
-    if cls.case is CutVertexCase.RANK_PLUS_0:
-        keep_g, keep_lab = sub(rest + [v])
-        return CertNode(
-            RuleTag.R0_PEEL,
-            0,
-            (inner_node, _node(keep_g, keep_lab)),
-            block_index=i,
-            block_vertices=blk_orig,
-            cut_vertex=labels[v],
-        )
-
-    # case III
-    m1, m2 = cls.memberships[0], cls.memberships[1]
-    if m1 and m2:
-        residual, _ = _loop_residue(G, v, inner)
-        if residual == 0:
-            raise InconsistentClassification(
-                "zero loop residue inside case III with both memberships"
+    parts: Sequence[Sequence[int]],
+) -> tuple[CertNode, ...]:
+    """One peel pass on each sum-rule summand parts[i], tagged with block i."""
+    out = []
+    for i, part in enumerate(parts):
+        sub, kept = G.induced_with_labels(part)
+        node = _peel_pass(sub, tuple(labels[u] for u in kept))
+        out.append(
+            replace(
+                node,
+                block_index=i,
+                block_vertices=tuple(labels[v] for v in d.blocks[i]),
             )
-        keep = sorted(rest + [v])
-        keep_g, keep_lab = sub(keep)
-        keep_g = keep_g.with_loop(keep.index(v), residual)
-        return CertNode(
-            RuleTag.CASE_III_LT,
-            0,
-            (inner_node, _node(keep_g, keep_lab)),
-            block_index=i,
-            block_vertices=blk_orig,
-            cut_vertex=labels[v],
-            note=f"loop residue {residual}",
         )
+    return tuple(out)
 
-    A_R = G.induced_subdigraph(rest).adjacency_matrix()
-    if m2:
-        extra, _ = in_column_space(G.in_vector(v, rest), A_R)
-        which = "in-column inside"
-    else:
-        extra, _ = in_row_space(G.out_vector(v, rest), A_R)
-        which = "out-row inside"
-    rest_g, rest_lab = sub(rest)
-    return CertNode(
-        RuleTag.CASE_III_PEEL,
-        1 + (0 if extra else 1),
-        (inner_node, _node(rest_g, rest_lab)),
-        block_index=i,
-        block_vertices=blk_orig,
-        cut_vertex=labels[v],
-        note=which,
-    )
+
+def _peel_pass(
+    G: WeightedDigraph, labels: tuple[int, ...], d: BlockDecomposition | None = None
+) -> CertNode:
+    """Rank of G by one leaves-first peel over its block-cut forest.
+
+    Each component's tree is rooted at its lowest-index block.  Every other
+    block b is peeled at its parent cut-vertex v against B, the current
+    matrix on b - v: the rows and columns still present, with loops as
+    earlier peels left them.  With x and y v's row and column restricted to
+    B and alpha v's loop, v's row is deleted (+1) when x lies outside B's row
+    space, v's column likewise for y and the column space, and when v keeps
+    both, its loop becomes alpha - x.d with B d = y.  Each outcome is a row
+    or column operation that touches only v's row, column and loop, so the
+    original block-cut tree stays a separator tree throughout.  What is
+    left of each root block is ranked directly.
+    """
+    if d is None:
+        d = decompose(G)
+    arcs = {(u, t): w for u, t, w in G.arcs()}
+    no_row: set[int] = set()
+    no_col: set[int] = set()
+    nodes: list[CertNode] = []
+    for b, v in _leaves_first(d):
+        blk = d.blocks[b]
+        rows = [u for u in blk if u != v and u not in no_row]
+        cols = [u for u in blk if u != v and u not in no_col]
+        B = RationalMatrix(
+            [[arcs.get((u, t), _ZERO) for t in cols] for u in rows], cols=len(cols)
+        )
+        r = rank(B).rank
+        if v is None:
+            nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
+            continue
+        x = [arcs.get((v, t), _ZERO) for t in cols]
+        y = [arcs.get((u, v), _ZERO) for u in rows]
+        has_row, has_col = v not in no_row, v not in no_col
+        row_out = (
+            has_row
+            and r < len(cols)
+            and any(x)
+            and rank(B.with_row_appended(x)).rank > r
+        )
+        col_out = (
+            has_col
+            and r < len(rows)
+            and any(y)
+            and rank(B.with_column_prepended(y)).rank > r
+        )
+        if row_out:
+            no_row.add(v)
+        if col_out:
+            no_col.add(v)
+        residue = _ZERO
+        if has_row and has_col and not (row_out or col_out):
+            residue = arcs.pop((v, v), _ZERO)
+            if any(y):
+                residue -= dot(x, in_column_space(y, B)[1])
+            if residue:
+                arcs[(v, v)] = residue
+        if row_out and col_out:
+            tag, note = RuleTag.CASE_I_PEEL, ""
+        elif row_out or col_out:
+            tag = RuleTag.CASE_III_PEEL
+            note = "out-row deleted" if row_out else "in-column deleted"
+        elif residue:
+            tag, note = RuleTag.CASE_III_LT, f"loop residue {residue}"
+        else:
+            tag, note = RuleTag.R0_PEEL, ""
+        nodes.append(
+            CertNode(
+                tag,
+                r + row_out + col_out,
+                block_index=b,
+                block_vertices=tuple(labels[u] for u in blk),
+                cut_vertex=labels[v],
+                note=note,
+            )
+        )
+    if not nodes:
+        return CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
+    if len(nodes) == 1:
+        return nodes[0]
+    return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(nodes))
+
+
+def _leaves_first(d: BlockDecomposition) -> list[tuple[int, int | None]]:
+    """(block, parent cut-vertex) pairs, every block after all blocks below it.
+
+    Each component's block-cut tree is rooted at its lowest-index block,
+    which comes last in its component with parent None.
+    """
+    order: list[tuple[int, int | None]] = []
+    seen = [False] * d.block_count
+    for root in range(d.block_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        preorder: list[tuple[int, int | None]] = []
+        stack: list[tuple[int, int | None]] = [(root, None)]
+        while stack:
+            b, v = stack.pop()
+            preorder.append((b, v))
+            for w in d.cuts_in_block(b):
+                if w == v:
+                    continue
+                for c in d.membership[w]:
+                    if not seen[c]:
+                        seen[c] = True
+                        stack.append((c, w))
+        order.extend(reversed(preorder))
+    return order

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalMismatch
 
 Vector = tuple[Fraction, ...]
 
@@ -142,44 +142,10 @@ def _scaled_int_rows(M: RationalMatrix) -> list[list[int]]:
     return out
 
 
-def int_rank(a: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss (mutates `a`)."""
+def _bareiss(a: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free Bareiss (mutates `a`)."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = -1
-        for i in range(r, nrows):
-            if a[i][c]:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            a[p], a[r] = a[r], a[p]
-        row_r = a[r]
-        piv = row_r[c]
-        for i in range(r + 1, nrows):
-            row_i = a[i]
-            m = row_i[c]
-            for j in range(c + 1, ncols):
-                num = piv * row_i[j] - m * row_r[j]
-                q, rem = divmod(num, prev)
-                assert not rem, "Bareiss division must be exact"
-                row_i[j] = q
-            row_i[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def rank(M: RationalMatrix) -> RankResult:
-    """Exact rank with pivot columns, via integer Bareiss elimination."""
-    a = _scaled_int_rows(M)
-    nrows, ncols = M.rows, M.cols
     r = 0
     prev = 1
     pivots: list[int] = []
@@ -204,12 +170,24 @@ def rank(M: RationalMatrix) -> RankResult:
             for j in range(c + 1, ncols):
                 num = piv * row_i[j] - m * row_r[j]
                 q, rem = divmod(num, prev)
-                assert not rem, "Bareiss division must be exact"
+                if rem:
+                    raise InternalMismatch("Bareiss division must be exact")
                 row_i[j] = q
             row_i[c] = 0
         prev = piv
         r += 1
-    return RankResult(r, tuple(pivots))
+    return pivots
+
+
+def int_rank(a: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss (mutates `a`)."""
+    return len(_bareiss(a))
+
+
+def rank(M: RationalMatrix) -> RankResult:
+    """Exact rank with pivot columns, via integer Bareiss elimination."""
+    pivots = _bareiss(_scaled_int_rows(M))
+    return RankResult(len(pivots), tuple(pivots))
 
 
 def _solve(A: list[list[Fraction]], b: list[Fraction], unknowns: int) -> Vector | None:

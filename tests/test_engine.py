@@ -24,6 +24,7 @@ from digrank import (
     check_lemma_2rin,
     classify_cut,
     decompose,
+    format_digraph,
     gen,
     is_r0_biblock_graph,
     is_r0_digraph,
@@ -49,6 +50,7 @@ from digrank import (
     render_certificate,
     side_components,
 )
+from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated
 from digrank.generate import random_digraph
 from oracles import rank_of_digraph
@@ -383,3 +385,96 @@ def test_block_graph_instances_peel_through_case3():
         cert = rank_recursive(G, oracle_check=True)
         rules = cert.rules_used()
         assert RuleTag.CASE_III_LT in rules or RuleTag.CASE_III_PEEL in rules
+
+
+# -- the peel pass at scale ---------------------------------------------------
+
+
+def triangle_chain(k):
+    """k directed triangles a -> b -> c -> a, each c glued to the next a."""
+    arcs = []
+    for i in range(k):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        arcs += [(a, b, 1), (b, c, 1), (c, a, 1)]
+    return build(2 * k + 1, arcs)
+
+
+def cert_depth(cert):
+    depth, level = 0, [cert.root]
+    while level:
+        depth += 1
+        level = [c for node in level for c in node.children]
+    return depth
+
+
+def test_triangle_chain_of_400_needs_no_recursion():
+    # For k >= 2 every row but the last c-vertex's owns a private column.
+    cert = rank_recursive(triangle_chain(400))
+    assert cert.rank == cert.root.total == 800
+    assert cert_depth(cert) <= 4
+
+
+WEIGHTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+SHAPES = (
+    (EdgeKind.SIMPLE_EDGE, 1),
+    (EdgeKind.NC_TILDE_EDGE, 2),
+    (EdgeKind.NC_TILDE_ARC, 1),
+    (EdgeKind.NC_EDGE, 3),
+    (EdgeKind.NC_ARC, 2),
+)
+
+
+def glued_blocks(rng, count):
+    """`count` blocks of 3-5 vertices, each a bi-arc cycle plus random chords
+    and loops, glued at a random earlier vertex; block 0 holds vertex 0."""
+    arcs = {}
+    n = 0
+    for b in range(count):
+        size = rng.randint(3, 5)
+        if b == 0:
+            vs = list(range(size))
+        else:
+            vs = [rng.randrange(n)] + list(range(n, n + size - 1))
+        n = vs[-1] + 1
+        for i in range(len(vs)):
+            arcs[(vs[i], vs[i - 1])] = rng.choice(WEIGHTS)
+            arcs[(vs[i - 1], vs[i])] = rng.choice(WEIGHTS)
+        for u in vs:
+            for v in vs:
+                if rng.random() < 0.3:
+                    arcs[(u, v)] = rng.choice(WEIGHTS)
+    return build(n, [(u, v, w) for (u, v), w in arcs.items()])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pendant_star_on_one_hub_matches_oracle(seed):
+    rng = random.Random(f"star:{seed}")
+    G = glued_blocks(rng, rng.randint(2, 4))
+    # every shape with its arcs both ways, four times over, all on vertex 0
+    pendants = [(shape, toward_new) for shape in SHAPES for toward_new in (True, False)]
+    pendants *= 4
+    rng.shuffle(pendants)
+    for (kind, need), toward_new in pendants:
+        ws = tuple(rng.choice(WEIGHTS) for _ in range(need))
+        G = G.attach_edge(0, kind, ws, toward_new)
+    cert = rank_recursive(G)
+    assert cert.rank == cert.root.total == oracle_rank(G)
+
+
+def test_hub_loses_row_and_column_to_different_pendants():
+    # Arc pendants only: the hub's out-arc leaf takes its row, the in-arc
+    # leaf its column, and the block behind the hub sees neither.
+    G = glued_blocks(random.Random("hub"), 3)
+    for toward_new in (True, False):
+        G = G.attach_edge(0, EdgeKind.NC_TILDE_ARC, (Fraction(3),), toward_new)
+    cert = rank_recursive(G)
+    assert cert.rank == oracle_rank(G)
+    notes = {n.note for n in cert.root.walk() if n.cut_vertex == 0}
+    assert {"out-row deleted", "in-column deleted"} <= notes
+
+
+def test_cli_ranks_the_400_triangle_chain(tmp_path, capsys):
+    path = tmp_path / "chain.dg"
+    path.write_text(format_digraph(triangle_chain(400)))
+    assert main(["rank", "--input", str(path), "--certify"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "rank 800"
