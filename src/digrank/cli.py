@@ -28,6 +28,7 @@ from .errors import (
     InconsistentClassification,
     InternalMismatch,
     InvalidSpec,
+    ParseError,
 )
 from .engine import rank_recursive, render_certificate
 from .generate import FAMILIES, GenSpec, gen
@@ -42,7 +43,10 @@ from .verify import run_suite, suite_names
 
 
 def _read_graph(path: str) -> WeightedDigraph:
-    return parse_digraph(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_digraph(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8: byte {e.start} ({e.reason})") from None
 
 
 def _cmd_rank(args) -> int:

@@ -37,7 +37,7 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -52,7 +52,7 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import RationalMatrix, dot, in_column_space, in_row_space, rank
+from .linalg import RationalMatrix, dot, in_column_space, in_row_space, rank, schur_peel
 from .trees import TreeKind, classify_tree, count_loop_attachments, max_matching
 
 _ZERO = Fraction(0)
@@ -139,15 +139,18 @@ def render_certificate(cert: RankCertificate) -> str:
 # -- r2 / r0 block predicates ------------------------------------------------
 
 
+def _cut_peel(G: WeightedDigraph, blk: Sequence[int], v: int):
+    """schur_peel of block blk - v bordered by its cut-vertex v."""
+    rest = [u for u in blk if u != v]
+    B = RationalMatrix([G.out_vector(u, rest) for u in rest], cols=len(rest))
+    return schur_peel(G.loop_weight(v), G.out_vector(v, rest), G.in_vector(v, rest), B)
+
+
 def is_r2_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
-    """Block i has exactly one cut-vertex v and loses rank 2 when v goes."""
+    """Block i has exactly one cut-vertex v and loses rank 2 when v goes:
+    v's border adds 2 to the rank of the rest of the block."""
     cuts = d.cuts_in_block(i)
-    if len(cuts) != 1:
-        return False
-    v = cuts[0]
-    B = block_subdigraph(G, d, i)
-    Bv = G.induced_subdigraph(u for u in d.blocks[i] if u != v)
-    return oracle_rank(B) == oracle_rank(Bv) + 2
+    return len(cuts) == 1 and _cut_peel(G, d.blocks[i], cuts[0]).delta == 2
 
 
 def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
@@ -159,15 +162,11 @@ def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
         any(r2[i] for i in d.membership[v]) for v in d.cut_vertices
     )
 
+
 def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
-    """Removing any one of G's cut-vertices from block i keeps its rank."""
-    B = block_subdigraph(G, d, i)
-    rb = oracle_rank(B)
-    for v in d.cuts_in_block(i):
-        Bv = G.induced_subdigraph(u for u in d.blocks[i] if u != v)
-        if oracle_rank(Bv) != rb:
-            return False
-    return True
+    """Removing any one of G's cut-vertices from block i keeps its rank:
+    each cut-vertex's border adds 0 to the rank of the rest of the block."""
+    return all(_cut_peel(G, d.blocks[i], v).delta == 0 for v in d.cuts_in_block(i))
 
 
 def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
@@ -706,13 +705,14 @@ def _peel_pass(
     Each component's tree is rooted at its lowest-index block.  Every other
     block b is peeled at its parent cut-vertex v against B, the current
     matrix on b - v: the rows and columns still present, with loops as
-    earlier peels left them.  With x and y v's row and column restricted to
-    B and alpha v's loop, v's row is deleted (+1) when x lies outside B's row
-    space, v's column likewise for y and the column space, and when v keeps
-    both, its loop becomes alpha - x.d with B d = y.  Each outcome is a row
-    or column operation that touches only v's row, column and loop, so the
-    original block-cut tree stays a separator tree throughout.  What is
-    left of each root block is ranked directly.
+    earlier peels left them.  One `schur_peel` of B bordered by v's row x,
+    column y and loop alpha decides the outcome: v's row is deleted (+1)
+    when x lies outside B's row space, v's column likewise for y and the
+    column space, and when v keeps both, its loop becomes the residue
+    alpha - x.d with B d = y.  Each outcome is a row or column operation
+    that touches only v's row, column and loop, so the original block-cut
+    tree stays a separator tree throughout.  What is left of each root
+    block is ranked directly.
     """
     if d is None:
         d = decompose(G)
@@ -727,36 +727,23 @@ def _peel_pass(
         B = RationalMatrix(
             [[arcs.get((u, t), _ZERO) for t in cols] for u in rows], cols=len(cols)
         )
-        r = rank(B).rank
         if v is None:
+            r = rank(B).rank
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
         x = [arcs.get((v, t), _ZERO) for t in cols]
         y = [arcs.get((u, v), _ZERO) for u in rows]
+        peel = schur_peel(arcs.get((v, v), _ZERO), x, y, B)
         has_row, has_col = v not in no_row, v not in no_col
-        row_out = (
-            has_row
-            and r < len(cols)
-            and any(x)
-            and rank(B.with_row_appended(x)).rank > r
-        )
-        col_out = (
-            has_col
-            and r < len(rows)
-            and any(y)
-            and rank(B.with_column_prepended(y)).rank > r
-        )
+        row_out = has_row and not peel.x_in
+        col_out = has_col and not peel.y_in
         if row_out:
             no_row.add(v)
         if col_out:
             no_col.add(v)
         residue = _ZERO
-        if has_row and has_col and not (row_out or col_out):
-            residue = arcs.pop((v, v), _ZERO)
-            if any(y):
-                residue -= dot(x, in_column_space(y, B)[1])
-            if residue:
-                arcs[(v, v)] = residue
+        if has_row and has_col and peel.x_in and peel.y_in:
+            arcs[(v, v)] = residue = peel.residue
         if row_out and col_out:
             tag, note = RuleTag.CASE_I_PEEL, ""
         elif row_out or col_out:
@@ -769,7 +756,7 @@ def _peel_pass(
         nodes.append(
             CertNode(
                 tag,
-                r + row_out + col_out,
+                peel.rank + row_out + col_out,
                 block_index=b,
                 block_vertices=tuple(labels[u] for u in blk),
                 cut_vertex=labels[v],

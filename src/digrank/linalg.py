@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of `fractions.Fraction` entries.  Rank is computed by
-fraction-free Bareiss elimination on integers (rows are scaled by their
+Dense matrices of `fractions.Fraction` entries.  Every elimination is one
+fraction-free Bareiss loop on integers (each row is scaled by its
 denominator lcm first, which changes neither rank nor pivot columns), so
-arbitrarily large intermediate values stay exact.  Row/column-space
-membership tests solve the defining linear system and hand back witness
-coefficients.  There is no floating point anywhere in this module.
+arbitrarily large intermediate values stay exact.  Rank, row/column-space
+membership with witness coefficients, and `schur_peel` -- what a bordering
+row and column add to a matrix's rank -- are all read off that one loop.
+There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -83,20 +84,6 @@ class RationalMatrix:
             raise DimensionMismatch(f"row of length {len(v)} vs {self.cols} columns")
         return RationalMatrix(list(self._data) + [v], cols=self.cols)
 
-    def with_row_prepended(self, v: Sequence) -> "RationalMatrix":
-        v = vector(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"row of length {len(v)} vs {self.cols} columns")
-        return RationalMatrix([v] + list(self._data), cols=self.cols)
-
-    def with_column_prepended(self, v: Sequence) -> "RationalMatrix":
-        v = vector(v)
-        if len(v) != self.rows:
-            raise DimensionMismatch(f"column of length {len(v)} vs {self.rows} rows")
-        return RationalMatrix(
-            [(v[i],) + self._data[i] for i in range(self.rows)], cols=self.cols + 1
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
         return RationalMatrix(
             [[self._data[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
@@ -126,34 +113,43 @@ class RankResult:
     pivot_columns: tuple[int, ...]
 
 
+def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    scale = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            scale = lcm(scale, d)
+    if scale == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
 def _scaled_int_rows(M: RationalMatrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators; rank-preserving."""
-    out = []
-    for row in M._data:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                scale = lcm(scale, d)
-        if scale == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([int(x * scale) for x in row])
-    return out
+    return [_scaled_int_row(row)[0] for row in M._data]
 
 
-def _bareiss(a: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix by fraction-free Bareiss (mutates `a`)."""
+def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free Bareiss (mutates `a`).
+
+    Pivots come from the first `prows` rows and `pcols` columns only, but
+    every row below a pivot is eliminated.  After r pivots (pivot k in row
+    k), each entry j >= `pcols` of a row i >= r is the minor on the pivot
+    rows plus row i and the pivot columns plus column j (Sylvester's
+    identity); every other entry of such a row is zero exactly when the
+    matching minor is.
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     r = 0
     prev = 1
     pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(pcols):
+        if r == prows:
             break
         p = -1
-        for i in range(r, nrows):
+        for i in range(r, prows):
             if a[i][c]:
                 p = i
                 break
@@ -181,73 +177,82 @@ def _bareiss(a: list[list[int]]) -> list[int]:
 
 def int_rank(a: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free Bareiss (mutates `a`)."""
-    return len(_bareiss(a))
+    return len(_bareiss(a, len(a), len(a[0]) if a else 0))
 
 
 def rank(M: RationalMatrix) -> RankResult:
     """Exact rank with pivot columns, via integer Bareiss elimination."""
-    pivots = _bareiss(_scaled_int_rows(M))
+    pivots = _bareiss(_scaled_int_rows(M), M.rows, M.cols)
     return RankResult(len(pivots), tuple(pivots))
 
 
-def _solve(A: list[list[Fraction]], b: list[Fraction], unknowns: int) -> Vector | None:
-    """One exact solution of A x = b (free variables 0), or None if inconsistent.
+def in_column_space(v: Sequence, M: RationalMatrix) -> tuple[bool, Vector | None]:
+    """Is v in the column space of M?  Returns (flag, witness d with M·d = v).
 
-    A has len(b) rows and `unknowns` columns.  Plain fraction-ful
-    Gauss-Jordan; this is the witness-producing path, not the rank oracle.
+    Bareiss on [M | v] with pivots in M's columns: v is outside when a row
+    past the rank keeps a nonzero v entry; otherwise back-substitution
+    through the pivot rows, free variables 0, gives d.
     """
-    m = len(A)
-    aug = [list(A[i]) + [b[i]] for i in range(m)]
-    piv_cols: list[tuple[int, int]] = []  # (column, row)
-    r = 0
-    for c in range(unknowns):
-        if r == m:
-            break
-        p = -1
-        for i in range(r, m):
-            if aug[i][c]:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            aug[p], aug[r] = aug[r], aug[p]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [xi - f * xr for xi, xr in zip(aug[i], aug[r])]
-        piv_cols.append((c, r))
-        r += 1
-    for i in range(r, m):
-        if aug[i][unknowns]:
-            return None
-    x = [_ZERO] * unknowns
-    for c, row in piv_cols:
-        x[c] = aug[row][unknowns]
-    return tuple(x)
+    v = vector(v)
+    if len(v) != M.rows:
+        raise DimensionMismatch(f"vector of length {len(v)} vs {M.rows} rows")
+    a = [_scaled_int_row(M._data[i] + (v[i],))[0] for i in range(M.rows)]
+    n = M.cols
+    pivots = _bareiss(a, M.rows, n)
+    r = len(pivots)
+    if any(row[n] for row in a[r:]):
+        return False, None
+    d = [_ZERO] * n
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        rhs = row[n] - sum((row[c] * d[c] for c in pivots[k + 1 :]), _ZERO)
+        d[pivots[k]] = rhs / row[pivots[k]]
+    return True, tuple(d)
 
 
 def in_row_space(v: Sequence, M: RationalMatrix) -> tuple[bool, Vector | None]:
     """Is v in the row space of M?  Returns (flag, witness c with c·M = v)."""
-    v = vector(v)
     if len(v) != M.cols:
         raise DimensionMismatch(f"vector of length {len(v)} vs {M.cols} columns")
-    # Solve Mᵀ c = v; one equation per column of M, one unknown per row.
-    A = [[M._data[i][j] for i in range(M.rows)] for j in range(M.cols)]
-    sol = _solve(A, list(v), M.rows)
-    return (sol is not None), sol
+    return in_column_space(v, M.transpose())
 
 
-def in_column_space(v: Sequence, M: RationalMatrix) -> tuple[bool, Vector | None]:
-    """Is v in the column space of M?  Returns (flag, witness d with M·d = v)."""
-    v = vector(v)
-    if len(v) != M.rows:
-        raise DimensionMismatch(f"vector of length {len(v)} vs {M.rows} rows")
-    A = [list(M._data[i]) for i in range(M.rows)]
-    sol = _solve(A, list(v), M.cols)
-    return (sol is not None), sol
+@dataclass(frozen=True)
+class SchurPeel:
+    """What a border row x, column y and corner alpha add to B's rank."""
+
+    rank: int  # r(B)
+    x_in: bool  # x lies in B's row space
+    y_in: bool  # y lies in B's column space
+    residue: Fraction | None  # alpha - x.d with B d = y; None unless y_in
+    delta: int  # r([[alpha, x], [y, B]]) - r(B): 2, 1 or 0
+
+
+def schur_peel(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> SchurPeel:
+    """Decide the border (alpha, x, y) of B with one Bareiss elimination of
+    [[B, y], [x, alpha]], pivots in B only.  x lies in B's row space when
+    the x row's B part ends up zero, y in its column space when the rows
+    of B past its rank end up with zero y entries.  The x row's last entry
+    is the pivot minor bordered by x and y (Sylvester's identity); over the
+    last pivot and the x row's scale it is alpha - x.d, d the witness of
+    `in_column_space(y, B)`.
+    """
+    x, y = vector(x), vector(y)
+    if len(x) != B.cols or len(y) != B.rows:
+        raise DimensionMismatch(f"border {len(x)}, {len(y)} vs {B.rows}x{B.cols} B")
+    a = [_scaled_int_row(B._data[i] + (y[i],))[0] for i in range(B.rows)]
+    last, scale = _scaled_int_row(x + (_frac(alpha),))
+    a.append(last)
+    pivots = _bareiss(a, B.rows, B.cols)
+    r = len(pivots)
+    x_in = not any(last[: B.cols])
+    y_in = not any(row[B.cols] for row in a[r : B.rows])
+    residue = None
+    if y_in:
+        prev = a[r - 1][pivots[-1]] if r else 1
+        residue = Fraction(last[B.cols], prev * scale)
+    delta = int(residue != 0) if x_in and y_in else 2 - x_in - y_in
+    return SchurPeel(r, x_in, y_in, residue, delta)
 
 
 def bordered(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> RationalMatrix:

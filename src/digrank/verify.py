@@ -54,7 +54,7 @@ from .errors import (
     UnknownSuite,
 )
 from .generate import DEFAULT_POOL, GenSpec, extend_to_r2, gen, random_digraph
-from .linalg import RationalMatrix, bordered, rank
+from .linalg import RationalMatrix, bordered, rank, schur_peel
 from .trees import max_matching, rank_r2_tree, rank_tree
 
 
@@ -105,7 +105,8 @@ def _rand_square(rng, k) -> RationalMatrix:
 
 
 def _suite_thm_hy(count, max_n, rng):
-    """Membership trichotomy == literal rank increment, on random borders."""
+    """Membership trichotomy and schur_peel == literal rank increment, on
+    random borders."""
     failures: list[dict] = []
     for i in range(count):
         k = rng.randint(0, max_n - 1)
@@ -115,10 +116,12 @@ def _suite_thm_hy(count, max_n, rng):
         alpha = rng.choice(_ENTRY_POOL)
         cls = classify_bordered(alpha, x, y, B)
         delta = rank(bordered(alpha, x, y, B)).rank - rank(B).rank
-        if cls.delta != delta:
+        peel = schur_peel(alpha, x, y, B)
+        if cls.delta != delta or peel.delta != delta:
             _fail(
                 failures,
-                f"case {cls.label} (delta {cls.delta}) vs rank increment {delta}",
+                f"case {cls.label} (delta {cls.delta}), schur_peel delta "
+                f"{peel.delta}, vs rank increment {delta}",
                 instance=repr((alpha, x, y, B)),
             )
         m1, m2, m3, m4 = cls.memberships

@@ -1,0 +1,90 @@
+"""Certificate text pinned byte for byte.
+
+`render_certificate` output for four graphs, frozen from the engine that
+introduced the single peel pass.  Between them they cover CASE_III_PEEL
+with both notes, R0_PEEL, CASE_III_LT, DIRECT_RANK, R2_DIGRAPH and
+COMPONENT_SUM; any change to how a peel is decided that moves a rank, a
+deleted row or column, or a loop residue shows up here as a text diff.
+"""
+
+import pytest
+
+from digrank import build, rank_recursive, render_certificate
+
+MIXED_ARC_DIGRAPH_14 = """\
+ComponentSum contributes=0
+  CaseIIIPeel block=4 v=3 contributes=1 [3,12] (in-column deleted)
+  CaseIIIPeel block=1 v=0 contributes=2 [0,3,4] (in-column deleted)
+  R0Peel block=5 v=5 contributes=1 [5,10,11]
+  R0Peel block=6 v=7 contributes=2 [7,8,9]
+  R0Peel block=2 v=0 contributes=3 [0,5,6,7]
+  CaseIIIPeel block=3 v=1 contributes=1 [1,13] (out-row deleted)
+  DirectRank contributes=2 (n=3)
+"""
+
+R2_EXTENDED_DIGRAPH_19 = """\
+R2Digraph contributes=10 (m=5)
+  DirectRank block=0 contributes=1 [0,1,2] (n=1)
+  DirectRank block=1 contributes=0 [0,3,4] (n=1)
+  DirectRank block=2 contributes=1 [0,5,6,7] (n=1)
+  DirectRank block=3 contributes=0 [0,15] (n=1)
+  DirectRank block=4 contributes=0 [1,13] (n=1)
+  DirectRank block=5 contributes=0 [1,14] (n=1)
+  DirectRank block=6 contributes=0 [3,12] (n=1)
+  DirectRank block=7 contributes=0 [3,16] (n=1)
+  DirectRank block=8 contributes=1 [5,10,11] (n=2)
+  DirectRank block=9 contributes=0 [5,18] (n=1)
+  DirectRank block=10 contributes=2 [7,8,9] (n=2)
+  DirectRank block=11 contributes=0 [7,17] (n=1)
+"""
+
+BLOCK_GRAPH_19 = """\
+R2Digraph contributes=10 (m=5)
+  DirectRank block=0 contributes=0 [0,1,2] (n=1)
+  DirectRank block=1 contributes=0 [0,3,4] (n=1)
+  DirectRank block=2 contributes=0 [0,5,6,7] (n=1)
+  DirectRank block=3 contributes=0 [0,15] (n=1)
+  DirectRank block=4 contributes=0 [1,13] (n=1)
+  DirectRank block=5 contributes=0 [1,14] (n=1)
+  DirectRank block=6 contributes=0 [3,12] (n=1)
+  DirectRank block=7 contributes=0 [3,16] (n=1)
+  DirectRank block=8 contributes=2 [5,10,11] (n=2)
+  DirectRank block=9 contributes=0 [5,18] (n=1)
+  DirectRank block=10 contributes=2 [7,8,9] (n=2)
+  DirectRank block=11 contributes=0 [7,17] (n=1)
+"""
+
+LOOP_RESIDUE = """\
+ComponentSum contributes=0
+  CaseIIILt block=1 v=1 contributes=1 [1,2] (loop residue 1)
+  DirectRank contributes=1 (n=2)
+"""
+
+
+def loop_residue_graph():
+    """The 3-vertex graph of test_case3_peel_loop_residue: bordered rows
+    [[1,1,0],[1,2,1],[0,1,1]], residue 2 - 1 = 1 at vertex 1."""
+    return build(
+        3,
+        [
+            (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2),
+            (1, 2, 1), (2, 1, 1), (2, 2, 1),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture,expected",
+    [
+        ("mixed_arc_digraph_14", MIXED_ARC_DIGRAPH_14),
+        ("r2_extended_digraph_19", R2_EXTENDED_DIGRAPH_19),
+        ("block_graph_19", BLOCK_GRAPH_19),
+    ],
+)
+def test_fixture_certificate_text_is_frozen(fixture, expected, request):
+    G = request.getfixturevalue(fixture)
+    assert render_certificate(rank_recursive(G)) == expected
+
+
+def test_loop_residue_certificate_text_is_frozen():
+    assert render_certificate(rank_recursive(loop_residue_graph())) == LOOP_RESIDUE

@@ -27,6 +27,7 @@ from digrank import (
     format_digraph,
     gen,
     is_r0_biblock_graph,
+    is_r0_block,
     is_r0_digraph,
     is_r2_biblock_graph,
     is_r2_block,
@@ -52,8 +53,8 @@ from digrank import (
 )
 from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated
-from digrank.generate import random_digraph
-from oracles import rank_of_digraph
+from digrank.generate import FAMILIES, random_digraph
+from oracles import naive_rank, rank_of_digraph
 
 
 def biarc_path(n, w=1):
@@ -471,6 +472,47 @@ def test_hub_loses_row_and_column_to_different_pendants():
     assert cert.rank == oracle_rank(G)
     notes = {n.note for n in cert.root.walk() if n.cut_vertex == 0}
     assert {"out-row deleted", "in-column deleted"} <= notes
+
+
+# -- r2 / r0 block predicates against their literal definitions ---------------
+
+
+def predicate_corpus():
+    """Seeded glued random blocks with pendants, plus every family at n <= 16."""
+    rng = random.Random("predicates")
+    for _ in range(40):
+        G = glued_blocks(rng, rng.randint(2, 6))
+        for _ in range(rng.randint(0, 4)):
+            (kind, need), toward_new = rng.choice(SHAPES), rng.random() < 0.5
+            ws = tuple(rng.choice(WEIGHTS) for _ in range(need))
+            G = G.attach_edge(rng.randrange(G.n), kind, ws, toward_new)
+        yield G
+    for family in FAMILIES:
+        for n in range(1, 17):
+            for seed in range(2):
+                base = None
+                if family == "r2-extension":
+                    base = gen(GenSpec("random-digraph", n=max(1, n // 2), seed=seed))
+                yield gen(GenSpec(family, n=n, seed=seed, base=base))
+
+
+def test_block_predicates_match_literal_rank_drops():
+    seen = set()
+    for G in predicate_corpus():
+        A = G.adjacency_matrix().to_lists()
+        d = decompose(G)
+        for i, blk in enumerate(d.blocks):
+            whole = naive_rank([[A[u][t] for t in blk] for u in blk])
+            drops = []
+            for v in d.cuts_in_block(i):
+                rest = [u for u in blk if u != v]
+                drops.append(whole - naive_rank([[A[u][t] for t in rest] for u in rest]))
+            r2 = drops == [2]
+            r0 = all(drop == 0 for drop in drops)
+            assert is_r2_block(G, d, i) == r2, (format_digraph(G), i)
+            assert is_r0_block(G, d, i) == r0, (format_digraph(G), i)
+            seen.add((r2, r0))
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_cli_ranks_the_400_triangle_chain(tmp_path, capsys):

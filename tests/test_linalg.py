@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digrank.classify import classify_bordered
 from digrank.errors import DimensionMismatch
 from digrank.linalg import (
     RationalMatrix,
@@ -21,6 +22,7 @@ from digrank.linalg import (
     in_row_space,
     int_rank,
     rank,
+    schur_peel,
     vector,
 )
 from oracles import naive_rank, sympy_rank
@@ -200,3 +202,50 @@ def test_bordered_layout():
     ]
     with pytest.raises(DimensionMismatch):
         bordered(1, (2,), (4, 9), B)
+
+
+# -- the Schur peel ----------------------------------------------------------
+
+
+@st.composite
+def borders(draw):
+    """(alpha, x, y, B) with B of any shape, 0 x k and k x 0 included; x and
+    y are often combinations of B's rows and columns so memberships hold."""
+    B = draw(matrices())
+    coeffs = st.lists(entries, min_size=B.rows, max_size=B.rows)
+    if draw(st.booleans()):
+        c = draw(coeffs)
+        x = [dot(c, B.column(j)) for j in range(B.cols)]
+    else:
+        x = draw(st.lists(entries, min_size=B.cols, max_size=B.cols))
+    if draw(st.booleans()):
+        d = draw(st.lists(entries, min_size=B.cols, max_size=B.cols))
+        y = [dot(B.row(i), d) for i in range(B.rows)]
+    else:
+        y = draw(coeffs)
+    return draw(entries), x, y, B
+
+
+@given(borders())
+@settings(max_examples=400, deadline=None)
+def test_schur_peel_matches_memberships_ranks_and_residue(border):
+    alpha, x, y, B = border
+    peel = schur_peel(alpha, x, y, B)
+    cls = classify_bordered(alpha, x, y, B)
+    assert peel.rank == rank(B).rank
+    assert (peel.x_in, peel.y_in) == cls.memberships[:2]
+    assert peel.delta == cls.delta
+    assert peel.delta == rank(bordered(alpha, x, y, B)).rank - rank(B).rank
+    y_in, d = in_column_space(y, B)
+    if y_in:
+        assert peel.residue == alpha - dot(x, d)
+    else:
+        assert peel.residue is None
+
+
+def test_schur_peel_dimension_errors():
+    B = RationalMatrix([[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        schur_peel(0, (1,), (1,), B)
+    with pytest.raises(DimensionMismatch):
+        schur_peel(0, (1, 2), (1, 2), B)

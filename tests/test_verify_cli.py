@@ -1,10 +1,15 @@
 """Self-check suites and the command-line surface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digrank
 from digrank import format_digraph, gen, GenSpec
 from digrank.cli import main
 from digrank.errors import UnknownSuite
@@ -113,6 +118,25 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):
     assert main(["rank", "--input", str(tmp_path / "nope.dg")]) == 1
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose", "classify"])
+def test_cli_non_utf8_input_is_a_parse_error(tmp_path, command):
+    bad = tmp_path / "bad.dg"
+    bad.write_bytes(b"digraph 2\na 0 1 \xff\n")
+    src = str(Path(digrank.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "digrank.cli", command, "--input", str(bad)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "UTF-8" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_cli_verify_and_json(tmp_path, capsys):
