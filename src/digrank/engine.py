@@ -52,7 +52,7 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import RationalMatrix, dot, in_column_space, in_row_space, rank, schur_peel
+from .linalg import RationalMatrix, in_column_space, in_row_space, rank, schur_peel
 from .trees import TreeKind, classify_tree, count_loop_attachments, max_matching
 
 _ZERO = Fraction(0)
@@ -110,9 +110,6 @@ class RankCertificate:
     def rules_used(self) -> set[RuleTag]:
         return {node.rule for node in self.root.walk()}
 
-    def count_rule(self, tag: RuleTag) -> int:
-        return sum(1 for node in self.root.walk() if node.rule is tag)
-
 
 def render_certificate(cert: RankCertificate) -> str:
     lines: list[str] = []
@@ -140,7 +137,7 @@ def render_certificate(cert: RankCertificate) -> str:
 
 
 def _cut_peel(G: WeightedDigraph, blk: Sequence[int], v: int):
-    """schur_peel of block blk - v bordered by its cut-vertex v."""
+    """schur_peel of the matrix on blk - v bordered by v's row, column and loop."""
     rest = [u for u in blk if u != v]
     B = RationalMatrix([G.out_vector(u, rest) for u in rest], cols=len(rest))
     return schur_peel(G.loop_weight(v), G.out_vector(v, rest), G.in_vector(v, rest), B)
@@ -418,22 +415,15 @@ def rank_case2_peel(G: WeightedDigraph, split: CutSplit) -> int:
     if cls.case is not CutVertexCase.RANK_PLUS_0:
         raise PreconditionViolated(f"split is case {cls.label}, not II")
     v, inner, rest = _split_pieces(G, split)
-    if not _case2_outside_ok(G, v, rest):
-        raise PreconditionViolated(
-            "loop present and both outside memberships hold; formula not claimed"
-        )
+    if G.has_loop(v):
+        outside = _cut_peel(G, rest + [v], v)
+        if outside.x_in and outside.y_in:
+            raise PreconditionViolated(
+                "loop present and both outside memberships hold; formula not claimed"
+            )
     return oracle_rank(G.induced_subdigraph(inner)) + oracle_rank(
         G.induced_subdigraph(rest + [v])
     )
-
-
-def _case2_outside_ok(G: WeightedDigraph, v: int, rest: list[int]) -> bool:
-    if G.loop_weight(v) == 0:
-        return True
-    A_R = G.induced_subdigraph(rest).adjacency_matrix()
-    z_in, _ = in_column_space(G.in_vector(v, rest), A_R)
-    w_in, _ = in_row_space(G.out_vector(v, rest), A_R)
-    return not (z_in and w_in)
 
 
 def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
@@ -446,8 +436,8 @@ def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
     v, inner, rest = _split_pieces(G, split)
     m1, m2 = cls.memberships[0], cls.memberships[1]
     r_inner = oracle_rank(G.induced_subdigraph(inner))
-    if m1 and m2:
-        residual, _ = _loop_residue(G, v, inner)
+    if m1 and m2:  # v's loop becomes its residue alpha - x.d over H - v
+        residual = _cut_peel(G, inner + [v], v).residue
         outside = G.induced_subdigraph(rest + [v])
         v_local = sorted(rest + [v]).index(v)
         return r_inner + oracle_rank(outside.with_loop(v_local, residual))
@@ -461,94 +451,74 @@ def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
     return r_inner + 1 + rank(A_R).rank + (0 if extra else 1)
 
 
-def _loop_residue(G: WeightedDigraph, v: int, inner: list[int]) -> tuple[Fraction, object]:
-    """alpha_hat = alpha - out_H . d where B_H d = in_H (both memberships hold)."""
-    B = G.induced_subdigraph(inner).adjacency_matrix()
-    ok, d = in_column_space(G.in_vector(v, inner), B)
-    if not ok:
-        raise InconsistentClassification("loop residue needs the in-column inside")
-    residual = G.loop_weight(v) - dot(G.out_vector(v, inner), d)
-    return residual, d
-
-
 # -- simple-graph families ----------------------------------------------------
 
 
-def _is_unit_simple(G: WeightedDigraph) -> bool:
+def _simple_shape(
+    G: WeightedDigraph,
+) -> tuple[BlockDecomposition, list[set[int]]] | None:
+    """(decompose(G), neighbour sets) when G is a nonempty connected unit
+    simple graph (every arc has weight 1 and its reverse, no loops), else
+    None.  The family recognisers read G through this once; every block
+    test below works from its result."""
+    if G.n == 0:
+        return None
     for (u, v, w) in G.arcs():
         if u == v or w != 1 or not G.has_arc(v, u):
-            return False
-    return True
-
-
-def _is_complete(G: WeightedDigraph, blk: Sequence[int]) -> bool:
-    edges = G.underlying_edges()
-    return all(
-        (min(a, b), max(a, b)) in edges for a, b in combinations(blk, 2)
-    )
-
-
-def _bipartition_of_block(
-    G: WeightedDigraph, blk: Sequence[int]
-) -> tuple[set[int], set[int]] | None:
-    """(A, B) of a complete bipartite block, or None.  K_1 gives ({v}, {})."""
-    members = set(blk)
-    edges = {e for e in G.underlying_edges() if e[0] in members and e[1] in members}
-    adj: dict[int, set[int]] = {v: set() for v in blk}
-    for (a, b) in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    colour: dict[int, int] = {}
-    start = min(blk)
-    colour[start] = 0
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in colour:
-                colour[y] = 1 - colour[x]
-                queue.append(y)
-            elif colour[y] == colour[x]:
-                return None
-    if len(colour) != len(members):  # disconnected block: only K_1 qualifies
+            return None
+    if not G.is_connected():
         return None
-    A = {v for v in blk if colour[v] == 0}
-    B = {v for v in blk if colour[v] == 1}
-    if len(edges) != len(A) * len(B):
+    return decompose(G), G.underlying_adjacency()
+
+
+def _block_sides(adj: list[set[int]], blk: Sequence[int]) -> set[frozenset[int]] | None:
+    """The sides of block blk when it is complete multipartite, else None.
+
+    v's side is blk minus v's neighbours (adj[v] & blk), v included.  The
+    sides partition blk exactly when the block is complete multipartite,
+    so it is complete when every side is one vertex and complete bipartite
+    when there are two sides.
+    """
+    block = frozenset(blk)
+    sides = {block - adj[v] for v in blk}
+    return sides if sum(map(len, sides)) == len(block) else None
+
+
+def _pendant_edges(d: BlockDecomposition) -> set[int] | None:
+    """The blocks that are one edge hanging off one cut-vertex, when every
+    cut-vertex has exactly one of them; else None."""
+    pend = {
+        i
+        for i, blk in enumerate(d.blocks)
+        if len(blk) == 2 and len(d.cuts_in_block(i)) == 1
+    }
+    if all(sum(i in pend for i in d.membership[v]) == 1 for v in d.cut_vertices):
+        return pend
+    return None
+
+
+def _complete_blocks(G: WeightedDigraph) -> BlockDecomposition | None:
+    """decompose(G) when G is a block graph (a nonempty connected unit
+    simple graph whose blocks are all complete), else None."""
+    shape = _simple_shape(G)
+    if shape is None:
         return None
-    return A, B
+    d, adj = shape
+    if all(len(_block_sides(adj, blk) or ()) == len(blk) for blk in d.blocks):
+        return d
+    return None
 
 
 def is_r2_block_graph(G: WeightedDigraph) -> bool:
     """Connected unit block graph: complete blocks, exactly one pendant
     edge at each cut-vertex, every non-pendant block with >= 2 non-cut
     vertices.  These are exactly the nonsingular ones (rank = n)."""
-    if G.n == 0 or not _is_unit_simple(G) or not G.is_connected():
-        return False
-    d = decompose(G)
-    if not all(_is_complete(G, blk) for blk in d.blocks):
-        return False
-    pend = _pendant_edge_blocks(d)
-    for v in d.cut_vertices:
-        if sum(1 for i in pend if v in d.blocks[i]) != 1:
-            return False
-    for i, blk in enumerate(d.blocks):
-        if i in pend:
-            continue
-        if sum(1 for v in blk if v not in d.cut_vertices) < 2:
-            return False
-    return True
-
-
-def _pendant_edge_blocks(d: BlockDecomposition) -> set[int]:
-    """Blocks that are a single edge hanging off exactly one cut-vertex."""
-    out = set()
-    for i, blk in enumerate(d.blocks):
-        if len(blk) == 2:
-            noncut = [v for v in blk if v not in d.cut_vertices]
-            if len(noncut) == 1:
-                out.add(i)
-    return out
+    d = _complete_blocks(G)
+    pend = None if d is None else _pendant_edges(d)
+    return pend is not None and all(
+        i in pend or len(blk) - len(d.cuts_in_block(i)) >= 2
+        for i, blk in enumerate(d.blocks)
+    )
 
 
 def rank_r2_block_graph(G: WeightedDigraph) -> RankCertificate:
@@ -558,65 +528,53 @@ def rank_r2_block_graph(G: WeightedDigraph) -> RankCertificate:
     return RankCertificate(G.n, node)
 
 
-def _biblock_shape(G: WeightedDigraph) -> tuple[BlockDecomposition, list] | None:
-    if G.n == 0 or not _is_unit_simple(G) or not G.is_connected():
+def _biblock_count(G: WeightedDigraph, r2: bool) -> int | None:
+    """The number of blocks of G when it is an r2-biblock graph (r2=True)
+    or an r0-biblock graph, else None.  Both need complete bipartite blocks
+    keeping a non-cut vertex on each side; the r2 kind exempts its pendant
+    edges, exactly one per cut-vertex."""
+    shape = _simple_shape(G)
+    if shape is None:
         return None
-    d = decompose(G)
-    parts = []
-    for blk in d.blocks:
-        p = _bipartition_of_block(G, blk)
-        if p is None:
+    d, adj = shape
+    pend = _pendant_edges(d) if r2 else set()
+    if pend is None:
+        return None
+    for i, blk in enumerate(d.blocks):
+        sides = _block_sides(adj, blk)
+        if sides is None or len(sides) != 2:
             return None
-        parts.append(p)
-    return d, parts
+        if i not in pend and not all(side - d.cut_vertices for side in sides):
+            return None
+    return d.block_count
+
+
+def _biblock_certificate(G: WeightedDigraph, r2: bool) -> RankCertificate:
+    k = _biblock_count(G, r2)
+    if k is None:
+        raise PreconditionViolated("not a qualifying biblock graph")
+    note = f"k={k}" if r2 else f"k={k} (r0 route)"
+    return RankCertificate(2 * k, CertNode(RuleTag.BIBLOCK_GRAPH_2K, 2 * k, note=note))
 
 
 def is_r2_biblock_graph(G: WeightedDigraph) -> bool:
     """Connected unit graph, complete bipartite blocks, exactly one pendant
     edge per cut-vertex, every non-pendant block keeping a non-cut vertex
     in each partition side.  Rank = 2 * (number of blocks)."""
-    shape = _biblock_shape(G)
-    if shape is None:
-        return False
-    d, parts = shape
-    pend = _pendant_edge_blocks(d)
-    for v in d.cut_vertices:
-        if sum(1 for i in pend if v in d.blocks[i]) != 1:
-            return False
-    for i, (A, B) in enumerate(parts):
-        if i in pend:
-            continue
-        if not (A - d.cut_vertices) or not (B - d.cut_vertices):
-            return False
-    return True
+    return _biblock_count(G, r2=True) is not None
 
 
 def rank_r2_biblock_graph(G: WeightedDigraph) -> RankCertificate:
-    if not is_r2_biblock_graph(G):
-        raise PreconditionViolated("not a qualifying biblock graph")
-    k = decompose(G).block_count
-    node = CertNode(RuleTag.BIBLOCK_GRAPH_2K, 2 * k, note=f"k={k}")
-    return RankCertificate(2 * k, node)
+    return _biblock_certificate(G, r2=True)
 
 
 def is_r0_biblock_graph(G: WeightedDigraph) -> bool:
     """Every block complete bipartite with a non-cut vertex in each side."""
-    shape = _biblock_shape(G)
-    if shape is None:
-        return False
-    d, parts = shape
-    for (A, B) in parts:
-        if not (A - d.cut_vertices) or not (B - d.cut_vertices):
-            return False
-    return True
+    return _biblock_count(G, r2=False) is not None
 
 
 def rank_r0_biblock_graph(G: WeightedDigraph) -> RankCertificate:
-    if not is_r0_biblock_graph(G):
-        raise PreconditionViolated("not a qualifying biblock graph")
-    k = decompose(G).block_count
-    node = CertNode(RuleTag.BIBLOCK_GRAPH_2K, 2 * k, note=f"k={k} (r0 route)")
-    return RankCertificate(2 * k, node)
+    return _biblock_certificate(G, r2=False)
 
 
 # -- the structural engine -----------------------------------------------------
@@ -630,9 +588,10 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     summands then gets one peel pass; otherwise one peel pass over the
     component's block-cut tree (`_peel_pass`), which ends in dense
     elimination of what is left of the root block.  The certificate is at
-    most four levels deep.  With oracle_check=True the final value is
-    compared against the dense oracle and InternalMismatch is raised on
-    disagreement.
+    most four levels deep.  A node's block_index is the position of its
+    vertices in decompose(G), None when they are not a block of G.  With
+    oracle_check=True the final value is compared against the dense oracle
+    and InternalMismatch is raised on disagreement.
     """
     comps = G.connected_components()
     if not comps:
@@ -640,7 +599,10 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     elif len(comps) == 1:
         root = _component_rule(G, tuple(range(G.n)))
     else:
-        children = [_component_rule(*G.induced_with_labels(comp)) for comp in comps]
+        index = {blk: i for i, blk in enumerate(decompose(G).blocks)}
+        children = [
+            _component_rule(*G.induced_with_labels(comp), index) for comp in comps
+        ]
         root = CertNode(RuleTag.COMPONENT_SUM, 0, tuple(children))
     cert = RankCertificate(root.total, root)
     if oracle_check:
@@ -652,8 +614,15 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     return cert
 
 
-def _component_rule(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
-    """Tree closed form, else a sum rule, else one peel pass (G connected)."""
+def _component_rule(
+    G: WeightedDigraph, labels: tuple[int, ...], index: dict | None = None
+) -> CertNode:
+    """Tree closed form, else a sum rule, else one peel pass (G connected).
+
+    index maps each block of the whole graph, in original vertex ids, to
+    its position in the whole graph's decomposition; None when G is the
+    whole graph.
+    """
     kind = classify_tree(G)
     if kind is TreeKind.LOOPLESS_BI_ARC:
         q = max_matching(G).size
@@ -664,16 +633,18 @@ def _component_rule(G: WeightedDigraph, labels: tuple[int, ...]) -> CertNode:
         return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
     d = decompose(G)
+    if index is None:
+        index = {blk: i for i, blk in enumerate(d.blocks)}
     if d.block_count > 1:
         if is_r2_digraph(G, d):
             m = len(d.cut_vertices)
             breves = [[v for v in blk if v not in d.cut_vertices] for blk in d.blocks]
-            children = _summand_passes(G, labels, d, breves)
+            children = _summand_passes(G, labels, d, breves, index)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
         if is_r0_digraph(G, d) and not any(G.has_loop(v) for v in d.cut_vertices):
-            children = _summand_passes(G, labels, d, d.blocks)
+            children = _summand_passes(G, labels, d, d.blocks, index)
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
-    return _peel_pass(G, labels, d)
+    return _peel_pass(G, labels, index, d)
 
 
 def _summand_passes(
@@ -681,24 +652,24 @@ def _summand_passes(
     labels: tuple[int, ...],
     d: BlockDecomposition,
     parts: Sequence[Sequence[int]],
+    index: dict,
 ) -> tuple[CertNode, ...]:
-    """One peel pass on each sum-rule summand parts[i], tagged with block i."""
+    """One peel pass on each sum-rule summand parts[i], tagged with block i
+    and that block's index in `index`."""
     out = []
     for i, part in enumerate(parts):
         sub, kept = G.induced_with_labels(part)
-        node = _peel_pass(sub, tuple(labels[u] for u in kept))
-        out.append(
-            replace(
-                node,
-                block_index=i,
-                block_vertices=tuple(labels[v] for v in d.blocks[i]),
-            )
-        )
+        node = _peel_pass(sub, tuple(labels[u] for u in kept), index)
+        blk = tuple(labels[v] for v in d.blocks[i])
+        out.append(replace(node, block_index=index[blk], block_vertices=blk))
     return tuple(out)
 
 
 def _peel_pass(
-    G: WeightedDigraph, labels: tuple[int, ...], d: BlockDecomposition | None = None
+    G: WeightedDigraph,
+    labels: tuple[int, ...],
+    index: dict,
+    d: BlockDecomposition | None = None,
 ) -> CertNode:
     """Rank of G by one leaves-first peel over its block-cut forest.
 
@@ -712,7 +683,8 @@ def _peel_pass(
     alpha - x.d with B d = y.  Each outcome is a row or column operation
     that touches only v's row, column and loop, so the original block-cut
     tree stays a separator tree throughout.  What is left of each root
-    block is ranked directly.
+    block is ranked directly.  Nodes take their block_index from index
+    (see `_component_rule`).
     """
     if d is None:
         d = decompose(G)
@@ -753,12 +725,13 @@ def _peel_pass(
             tag, note = RuleTag.CASE_III_LT, f"loop residue {residue}"
         else:
             tag, note = RuleTag.R0_PEEL, ""
+        vertices = tuple(labels[u] for u in blk)
         nodes.append(
             CertNode(
                 tag,
                 peel.rank + row_out + col_out,
-                block_index=b,
-                block_vertices=tuple(labels[u] for u in blk),
+                block_index=index.get(vertices),
+                block_vertices=vertices,
                 cut_vertex=labels[v],
                 note=note,
             )

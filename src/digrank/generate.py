@@ -18,6 +18,7 @@ from typing import Sequence
 from .blocks import decompose
 from .digraph import EdgeKind, WeightedDigraph, build
 from .engine import (
+    _complete_blocks,
     is_r0_biblock_graph,
     is_r2_biblock_graph,
     is_r2_block,
@@ -83,7 +84,7 @@ def gen(spec: GenSpec) -> WeightedDigraph:
         _require(is_r2_tree_digraph(G), spec)
     elif spec.family == "block-graph":
         G = _block_graph(spec.n, rng, spec.sizes, min_size=2, managed=False)
-        _require(_all_blocks_complete(G), spec)
+        _require(_complete_blocks(G) is not None, spec)
     elif spec.family == "r2-block-graph":
         G = _block_graph(spec.n, rng, spec.sizes, min_size=3, managed=True)
         _require(is_r2_block_graph(G), spec)
@@ -303,14 +304,6 @@ def _pairs(vs):
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             yield vs[i], vs[j]
-
-
-def _all_blocks_complete(G: WeightedDigraph) -> bool:
-    edges = G.underlying_edges()
-    return all(
-        all((min(a, b), max(a, b)) in edges for a, b in _pairs(blk))
-        for blk in decompose(G).blocks
-    )
 
 
 def _eligible_vertex(g: _Growth, rng, managed: bool, min_noncut: int) -> int:

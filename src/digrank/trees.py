@@ -95,63 +95,57 @@ def _edge_is_bi_arc(G: WeightedDigraph, u: int, v: int) -> bool:
     return G.has_arc(u, v) and G.has_arc(v, u)
 
 
+def _tree_shape(G: WeightedDigraph) -> tuple[list[set[int]], set[int], set[int]] | None:
+    """(neighbour sets, internal vertices, looped vertices) of a tree-shaped
+    G, else None.  Internal vertices are those of degree >= 2, which in a
+    tree are exactly the cut-vertices."""
+    if not is_tree(G):
+        return None
+    adj = G.underlying_adjacency()
+    internal = {v for v in range(G.n) if len(adj[v]) >= 2}
+    loops = {v for v in range(G.n) if G.has_loop(v)}
+    return adj, internal, loops
+
+
 def classify_tree(G: WeightedDigraph) -> TreeKind | None:
     """Most specific matching kind, or None (non-trees always give None).
 
     Precedence: LOOPLESS_BI_ARC, then CUT_LOOP_BI_ARC, then R2_TREE.
     """
-    if not is_tree(G):
+    shape = _tree_shape(G)
+    if shape is None:
         return None
-    n = G.n
-    edges = G.underlying_edges()
-    deg = [0] * n
-    for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
-    internal = {v for v in range(n) if deg[v] >= 2}
-    loops = {v for v in range(n) if G.has_loop(v)}
-    all_bi = all(_edge_is_bi_arc(G, u, v) for (u, v) in edges)
-
+    adj, internal, loops = shape
+    all_bi = all(_edge_is_bi_arc(G, u, v) for u in range(G.n) for v in adj[u])
     if all_bi and not loops:
         return TreeKind.LOOPLESS_BI_ARC
-    if all_bi and loops and loops <= internal:
+    if all_bi and loops <= internal:
         return TreeKind.CUT_LOOP_BI_ARC
-    if _r2_tree_shape(G, edges, internal, loops):
+    if _r2_tree_shape(G, adj, internal, loops):
         return TreeKind.R2_TREE
     return None
 
 
-def _r2_tree_shape(G, edges, internal, loops) -> bool:
-    # Internal/internal edges must be bi-arc; leaf edges may be anything.
-    for (u, v) in edges:
-        if u in internal and v in internal and not _edge_is_bi_arc(G, u, v):
-            return False
-        if u not in internal and v not in internal:
-            # Only in a 2-vertex tree; both attachment readings need the
-            # remaining vertex loop-free and the edge bi-arc.
-            if not _edge_is_bi_arc(G, u, v) or loops & {u, v}:
+def _r2_tree_shape(G, adj, internal, loops) -> bool:
+    """The r2-tree conditions on a tree with neighbour sets adj."""
+    # Internal/internal edges must be bi-arc; leaf edges may be anything,
+    # except in a 2-vertex tree, whose one edge joins two leaves.
+    for u in range(G.n):
+        for v in adj[u]:
+            if (u in internal) == (v in internal) and not _edge_is_bi_arc(G, u, v):
                 return False
-    if loops - internal:
-        # Looped leaves are fine only as attachments to a cut-vertex.
-        for v in loops - internal:
-            nb = [u for (a, b) in edges for u in ((b,) if a == v else (a,) if b == v else ())]
-            if not nb or nb[0] not in internal:
-                return False
+    # Looped leaves are fine only as attachments to a cut-vertex (so a
+    # looped single vertex, or a loop in a 2-vertex tree, fails here).
+    if any(not adj[v] & internal for v in loops - internal):
+        return False
     # Every cut-vertex needs a plain leaf: bi-arc edge, no loop on the leaf.
-    adj: dict[int, list[int]] = {}
-    for (u, v) in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for c in internal:
-        ok = any(
+    return all(
+        any(
             u not in internal and u not in loops and _edge_is_bi_arc(G, c, u)
-            for u in adj.get(c, ())
+            for u in adj[c]
         )
-        if not ok:
-            return False
-    # A single vertex (no edges, internal empty) with a loop fails above via
-    # the loops-minus-internal check having no neighbour.
-    return True
+        for c in internal
+    )
 
 
 def is_r2_tree_digraph(G: WeightedDigraph) -> bool:
@@ -162,26 +156,14 @@ def is_r2_tree_digraph(G: WeightedDigraph) -> bool:
     LOOPLESS_BI_ARC; this predicate still accepts it, and is the actual
     precondition of rank_r2_tree.
     """
-    if not is_tree(G):
-        return False
-    edges = G.underlying_edges()
-    deg: dict[int, int] = {}
-    for (u, v) in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    internal = {v for v, d in deg.items() if d >= 2}
-    loops = {v for v in range(G.n) if G.has_loop(v)}
-    return _r2_tree_shape(G, edges, internal, loops)
+    shape = _tree_shape(G)
+    return shape is not None and _r2_tree_shape(G, *shape)
 
 
 def count_loop_attachments(G: WeightedDigraph) -> int:
     """s = number of non-cut (leaf or isolated) vertices carrying a loop."""
-    edges = G.underlying_edges()
-    deg: dict[int, int] = {}
-    for (u, v) in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return sum(1 for v in range(G.n) if G.has_loop(v) and deg.get(v, 0) < 2)
+    adj = G.underlying_adjacency()
+    return sum(1 for v in range(G.n) if G.has_loop(v) and len(adj[v]) < 2)
 
 
 def rank_tree(G: WeightedDigraph) -> int:

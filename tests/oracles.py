@@ -136,3 +136,85 @@ def all_weighted_digraphs(n, weights):
             pos: w for pos, w in zip(positions, combo) if w is not None and w != 0
         }
         yield arcs
+
+
+# -- the paper's simple-graph families, read literally -------------------------
+
+
+def _family_shape(G):
+    """(underlying graph, blocks, cut-vertices) of a nonempty connected unit
+    simple digraph (every arc of weight 1 with its reverse, no loop), else
+    None."""
+    for u, v, w in G.arcs():
+        if u == v or w != 1 or not G.has_arc(v, u):
+            return None
+    H = _underlying_nx(G)
+    if G.n == 0 or not nx.is_connected(H):
+        return None
+    return H, [set(b) for b in blocks_by_networkx(G)], cuts_by_networkx(G)
+
+
+def _is_clique(H, block) -> bool:
+    k = len(block)
+    return H.subgraph(block).number_of_edges() == k * (k - 1) // 2
+
+
+def _complete_bipartite_sides(H, block):
+    """The two sides of a complete bipartite block, else None."""
+    S = H.subgraph(block)
+    if len(block) < 2 or not nx.is_bipartite(S):
+        return None
+    A, B = nx.bipartite.sets(S)
+    return (A, B) if S.number_of_edges() == len(A) * len(B) else None
+
+
+def _one_pendant_edge_per_cut(blocks, cuts):
+    """The pendant-edge blocks (two vertices, one a cut-vertex) when every
+    cut-vertex lies in exactly one of them, else None."""
+    pend = [b for b in blocks if len(b) == 2 and len(b & cuts) == 1]
+    if all(sum(v in b for b in pend) == 1 for v in cuts):
+        return pend
+    return None
+
+
+def r2_block_graph_networkx(G) -> bool:
+    """Complete blocks, one pendant edge per cut-vertex, every other block
+    keeping at least two non-cut vertices."""
+    shape = _family_shape(G)
+    if shape is None:
+        return False
+    H, blocks, cuts = shape
+    pend = _one_pendant_edge_per_cut(blocks, cuts)
+    return (
+        pend is not None
+        and all(_is_clique(H, b) for b in blocks)
+        and all(b in pend or len(b - cuts) >= 2 for b in blocks)
+    )
+
+
+def r2_biblock_graph_networkx(G) -> bool:
+    """Complete bipartite blocks, one pendant edge per cut-vertex, every
+    other block keeping a non-cut vertex on each side."""
+    shape = _family_shape(G)
+    if shape is None:
+        return False
+    H, blocks, cuts = shape
+    pend = _one_pendant_edge_per_cut(blocks, cuts)
+    sides = [_complete_bipartite_sides(H, b) for b in blocks]
+    return (
+        pend is not None
+        and all(s is not None for s in sides)
+        and all(
+            b in pend or (s[0] - cuts and s[1] - cuts) for b, s in zip(blocks, sides)
+        )
+    )
+
+
+def r0_biblock_graph_networkx(G) -> bool:
+    """Complete bipartite blocks, each keeping a non-cut vertex on each side."""
+    shape = _family_shape(G)
+    if shape is None:
+        return False
+    H, blocks, cuts = shape
+    sides = [_complete_bipartite_sides(H, b) for b in blocks]
+    return all(s is not None and s[0] - cuts and s[1] - cuts for s in sides)

@@ -7,9 +7,11 @@ COMPONENT_SUM; any change to how a peel is decided that moves a rank, a
 deleted row or column, or a loop residue shows up here as a text diff.
 """
 
+import random
+
 import pytest
 
-from digrank import build, rank_recursive, render_certificate
+from digrank import build, decompose, random_digraph, rank_recursive, render_certificate
 
 MIXED_ARC_DIGRAPH_14 = """\
 ComponentSum contributes=0
@@ -88,3 +90,18 @@ def test_fixture_certificate_text_is_frozen(fixture, expected, request):
 
 def test_loop_residue_certificate_text_is_frozen():
     assert render_certificate(rank_recursive(loop_residue_graph())) == LOOP_RESIDUE
+
+
+def test_block_index_names_that_block_of_the_graph():
+    """A node's block=i is block i of decompose(G), as `digrank decompose`
+    prints it, in disconnected graphs and inside sum-rule summands too."""
+    rng = random.Random(3)
+    indexed = 0
+    for _ in range(600):
+        G = random_digraph(rng.randint(4, 14), rng, p=0.18)
+        blocks = decompose(G).blocks
+        for node in rank_recursive(G).root.walk():
+            if node.block_index is not None:
+                indexed += 1
+                assert blocks[node.block_index] == node.block_vertices
+    assert indexed > 500
