@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Iterable
 
 from .digraph import WeightedDigraph
-from .errors import InconsistentClassification, InvalidSplit
+from .errors import InconsistentClassification, InvalidSplit, VertexOutOfRange
 from .linalg import (
     RationalMatrix,
     _scaled_int_rows,
@@ -137,6 +137,8 @@ def side_components(G: WeightedDigraph, v: int) -> list[frozenset[int]]:
 
     For a cut-vertex these are the minimal valid splits at v.
     """
+    if not (0 <= v < G.n):
+        raise VertexOutOfRange(f"vertex {v} not in 0..{G.n - 1}")
     rest = [u for u in range(G.n) if u != v]
     H, labels = G.induced_with_labels(rest)
     sides = []

@@ -129,6 +129,9 @@ class WeightedDigraph:
 
     def delete_vertices(self, S: Iterable[int]) -> "WeightedDigraph":
         drop = set(S)
+        for v in drop:
+            if not (0 <= v < self.n):
+                raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
         return self.induced_subdigraph(v for v in range(self.n) if v not in drop)
 
     def with_loop(self, v: int, weight) -> "WeightedDigraph":

@@ -583,27 +583,22 @@ def rank_r0_biblock_graph(G: WeightedDigraph) -> RankCertificate:
 def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertificate:
     """Structural rank with a certificate, computed without recursion.
 
-    Each connected component gets the first rule that applies: the closed
-    tree forms; the r2-digraph or r0-digraph sum rule, each of whose
-    summands then gets one peel pass; otherwise one peel pass over the
-    component's block-cut tree (`_peel_pass`), which ends in dense
-    elimination of what is left of the root block.  The certificate is at
-    most four levels deep.  A node's block_index is the position of its
-    vertices in decompose(G), None when they are not a block of G.  With
-    oracle_check=True the final value is compared against the dense oracle
-    and InternalMismatch is raised on disagreement.
+    G is decomposed once, and every rule reads that one decomposition in
+    G's own vertex ids.  Each connected component gets the first rule that
+    applies: the closed tree forms; the r2-digraph sum rule, whose summands
+    (blocks minus G's cut-vertices) each get one peel pass; the r0-digraph
+    sum rule, whose summands are blocks of G and so are ranked directly;
+    otherwise one peel pass over the component's block-cut tree
+    (`_peel_pass`), which ends in dense elimination of what is left of the
+    root block.  The certificate is at most four levels deep.  A node's
+    block_index is the position of its vertices in decompose(G), None when
+    they are not a block of G.  With oracle_check=True the final value is
+    compared against the dense oracle and InternalMismatch is raised on
+    disagreement.
     """
-    comps = G.connected_components()
-    if not comps:
-        root = CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
-    elif len(comps) == 1:
-        root = _component_rule(G, tuple(range(G.n)))
-    else:
-        index = {blk: i for i, blk in enumerate(decompose(G).blocks)}
-        children = [
-            _component_rule(*G.induced_with_labels(comp), index) for comp in comps
-        ]
-        root = CertNode(RuleTag.COMPONENT_SUM, 0, tuple(children))
+    d = decompose(G)
+    arcs = {(u, t): w for u, t, w in G.arcs()}
+    root = _sum_node([_component_rule(G, d, order, arcs) for order in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -614,85 +609,90 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     return cert
 
 
+def _sum_node(nodes: list[CertNode]) -> CertNode:
+    """Nothing, the one node, or the COMPONENT_SUM of several."""
+    if not nodes:
+        return CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
+    if len(nodes) == 1:
+        return nodes[0]
+    return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(nodes))
+
+
 def _component_rule(
-    G: WeightedDigraph, labels: tuple[int, ...], index: dict | None = None
+    G: WeightedDigraph, d: BlockDecomposition, order: list, arcs: dict
 ) -> CertNode:
-    """Tree closed form, else a sum rule, else one peel pass (G connected).
+    """Tree closed form, else a sum rule, else one peel pass, for the
+    component of G whose leaves-first (block, parent cut) list is order.
 
-    index maps each block of the whole graph, in original vertex ids, to
-    its position in the whole graph's decomposition; None when G is the
-    whole graph.
+    The parent cuts are the component's cut-vertices.  It is tree-shaped
+    when every block has at most two vertices; only then are the tree
+    forms tried, on G itself when G is this one component.
     """
-    kind = classify_tree(G)
-    if kind is TreeKind.LOOPLESS_BI_ARC:
-        q = max_matching(G).size
-        return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
-    if kind is TreeKind.R2_TREE:
-        q = max_matching(G).size
-        s = count_loop_attachments(G)
-        return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
+    blocks = sorted(b for b, _ in order)
+    cuts = {v for _, v in order if v is not None}
+    if all(len(d.blocks[b]) <= 2 for b in blocks):
+        vertices = {u for b in blocks for u in d.blocks[b]}
+        T = G if len(vertices) == G.n else G.induced_subdigraph(vertices)
+        kind = classify_tree(T)
+        if kind is TreeKind.LOOPLESS_BI_ARC:
+            q = max_matching(T).size
+            return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
+        if kind is TreeKind.R2_TREE:
+            q = max_matching(T).size
+            s = count_loop_attachments(T)
+            return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
-    d = decompose(G)
-    if index is None:
-        index = {blk: i for i, blk in enumerate(d.blocks)}
-    if d.block_count > 1:
-        if is_r2_digraph(G, d):
-            m = len(d.cut_vertices)
-            breves = [[v for v in blk if v not in d.cut_vertices] for blk in d.blocks]
-            children = _summand_passes(G, labels, d, breves, index)
+    if len(blocks) > 1:
+        if all(any(is_r2_block(G, d, b) for b in d.membership[v]) for v in cuts):
+            m = len(cuts)
+            children = tuple(_summand(d, b, _breve_pass(G, d, b)) for b in blocks)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
-        if is_r0_digraph(G, d) and not any(G.has_loop(v) for v in d.cut_vertices):
-            children = _summand_passes(G, labels, d, d.blocks, index)
+        if not any(G.has_loop(v) for v in cuts) and (
+            sum(not is_r0_block(G, d, b) for b in blocks) <= 1
+        ):
+            # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
+            children = tuple(_summand(d, b, _peel_pass(arcs, d, [(b, None)])) for b in blocks)
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
-    return _peel_pass(G, labels, index, d)
+    return _peel_pass(arcs, d, order)
 
 
-def _summand_passes(
-    G: WeightedDigraph,
-    labels: tuple[int, ...],
-    d: BlockDecomposition,
-    parts: Sequence[Sequence[int]],
-    index: dict,
-) -> tuple[CertNode, ...]:
-    """One peel pass on each sum-rule summand parts[i], tagged with block i
-    and that block's index in `index`."""
-    out = []
-    for i, part in enumerate(parts):
-        sub, kept = G.induced_with_labels(part)
-        node = _peel_pass(sub, tuple(labels[u] for u in kept), index)
-        blk = tuple(labels[v] for v in d.blocks[i])
-        out.append(replace(node, block_index=index[blk], block_vertices=blk))
-    return tuple(out)
+def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
+    """node as the sum-rule summand of block b of d."""
+    return replace(node, block_index=b, block_vertices=d.blocks[b])
+
+
+def _breve_pass(G: WeightedDigraph, d: BlockDecomposition, b: int) -> CertNode:
+    """One peel pass over block b minus G's cut-vertices.  Its blocks are
+    not blocks of G, so it is ranked as an induced copy."""
+    sub, labels = G.induced_with_labels(v for v in d.blocks[b] if v not in d.cut_vertices)
+    sd = decompose(sub)
+    arcs = {(u, t): w for u, t, w in sub.arcs()}
+    return _peel_pass(arcs, sd, [p for order in _leaves_first(sd) for p in order], labels)
 
 
 def _peel_pass(
-    G: WeightedDigraph,
-    labels: tuple[int, ...],
-    index: dict,
-    d: BlockDecomposition | None = None,
+    arcs: dict, d: BlockDecomposition, order: Sequence, labels: tuple | None = None
 ) -> CertNode:
-    """Rank of G by one leaves-first peel over its block-cut forest.
+    """Rank by one leaves-first peel over the (block, parent cut) pairs of
+    order, from `_leaves_first(d)`; arcs maps (u, t) to the arc weight.
 
-    Each component's tree is rooted at its lowest-index block.  Every other
-    block b is peeled at its parent cut-vertex v against B, the current
-    matrix on b - v: the rows and columns still present, with loops as
-    earlier peels left them.  One `schur_peel` of B bordered by v's row x,
-    column y and loop alpha decides the outcome: v's row is deleted (+1)
-    when x lies outside B's row space, v's column likewise for y and the
-    column space, and when v keeps both, its loop becomes the residue
-    alpha - x.d with B d = y.  Each outcome is a row or column operation
-    that touches only v's row, column and loop, so the original block-cut
-    tree stays a separator tree throughout.  What is left of each root
-    block is ranked directly.  Nodes take their block_index from index
-    (see `_component_rule`).
+    Every non-root block b is peeled at its parent cut-vertex v against B,
+    the current matrix on b - v: the rows and columns still present, with
+    loops as earlier peels left them.  One `schur_peel` of B bordered by
+    v's row x, column y and loop alpha decides the outcome: v's row is
+    deleted (+1) when x lies outside B's row space, v's column likewise for
+    y and the column space, and when v keeps both, its loop becomes the
+    residue alpha - x.d with B d = y, written back into arcs.  Each outcome
+    is a row or column operation that touches only v's row, column and
+    loop, so the original block-cut tree stays a separator tree throughout.
+    What is left of each root block is ranked directly.  Peel nodes name
+    block b of d; when labels is given, d decomposes an induced copy whose
+    vertex u is labels[u] of the graph, and they carry no block_index.
     """
-    if d is None:
-        d = decompose(G)
-    arcs = {(u, t): w for u, t, w in G.arcs()}
     no_row: set[int] = set()
     no_col: set[int] = set()
     nodes: list[CertNode] = []
-    for b, v in _leaves_first(d):
+    for b, v in order:
         blk = d.blocks[b]
         rows = [u for u in blk if u != v and u not in no_row]
         cols = [u for u in blk if u != v and u not in no_col]
@@ -725,31 +725,24 @@ def _peel_pass(
             tag, note = RuleTag.CASE_III_LT, f"loop residue {residue}"
         else:
             tag, note = RuleTag.R0_PEEL, ""
-        vertices = tuple(labels[u] for u in blk)
-        nodes.append(
-            CertNode(
-                tag,
-                peel.rank + row_out + col_out,
-                block_index=index.get(vertices),
-                block_vertices=vertices,
-                cut_vertex=labels[v],
-                note=note,
-            )
-        )
-    if not nodes:
-        return CertNode(RuleTag.DIRECT_RANK, 0, note="empty")
-    if len(nodes) == 1:
-        return nodes[0]
-    return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(nodes))
+        if labels is None:
+            where = dict(block_index=b, block_vertices=blk, cut_vertex=v)
+        else:
+            where = dict(block_vertices=tuple(labels[u] for u in blk), cut_vertex=labels[v])
+        nodes.append(CertNode(tag, peel.rank + row_out + col_out, note=note, **where))
+    return _sum_node(nodes)
 
 
-def _leaves_first(d: BlockDecomposition) -> list[tuple[int, int | None]]:
-    """(block, parent cut-vertex) pairs, every block after all blocks below it.
+def _leaves_first(d: BlockDecomposition) -> list[list[tuple[int, int | None]]]:
+    """One list of (block, parent cut-vertex) pairs per connected component,
+    every block after all blocks below it.
 
     Each component's block-cut tree is rooted at its lowest-index block,
-    which comes last in its component with parent None.
+    which comes last in its list with parent None.  The lists are in the
+    order of their roots, which is the order of the components' lowest
+    vertices.
     """
-    order: list[tuple[int, int | None]] = []
+    out: list[list[tuple[int, int | None]]] = []
     seen = [False] * d.block_count
     for root in range(d.block_count):
         if seen[root]:
@@ -767,5 +760,6 @@ def _leaves_first(d: BlockDecomposition) -> list[tuple[int, int | None]]:
                     if not seen[c]:
                         seen[c] = True
                         stack.append((c, w))
-        order.extend(reversed(preorder))
-    return order
+        preorder.reverse()
+        out.append(preorder)
+    return out

@@ -103,3 +103,31 @@ def biblock_20():
     edges += [(2, 13), (2, 14), (15, 14), (13, 15)]   # a C4 block
     edges += [(2, 16), (3, 17), (4, 18)]              # pendant edges
     return unit_graph(20, edges=edges)
+
+
+@pytest.fixture(scope="session")
+def every_route_union_29(r2_tree_10):
+    """One component per engine route, vertex ids interleaved.
+
+    In building order: a bi-arc path (TREE_MATCHING), the r2-tree above
+    (R2_TREE), a triangle with a pendant edge (R2_DIGRAPH), two 4-cycles on
+    one vertex (R0_DIGRAPH), a triangle with a pendant arc (one peel pass)
+    and a looped isolated vertex.  Vertex i of the union of the six is
+    renamed 12 * i mod 29, so no component holds a range of ids.
+    """
+    parts = [
+        unit_graph(3, edges=[(0, 1), (1, 2)]),
+        r2_tree_10,
+        unit_graph(4, edges=[(0, 1), (1, 2), (2, 0), (0, 3)]),
+        unit_graph(
+            7, edges=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
+        ),
+        unit_graph(4, edges=[(0, 1), (1, 2), (2, 0)], arcs=[(0, 3)]),
+        unit_graph(1, loops=[0]),
+    ]
+    triples, offset = [], 0
+    for part in parts:
+        for u, v, w in part.arcs():
+            triples.append(((u + offset) * 12 % 29, (v + offset) * 12 % 29, w))
+        offset += part.n
+    return build(offset, triples)

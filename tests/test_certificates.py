@@ -1,10 +1,13 @@
 """Certificate text pinned byte for byte.
 
-`render_certificate` output for four graphs, frozen from the engine that
-introduced the single peel pass.  Between them they cover CASE_III_PEEL
-with both notes, R0_PEEL, CASE_III_LT, DIRECT_RANK, R2_DIGRAPH and
-COMPONENT_SUM; any change to how a peel is decided that moves a rank, a
-deleted row or column, or a loop residue shows up here as a text diff.
+`render_certificate` output for five graphs, the first four frozen from the
+engine that introduced the single peel pass.  Between them they cover
+CASE_III_PEEL with both notes, R0_PEEL, CASE_III_LT, DIRECT_RANK,
+R2_DIGRAPH, R0_DIGRAPH, TREE_MATCHING, R2_TREE and COMPONENT_SUM, and a
+disjoint union whose components take every route; any change to how a peel
+is decided that moves a rank, a deleted row or column, or a loop residue
+shows up here as a text diff, as does one that moves a component's place
+or a block index.
 """
 
 import random
@@ -56,6 +59,22 @@ R2Digraph contributes=10 (m=5)
   DirectRank block=11 contributes=0 [7,17] (n=1)
 """
 
+EVERY_ROUTE_UNION_29 = """\
+ComponentSum contributes=0
+  TreeMatching contributes=2 (q=1)
+  R0Digraph contributes=0
+    DirectRank block=1 contributes=2 [1,3,15,20] (n=4)
+    DirectRank block=2 contributes=2 [1,8,13,25] (n=4)
+  R2Tree contributes=9 (q=4 s=1)
+  ComponentSum contributes=0
+    CaseIIILt block=10 v=27 contributes=2 [10,22,27] (loop residue -2)
+    DirectRank contributes=1 (n=2)
+  R2Digraph contributes=2 (m=1)
+    DirectRank block=7 contributes=2 [6,11,23] (n=2)
+    DirectRank block=11 contributes=0 [11,18] (n=1)
+  DirectRank contributes=1 (n=1)
+"""
+
 LOOP_RESIDUE = """\
 ComponentSum contributes=0
   CaseIIILt block=1 v=1 contributes=1 [1,2] (loop residue 1)
@@ -81,6 +100,7 @@ def loop_residue_graph():
         ("mixed_arc_digraph_14", MIXED_ARC_DIGRAPH_14),
         ("r2_extended_digraph_19", R2_EXTENDED_DIGRAPH_19),
         ("block_graph_19", BLOCK_GRAPH_19),
+        ("every_route_union_29", EVERY_ROUTE_UNION_29),
     ],
 )
 def test_fixture_certificate_text_is_frozen(fixture, expected, request):

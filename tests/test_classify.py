@@ -21,7 +21,7 @@ from digrank import (
     make_split,
     side_components,
 )
-from digrank.errors import InvalidSplit
+from digrank.errors import InvalidSplit, VertexOutOfRange
 from digrank.linalg import bordered, rank
 from oracles import naive_rank
 
@@ -100,6 +100,13 @@ def test_side_components_and_split():
     assert sides == [frozenset({0, 1}), frozenset({1, 2})]
     split = make_split(G, 1, {0, 1})
     assert classify_cut(G, split).case is I  # loopless bi-arc leaf
+
+
+def test_side_components_rejects_vertices_outside_the_graph():
+    G = _p3()
+    for v in (3, 7, -1):
+        with pytest.raises(VertexOutOfRange):
+            side_components(G, v)
 
 
 def test_make_split_rejects_leaky_side():

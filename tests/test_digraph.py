@@ -65,6 +65,15 @@ def test_induced_with_labels_remaps_sorted():
     assert G.delete_vertices([0, 2]) == H
 
 
+def test_delete_vertices_rejects_ids_outside_the_graph():
+    G = build(3, [(0, 1, 1), (1, 2, 1)])
+    for S in ([3], [99], [-1], [0, 5]):
+        with pytest.raises(VertexOutOfRange):
+            G.delete_vertices(S)
+    assert G.delete_vertices([]) == G
+    assert G.delete_vertices([0, 1, 2]) == build(0, [])
+
+
 def test_round_trip_fixture(mixed_arc_digraph_14):
     text = format_digraph(mixed_arc_digraph_14)
     assert parse_digraph(text) == mixed_arc_digraph_14

@@ -18,6 +18,7 @@ from digrank import (
     EdgeKind,
     GenSpec,
     RuleTag,
+    WeightedDigraph,
     apply_additions,
     build,
     build_genr2,
@@ -51,8 +52,9 @@ from digrank import (
     render_certificate,
     side_components,
 )
+from digrank import engine
 from digrank.cli import main
-from digrank.errors import InternalMismatch, PreconditionViolated
+from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
 from oracles import naive_rank, rank_of_digraph
 
@@ -281,6 +283,15 @@ def test_lemma_subset_equivalence(r2_extended_digraph_19):
     assert check_lemma_2rin(G, cuts[:3], all_subsets=True) in (True, False)
     with pytest.raises(PreconditionViolated):
         check_lemma_2rin(G, [0, 0])
+
+
+def test_lemma_rejects_vertices_outside_the_graph():
+    G = biarc_path(3)
+    for vertices in ([99], [3], [-1], [0, 7]):
+        with pytest.raises(VertexOutOfRange):
+            check_lemma_2rin(G, vertices)
+        with pytest.raises(VertexOutOfRange):
+            check_lemma_2rin(G, vertices, all_subsets=True)
 
 
 def test_loop_invariance_on_r2_fixture(r2_extended_digraph_19):
@@ -520,3 +531,61 @@ def test_cli_ranks_the_400_triangle_chain(tmp_path, capsys):
     path.write_text(format_digraph(triangle_chain(400)))
     assert main(["rank", "--input", str(path), "--certify"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "rank 800"
+
+
+# -- one decomposition per rank ------------------------------------------------
+
+
+def traced_rank(monkeypatch, G):
+    """rank_recursive(G) with the engine's decompose calls and the graph's
+    induced copies counted: (certificate, decompose calls, copies)."""
+    counts = {"decompose": 0, "copies": 0}
+    decompose_, induced = engine.decompose, WeightedDigraph.induced_with_labels
+
+    def counted_decompose(H):
+        counts["decompose"] += 1
+        return decompose_(H)
+
+    def counted_induced(self, S):
+        counts["copies"] += 1
+        return induced(self, S)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "decompose", counted_decompose)
+        m.setattr(WeightedDigraph, "induced_with_labels", counted_induced)
+        cert = rank_recursive(G)
+    return cert, counts["decompose"], counts["copies"]
+
+
+def three_components():
+    """A bi-arc path on 0-2, a triangle 3-5 with a pendant arc 3 -> 6, and a
+    looped isolated vertex 7: two tree components and one peel component."""
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]
+    arcs = [(u, v, 1) for a, b in edges for u, v in [(a, b), (b, a)]]
+    return build(8, arcs + [(3, 6, 1), (7, 7, 2)])
+
+
+ROUTES = {
+    "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 1, 0),
+    "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0),
+    "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0),
+    "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0),
+    # 12 blocks: each breve is one induced copy with its own decompose
+    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 12, 12),
+    "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 2),
+    # three tree components, and an R2 component of 2 blocks
+    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 2, 3 + 2),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_one_decomposition_per_rank(monkeypatch, request, route):
+    """The graph is decomposed once and read in its own ids: only a tree
+    component of a disconnected graph and an r2 summand are copied, and
+    only the r2 summands are decomposed again."""
+    make, root_rule, decomposes, copies = ROUTES[route]
+    G = make(request.getfixturevalue)
+    cert, d_calls, c_calls = traced_rank(monkeypatch, G)
+    assert cert.root.rule is root_rule
+    assert cert.rank == cert.root.total == oracle_rank(G)
+    assert (d_calls, c_calls) == (decomposes, copies)
