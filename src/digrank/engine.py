@@ -28,8 +28,10 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   used by the dedicated family operations, never by the engine, so that
   block graphs still exercise the peeling rules.
 - MDT_FORMULA / GEN_R2: per-block and attachment variants of the r2 sum.
-- DIRECT_RANK: dense exact elimination of what the peels leave of a root
-  block (a whole one-block component included).
+- DIRECT_RANK: the rank of what the peels leave of a root block (a whole
+  one-block component included): from order _MOD_P_MIN_ORDER up by
+  `leaf_rank` (full rank proved by one elimination mod a prime, dense
+  Bareiss otherwise), below it by dense Bareiss.
 - COMPONENT_SUM: plumbing node summing over connected components, or over
   the flat list of nodes of one peel pass.
 """
@@ -40,7 +42,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .blocks import BlockDecomposition, breve, block_subdigraph, decompose
@@ -52,10 +54,31 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import RationalMatrix, in_column_space, in_row_space, rank, schur_peel
-from .trees import TreeKind, classify_tree, count_loop_attachments, max_matching
+from .linalg import (
+    RationalMatrix,
+    in_column_space,
+    in_row_space,
+    leaf_rank,
+    rank,
+    schur_peel,
+)
+from .trees import TreeKind, tree_summary
+
+# Bound here, though the engine does not call them, because perfbench's
+# tracer wraps these names on this module.
+from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
+
+# DIRECT_RANK leaves of this order and up go to `leaf_rank`; smaller ones
+# stay on plain Bareiss.  A rank-deficient leaf pays for leaf_rank's mod-p
+# pass and Bareiss both.  On full-rank random digraph matrices (weights 1,
+# -1, 2, 1/2, arc density 0.3) the pass took 0.94x Bareiss's time at order
+# 8, 0.75x at 16 and 0.49x at 40 (best of 5, CPython 3.11, 2-core VM).  Small
+# leaves are mostly rank-deficient: 5,710 of the 8,275 leaves (all of order
+# <= 10) of perfbench's small-mixed workload and 2,233 of the 3,416 (order
+# <= 6) of closed-forms, where leaf_rank made leaf ranking 1.7x slower.
+_MOD_P_MIN_ORDER = 16
 
 
 def oracle_rank(G: WeightedDigraph) -> int:
@@ -170,8 +193,14 @@ def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
     """All blocks, or all but one, are r0-blocks."""
     if d is None:
         d = decompose(G)
-    bad = sum(1 for i in range(d.block_count) if not is_r0_block(G, d, i))
-    return bad <= 1
+    return _r0_but_one(G, d, range(d.block_count))
+
+
+def _r0_but_one(G: WeightedDigraph, d: BlockDecomposition, blocks) -> bool:
+    """At most one of blocks fails the r0-block test; stops at the second
+    failure."""
+    failing = (b for b in blocks if not is_r0_block(G, d, b))
+    return len(list(islice(failing, 2))) <= 1
 
 
 # -- sum formulas ------------------------------------------------------------
@@ -633,13 +662,10 @@ def _component_rule(
     if all(len(d.blocks[b]) <= 2 for b in blocks):
         vertices = {u for b in blocks for u in d.blocks[b]}
         T = G if len(vertices) == G.n else G.induced_subdigraph(vertices)
-        kind = classify_tree(T)
+        kind, q, s = tree_summary(T)
         if kind is TreeKind.LOOPLESS_BI_ARC:
-            q = max_matching(T).size
             return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
         if kind is TreeKind.R2_TREE:
-            q = max_matching(T).size
-            s = count_loop_attachments(T)
             return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
     if len(blocks) > 1:
@@ -647,9 +673,7 @@ def _component_rule(
             m = len(cuts)
             children = tuple(_summand(d, b, _breve_pass(G, d, b)) for b in blocks)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
-        if not any(G.has_loop(v) for v in cuts) and (
-            sum(not is_r0_block(G, d, b) for b in blocks) <= 1
-        ):
+        if not any(G.has_loop(v) for v in cuts) and _r0_but_one(G, d, blocks):
             # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
             children = tuple(_summand(d, b, _peel_pass(arcs, d, [(b, None)])) for b in blocks)
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
@@ -696,13 +720,17 @@ def _peel_pass(
         blk = d.blocks[b]
         rows = [u for u in blk if u != v and u not in no_row]
         cols = [u for u in blk if u != v and u not in no_col]
+        if v is None:
+            leaf = [[arcs.get((u, t), _ZERO) for t in cols] for u in rows]
+            if min(len(rows), len(cols)) >= _MOD_P_MIN_ORDER:
+                r = leaf_rank(leaf)
+            else:
+                r = rank(RationalMatrix(leaf, cols=len(cols))).rank
+            nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
+            continue
         B = RationalMatrix(
             [[arcs.get((u, t), _ZERO) for t in cols] for u in rows], cols=len(cols)
         )
-        if v is None:
-            r = rank(B).rank
-            nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
-            continue
         x = [arcs.get((v, t), _ZERO) for t in cols]
         y = [arcs.get((u, v), _ZERO) for u in rows]
         peel = schur_peel(arcs.get((v, v), _ZERO), x, y, B)

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of `fractions.Fraction` entries.  Every elimination is one
-fraction-free Bareiss loop on integers (each row is scaled by its
+Dense matrices of `fractions.Fraction` entries.  Every exact elimination is
+one fraction-free Bareiss loop on integers (each row is scaled by its
 denominator lcm first, which changes neither rank nor pivot columns), so
 arbitrarily large intermediate values stay exact.  Rank, row/column-space
 membership with witness coefficients, and `schur_peel` -- what a bordering
 row and column add to a matrix's rank -- are all read off that one loop.
-There is no floating point anywhere in this module.
+`leaf_rank` runs one elimination modulo a small prime first: it only ever
+proves a lower bound on the rank, which settles a matrix of full rank, and
+hands every other matrix to Bareiss.  There is no floating point anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -173,6 +176,54 @@ def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
         prev = piv
         r += 1
     return pivots
+
+
+# The largest prime below 2**15: a product of two residues, and the
+# difference x - m*y of the elimination, fit in one 30-bit CPython digit.
+_P = 32749
+
+
+def _rank_mod_p(a: list[list[int]]) -> int:
+    """Rank of an integer matrix modulo _P (a is not mutated).
+
+    It never exceeds the rank over Q: r pivots mod _P pick an r x r minor
+    that is nonzero mod _P, hence nonzero over the integers.  Each step
+    eliminates the current first column of the rows left and drops it.
+    """
+    p = _P
+    rows = [[x % p for x in row] for row in a]
+    r = 0
+    while rows and rows[0]:
+        piv = next((row for row in rows if row[0]), None)
+        if piv is None:
+            rows = [row[1:] for row in rows]
+            continue
+        inv = pow(piv[0], -1, p)
+        tail = [y * inv % p for y in piv[1:]]
+        rest = []
+        for row in rows:
+            if row is piv:
+                continue
+            m = row[0]
+            rest.append([(x - m * y) % p for x, y in zip(row[1:], tail)] if m else row[1:])
+        rows = rest
+        r += 1
+    return r
+
+
+def leaf_rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank of a rational matrix given as a list of rows.
+
+    Each row is scaled by its denominator lcm; one elimination mod _P then
+    proves rank >= r, which is the rank when r = min(rows, cols).  Every
+    other matrix goes to `_bareiss`, so a prime that divides some minor
+    costs time, never a wrong rank.
+    """
+    a = [_scaled_int_row(row)[0] for row in rows]
+    full = min(len(a), len(a[0]) if a else 0)
+    if _rank_mod_p(a) == full:
+        return full
+    return int_rank(a)
 
 
 def int_rank(a: list[list[int]]) -> int:

@@ -30,11 +30,9 @@ class TreeKind(Enum):
     R2_TREE = "r2-tree"
 
 
-def is_forest(G: WeightedDigraph) -> bool:
-    """True when the underlying simple graph has no cycle."""
-    n = G.n
-    edges = G.underlying_edges()
-    parent = list(range(n))
+def _is_forest(adj: list[set[int]]) -> bool:
+    """True when the graph with neighbour sets adj has no cycle."""
+    parent = list(range(len(adj)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -42,16 +40,29 @@ def is_forest(G: WeightedDigraph) -> bool:
             x = parent[x]
         return x
 
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if u < v:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
     return True
 
 
+def is_forest(G: WeightedDigraph) -> bool:
+    """True when the underlying simple graph has no cycle."""
+    return _is_forest(G.underlying_adjacency())
+
+
+def _is_tree(adj: list[set[int]]) -> bool:
+    """A forest on n >= 1 vertices with n - 1 edges is connected."""
+    n = len(adj)
+    return n >= 1 and sum(map(len, adj)) == 2 * (n - 1) and _is_forest(adj)
+
+
 def is_tree(G: WeightedDigraph) -> bool:
-    return G.n >= 1 and is_forest(G) and G.is_connected()
+    return _is_tree(G.underlying_adjacency())
 
 
 @dataclass(frozen=True)
@@ -66,10 +77,15 @@ def max_matching(G: WeightedDigraph) -> MatchingResult:
     Matching a leaf to its unique neighbour is always optimal in a forest.
     Raises NotAForest on cyclic inputs (the greedy argument needs acyclicity).
     """
-    if not is_forest(G):
+    adj = G.underlying_adjacency()
+    if not _is_forest(adj):
         raise NotAForest("maximum matching here is implemented for forests only")
-    n = G.n
-    adj = [set(s) for s in G.underlying_adjacency()]
+    return _matching(adj)
+
+
+def _matching(adj: list[set[int]]) -> MatchingResult:
+    """Greedy leaf-peeling maximum matching of the forest with neighbour sets adj."""
+    n = len(adj)
     deg = [len(s) for s in adj]
     alive = [True] * n
     heap = [v for v in range(n) if deg[v] == 1]
@@ -95,16 +111,15 @@ def _edge_is_bi_arc(G: WeightedDigraph, u: int, v: int) -> bool:
     return G.has_arc(u, v) and G.has_arc(v, u)
 
 
-def _tree_shape(G: WeightedDigraph) -> tuple[list[set[int]], set[int], set[int]] | None:
-    """(neighbour sets, internal vertices, looped vertices) of a tree-shaped
-    G, else None.  Internal vertices are those of degree >= 2, which in a
-    tree are exactly the cut-vertices."""
-    if not is_tree(G):
+def _tree_shape(G: WeightedDigraph, adj: list[set[int]]) -> tuple[set[int], set[int]] | None:
+    """(internal vertices, looped vertices) when G, whose underlying
+    neighbour sets are adj, is tree-shaped, else None.  Internal vertices
+    are those of degree >= 2, which in a tree are exactly the cut-vertices."""
+    if not _is_tree(adj):
         return None
-    adj = G.underlying_adjacency()
     internal = {v for v in range(G.n) if len(adj[v]) >= 2}
     loops = {v for v in range(G.n) if G.has_loop(v)}
-    return adj, internal, loops
+    return internal, loops
 
 
 def classify_tree(G: WeightedDigraph) -> TreeKind | None:
@@ -112,10 +127,14 @@ def classify_tree(G: WeightedDigraph) -> TreeKind | None:
 
     Precedence: LOOPLESS_BI_ARC, then CUT_LOOP_BI_ARC, then R2_TREE.
     """
-    shape = _tree_shape(G)
+    return _tree_kind(G, G.underlying_adjacency())
+
+
+def _tree_kind(G: WeightedDigraph, adj: list[set[int]]) -> TreeKind | None:
+    shape = _tree_shape(G, adj)
     if shape is None:
         return None
-    adj, internal, loops = shape
+    internal, loops = shape
     all_bi = all(_edge_is_bi_arc(G, u, v) for u in range(G.n) for v in adj[u])
     if all_bi and not loops:
         return TreeKind.LOOPLESS_BI_ARC
@@ -156,13 +175,17 @@ def is_r2_tree_digraph(G: WeightedDigraph) -> bool:
     LOOPLESS_BI_ARC; this predicate still accepts it, and is the actual
     precondition of rank_r2_tree.
     """
-    shape = _tree_shape(G)
-    return shape is not None and _r2_tree_shape(G, *shape)
+    adj = G.underlying_adjacency()
+    shape = _tree_shape(G, adj)
+    return shape is not None and _r2_tree_shape(G, adj, *shape)
 
 
 def count_loop_attachments(G: WeightedDigraph) -> int:
     """s = number of non-cut (leaf or isolated) vertices carrying a loop."""
-    adj = G.underlying_adjacency()
+    return _looped_leaves(G, G.underlying_adjacency())
+
+
+def _looped_leaves(G: WeightedDigraph, adj: list[set[int]]) -> int:
     return sum(1 for v in range(G.n) if G.has_loop(v) and len(adj[v]) < 2)
 
 
@@ -181,8 +204,10 @@ def rank_r2_tree(G: WeightedDigraph) -> int:
 
 
 def tree_summary(G: WeightedDigraph) -> tuple[TreeKind | None, int, int]:
-    """(kind, q, s) of a tree-shaped digraph, for reporting."""
-    kind = classify_tree(G)
+    """(kind, q, s) of a tree-shaped digraph, from one read of its
+    underlying graph; (None, 0, 0) when it is not a tree of a known kind."""
+    adj = G.underlying_adjacency()
+    kind = _tree_kind(G, adj)
     if kind is None:
         return None, 0, 0
-    return kind, max_matching(G).size, count_loop_attachments(G)
+    return kind, _matching(adj).size, _looped_leaves(G, adj)

@@ -52,7 +52,7 @@ from digrank import (
     render_certificate,
     side_components,
 )
-from digrank import engine
+from digrank import engine, linalg
 from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
@@ -589,3 +589,64 @@ def test_one_decomposition_per_rank(monkeypatch, request, route):
     assert cert.root.rule is root_rule
     assert cert.rank == cert.root.total == oracle_rank(G)
     assert (d_calls, c_calls) == (decomposes, copies)
+
+
+# -- the r0 sum rule and the dense leaf ----------------------------------------
+
+
+def test_r0_sum_rule_stops_at_the_second_failing_block(monkeypatch):
+    """The sum rule needs all blocks but one to be r0, so its test stops at
+    the second block that fails; the r2 rule is tried first and fails."""
+    G = glued_blocks(random.Random("r0:0"), 30)
+    G = build(G.n, [(u, v, w) for u, v, w in G.arcs() if u != v])
+    d = decompose(G)
+    failing = [b for b in range(d.block_count) if not is_r0_block(G, d, b)]
+    assert d.block_count == 30 and len(failing) >= 2
+    calls = []
+    real = engine.is_r0_block
+    monkeypatch.setattr(engine, "is_r0_block", lambda *a: calls.append(a[2]) or real(*a))
+    cert = rank_recursive(G)
+    assert cert.root.rule is RuleTag.COMPONENT_SUM
+    assert cert.rank == oracle_rank(G)
+    assert calls == list(range(failing[1] + 1))
+
+
+def dense_block(n=40, singular=False):
+    """A one-block random digraph (p=0.3); with singular=True, vertex 1's
+    out-arcs copy vertex 0's, so its rank is n - 1."""
+    G = random_digraph(n, random.Random(0), p=0.3)
+    if singular:
+        arcs = [(u, v, w) for u, v, w in G.arcs() if u != 1]
+        G = build(n, arcs + [(1, v, w) for u, v, w in arcs if u == 0])
+    assert decompose(G).block_count == 1
+    assert oracle_rank(G) == n - singular
+    return G
+
+
+def test_nonsingular_dense_block_needs_no_bareiss(monkeypatch):
+    """Its DIRECT_RANK leaf is proved full by the mod-p pass alone."""
+    G = dense_block()
+    calls = []
+    real = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real(*a))
+    cert = rank_recursive(G)
+    assert cert.root.rule is RuleTag.DIRECT_RANK and cert.rank == 40
+    assert calls == []
+
+
+def test_the_oracle_does_not_use_the_mod_p_pass(monkeypatch):
+    """oracle_rank stays Bareiss: it works with the mod-p pass broken, and
+    it catches a mod-p pass that claims full rank on a singular block."""
+    G, S = dense_block(), dense_block(singular=True)
+
+    def broken(a):
+        raise RuntimeError("mod-p pass called")
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", broken)
+    assert oracle_rank(G) == 40 and oracle_rank(S) == 39
+    with pytest.raises(RuntimeError):
+        rank_recursive(G)
+    monkeypatch.setattr(linalg, "_rank_mod_p", lambda a: min(len(a), len(a[0])))
+    assert rank_recursive(S).rank == 40  # the wrong claim reaches the engine
+    with pytest.raises(InternalMismatch):
+        rank_recursive(S, oracle_check=True)

@@ -13,6 +13,7 @@ import pytest
 
 from digrank import (
     GenSpec,
+    RuleTag,
     WeightedDigraph,
     build,
     decompose,
@@ -26,7 +27,12 @@ from digrank import (
 )
 from digrank import engine
 from digrank.generate import FAMILIES
-from digrank.trees import classify_tree, count_loop_attachments, is_r2_tree_digraph
+from digrank.trees import (
+    classify_tree,
+    count_loop_attachments,
+    is_r2_tree_digraph,
+    tree_summary,
+)
 from oracles import (
     r0_biblock_graph_networkx,
     r2_biblock_graph_networkx,
@@ -132,3 +138,21 @@ def test_recognisers_read_the_graph_a_fixed_number_of_times(
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) <= 6, counts[0]
 
+
+
+@pytest.mark.parametrize(
+    "family, rule", [("loopless-biarc-tree", RuleTag.TREE_MATCHING), ("r2-tree", RuleTag.R2_TREE)]
+)
+def test_tree_closed_forms_read_the_graph_once(monkeypatch, family, rule):
+    """The tree forms derive the neighbour sets once for kind, matching and
+    looped leaves; the engine's one decompose reads them once more."""
+    for n in (60, 240):
+        G = gen(GenSpec(family, n=n, seed=0))
+        calls = _count_reads(monkeypatch)
+        kind, q, s = tree_summary(G)
+        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        cert = engine.rank_recursive(G)
+        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 2, "decompose": 1}
+        monkeypatch.undo()
+        assert cert.root.rule is rule and cert.rank == 2 * q + s

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from digrank.classify import classify_bordered
 from digrank.errors import DimensionMismatch
+from digrank import linalg
 from digrank.linalg import (
     RationalMatrix,
     bordered,
@@ -21,6 +22,7 @@ from digrank.linalg import (
     in_column_space,
     in_row_space,
     int_rank,
+    leaf_rank,
     rank,
     schur_peel,
     vector,
@@ -249,3 +251,52 @@ def test_schur_peel_dimension_errors():
         schur_peel(0, (1,), (1,), B)
     with pytest.raises(DimensionMismatch):
         schur_peel(0, (1, 2), (1, 2), B)
+
+
+# -- the leaf rank: full rank proved mod p, Bareiss for the rest --------------
+
+P = linalg._P
+
+# multiples of P, and denominators of P, make minors vanish mod P only
+mod_p_entries = st.one_of(
+    entries, st.sampled_from([P, -P, 2 * P, P + 1, Fraction(1, P), Fraction(P, 2)])
+)
+
+
+@given(matrices(ents=mod_p_entries))
+@settings(max_examples=400, deadline=None)
+def test_leaf_rank_matches_rank(M):
+    assert leaf_rank(M.to_lists()) == rank(M).rank
+
+
+def _counting_bareiss(monkeypatch):
+    calls = []
+    real = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+FALLBACK = [
+    ([[P]], 1),
+    ([[P, 0], [0, 1]], 2),
+    ([[1, 1], [1, P + 1]], 2),  # determinant P
+    ([[1, Fraction(1, P)], [0, 1]], 2),  # first row scales to (P, 1)
+    ([[Fraction(1, P), 1], [1, 0]], 2),  # first row scales to (1, P)
+]
+
+
+@pytest.mark.parametrize("rows, expected", FALLBACK)
+def test_leaf_rank_falls_back_when_p_divides_a_minor(monkeypatch, rows, expected):
+    assert naive_rank(rows) == expected
+    calls = _counting_bareiss(monkeypatch)
+    assert leaf_rank(rows) == expected
+    assert calls == [1]
+
+
+def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    assert leaf_rank([[1, 2], [3, 4]]) == 2
+    assert leaf_rank([[1, 2, Fraction(1, 3)]]) == 1
+    assert leaf_rank([[2], [Fraction(1, 2)]]) == 1
+    assert leaf_rank([]) == 0 and leaf_rank([[], []]) == 0
+    assert calls == []
