@@ -72,12 +72,15 @@ _ZERO = Fraction(0)
 
 # DIRECT_RANK leaves of this order and up go to `leaf_rank`; smaller ones
 # stay on plain Bareiss.  A rank-deficient leaf pays for leaf_rank's mod-p
-# pass and Bareiss both.  On full-rank random digraph matrices (weights 1,
-# -1, 2, 1/2, arc density 0.3) the pass took 0.94x Bareiss's time at order
-# 8, 0.75x at 16 and 0.49x at 40 (best of 5, CPython 3.11, 2-core VM).  Small
-# leaves are mostly rank-deficient: 5,710 of the 8,275 leaves (all of order
-# <= 10) of perfbench's small-mixed workload and 2,233 of the 3,416 (order
-# <= 6) of closed-forms, where leaf_rank made leaf ranking 1.7x slower.
+# pass, up to its first pivot-less column too many, and Bareiss both.  On
+# full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density
+# 0.3) the packed-row pass took 1.9-2.2x Bareiss's time at order 8, where
+# its fixed cost per column outweighs the per-entry work, 0.70-0.73x at 16
+# and 0.13-0.19x at 40 (three runs, each best of 5 over 400 or 100
+# matrices, CPython 3.11, 2-core VM).  Small leaves are mostly
+# rank-deficient: 5,710 of the 8,275 leaves (all of order <= 10) of
+# perfbench's small-mixed workload and 2,233 of the 3,416 (order <= 6) of
+# closed-forms, where leaf_rank made leaf ranking 1.7x slower.
 _MOD_P_MIN_ORDER = 16
 
 

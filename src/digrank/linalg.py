@@ -6,14 +6,18 @@ denominator lcm first, which changes neither rank nor pivot columns), so
 arbitrarily large intermediate values stay exact.  Rank, row/column-space
 membership with witness coefficients, and `schur_peel` -- what a bordering
 row and column add to a matrix's rank -- are all read off that one loop.
-`leaf_rank` runs one elimination modulo a small prime first: it only ever
-proves a lower bound on the rank, which settles a matrix of full rank, and
-hands every other matrix to Bareiss.  There is no floating point anywhere
-in this module.
+`leaf_rank` runs one elimination modulo a small prime first, on rows packed
+into one Python int each (one fixed-width field per column, so a row update
+is one big-integer multiply-add): it only ever proves a lower bound on the
+rank, which settles a matrix of full rank, and it stops as soon as full rank
+is out of reach and hands that matrix to Bareiss.  There is no floating
+point anywhere in this module.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -178,36 +182,89 @@ def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
     return pivots
 
 
-# The largest prime below 2**15: a product of two residues, and the
-# difference x - m*y of the elimination, fit in one 30-bit CPython digit.
+# The largest prime below 2**15: a residue fits in 16 bits, and a product
+# of two residues in 30.
 _P = 32749
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(residues: list[int], nb: int) -> bytearray:
+    """Residues below 2**16 as little-endian nb-byte fields, in order."""
+    h = array("H", residues)
+    if _BIG_ENDIAN:
+        h.byteswap()
+    h = h.tobytes()
+    buf = bytearray(len(residues) * nb)
+    buf[0::nb] = h[0::2]
+    buf[1::nb] = h[1::2]
+    return buf
+
+
+def _unpack(v: int, k: int, nb: int) -> array:
+    """The k nb-byte fields of v (nb <= 8), the lowest first."""
+    b = v.to_bytes(k * nb, "little")
+    q = bytearray(8 * k)
+    for t in range(nb):
+        q[t::8] = b[t::nb]
+    fields = array("Q", q)
+    if _BIG_ENDIAN:
+        fields.byteswap()
+    return fields
 
 
 def _rank_mod_p(a: list[list[int]]) -> int:
-    """Rank of an integer matrix modulo _P (a is not mutated).
+    """Rank of an integer matrix modulo _P, or fewer once it cannot be full.
 
     It never exceeds the rank over Q: r pivots mod _P pick an r x r minor
-    that is nonzero mod _P, hence nonzero over the integers.  Each step
-    eliminates the current first column of the rows left and drops it.
+    that is nonzero mod _P, hence nonzero over the integers.  It returns
+    min(rows, cols) exactly when the rank mod _P is full; it stops, with
+    the pivots found so far, as soon as more than cols - min(rows, cols)
+    columns have no pivot.  `a` is not mutated.
+
+    Each row is one int with one W-bit field per column, column 0 lowest,
+    W = 32 + len(a).bit_length() rounded up to whole bytes (8 bytes while
+    len(a) < 2**32).  Each step reads field 0 of every row mod _P, takes
+    the first row nonzero there as pivot, reduces its other fields mod _P
+    and scales them by the pivot's inverse, adds (_P - m) times that to
+    every other row whose field 0 is m != 0, and shifts every row right
+    by one field.  Fields start below _P and each addition is below
+    _P**2 < 2**30; a row takes at most len(a) of them, so a field stays
+    below 2**(30 + len(a).bit_length()) < 2**W: no carry ever crosses
+    into the next field and no row needs reducing between steps.
     """
     p = _P
-    rows = [[x % p for x in row] for row in a]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    slack = ncols - min(nrows, ncols)
+    nb = (32 + nrows.bit_length() + 7) // 8
+    w = 8 * nb
+    mask = (1 << w) - 1
+    rb = ncols * nb
+    flat = _pack([x % p for row in a for x in row], nb)
+    rows = [int.from_bytes(flat[i * rb : (i + 1) * rb], "little") for i in range(nrows)]
     r = 0
-    while rows and rows[0]:
-        piv = next((row for row in rows if row[0]), None)
-        if piv is None:
-            rows = [row[1:] for row in rows]
+    for k in range(ncols - 1, -1, -1):
+        for i, row in enumerate(rows):
+            if (row & mask) % p:
+                break
+        else:
+            slack -= 1
+            if slack < 0:
+                return r
+            rows = [row >> w for row in rows]
             continue
-        inv = pow(piv[0], -1, p)
-        tail = [y * inv % p for y in piv[1:]]
-        rest = []
-        for row in rows:
-            if row is piv:
-                continue
-            m = row[0]
-            rest.append([(x - m * y) % p for x, y in zip(row[1:], tail)] if m else row[1:])
-        rows = rest
+        piv = rows.pop(i)
         r += 1
+        if not rows:
+            break
+        inv = pow((piv & mask) % p, -1, p)
+        scaled = [x * inv % p for x in _unpack(piv >> w, k, nb)]
+        tail = int.from_bytes(_pack(scaled, nb), "little")
+        rows = [
+            (row >> w) + (p - m) * tail if (m := (row & mask) % p) else row >> w
+            for row in rows
+        ]
     return r
 
 
@@ -216,8 +273,9 @@ def leaf_rank(rows: Sequence[Sequence]) -> int:
 
     Each row is scaled by its denominator lcm; one elimination mod _P then
     proves rank >= r, which is the rank when r = min(rows, cols).  Every
-    other matrix goes to `_bareiss`, so a prime that divides some minor
-    costs time, never a wrong rank.
+    other matrix goes to `_bareiss`, as soon as the elimination has too
+    many pivot-less columns for full rank, so a prime that divides some
+    minor costs time, never a wrong rank.
     """
     a = [_scaled_int_row(row)[0] for row in rows]
     full = min(len(a), len(a[0]) if a else 0)

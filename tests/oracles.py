@@ -48,6 +48,33 @@ def naive_rank(rows) -> int:
     return rank
 
 
+def rank_mod_p_reference(a, p) -> int:
+    """Rank of an integer matrix modulo the prime p, on lists of residues.
+
+    Each step eliminates the current first column of the rows left and
+    drops it; one Python operation per entry.  Runs every column, with no
+    early stop.
+    """
+    rows = [[x % p for x in row] for row in a]
+    r = 0
+    while rows and rows[0]:
+        piv = next((row for row in rows if row[0]), None)
+        if piv is None:
+            rows = [row[1:] for row in rows]
+            continue
+        inv = pow(piv[0], -1, p)
+        tail = [y * inv % p for y in piv[1:]]
+        rest = []
+        for row in rows:
+            if row is piv:
+                continue
+            m = row[0]
+            rest.append([(x - m * y) % p for x, y in zip(row[1:], tail)] if m else row[1:])
+        rows = rest
+        r += 1
+    return r
+
+
 def rank_of_digraph(G) -> int:
     return naive_rank(G.adjacency_matrix().to_lists())
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digrank.classify import classify_bordered
@@ -27,7 +27,7 @@ from digrank.linalg import (
     schur_peel,
     vector,
 )
-from oracles import naive_rank, sympy_rank
+from oracles import naive_rank, rank_mod_p_reference, sympy_rank
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -300,3 +300,99 @@ def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
     assert leaf_rank([[2], [Fraction(1, 2)]]) == 1
     assert leaf_rank([]) == 0 and leaf_rank([[], []]) == 0
     assert calls == []
+
+
+# -- the packed mod-p kernel against the list-of-lists reference --------------
+
+# 0, multiples of P and residues -1 / 1 by large and negative representatives
+residue_entries = st.one_of(
+    st.sampled_from([0, 1, -1, P, -P, P - 1, -P - 1, 2 * P + 1]),
+    st.integers(-(2**200), -(2**64)),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def int_matrices(draw, max_rows=8, max_cols=8):
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    return [[draw(residue_entries) for _ in range(c)] for _ in range(r)]
+
+
+def check_against_reference(a):
+    """The packed kernel finds full rank exactly when the reference does;
+    when it does not, it may stop early, with no more pivots than that."""
+    full = min(len(a), len(a[0]) if a else 0)
+    got, ref = linalg._rank_mod_p(a), rank_mod_p_reference(a, P)
+    assert (got == full) == (ref == full)
+    assert got <= ref
+
+
+@given(int_matrices())
+@example([])
+@example([[], [], []])
+@example([[P - 1]])
+@example([[1, -P, 2 * P + 1, -(2**70)]])
+@example([[-1], [P], [-(2**70)]])
+@settings(max_examples=600, deadline=None)
+def test_packed_mod_p_kernel_matches_reference(a):
+    before = [row[:] for row in a]
+    check_against_reference(a)
+    assert a == before
+
+
+def worst_carry(rows, cols):
+    """Row i holds 1 - j in columns j <= i and -1 - i after, in all columns
+    but the last, which repeats column 0 (all ones); the last row is the
+    sum of the two before it.  At every step the pivot is the next row,
+    its normalised fields are all P - 1 but the last, and every other row
+    but the last has residue 1 under it, so it takes the largest
+    multiplier, P - 1, and grows each field by (P - 1)**2.  For rows >=
+    cols the rank is cols - 1: a carry into a higher field turns into a
+    pivot the last column or the last row should not have."""
+    a = [
+        [(1 - j) % P if j <= i else (-1 - i) % P for j in range(cols - 1)] + [1]
+        for i in range(rows)
+    ]
+    a[-1] = [(x + y) % P for x, y in zip(a[-2], a[-3])]
+    return a
+
+
+# Fields are 32 + rows.bit_length() bits rounded up to bytes: 5 bytes for
+# 255 rows, 6 from 256 rows on (1025 rows: 43 bits).  The square case gives
+# a row one addition per column but the last.
+@pytest.mark.parametrize(
+    "rows, cols", [(255, 24), (256, 24), (1025, 24), (2000, 24), (160, 160)]
+)
+def test_packed_mod_p_kernel_has_no_carry(rows, cols):
+    a = worst_carry(rows, cols)
+    assert linalg._rank_mod_p(a) == rank_mod_p_reference(a, P) == cols - 1
+
+
+def test_packed_mod_p_fields_widen_past_1024_additions():
+    """In the 1030 x 1030 case, column 1028 of the last row takes 1028
+    additions of (P - 1)**2, past 2**40 in all, so 5-byte fields would
+    carry.  The reference would take minutes here; the rank 1029 holds by
+    construction (worst_carry, checked against the reference above)."""
+    assert linalg._rank_mod_p(worst_carry(1030, 1030)) == 1029
+
+
+def test_mod_p_pass_stops_once_full_rank_is_out_of_reach():
+    zero_first = [[0] + [1 if i == j else 0 for j in range(19)] for i in range(20)]
+    # square: one pivot-less column is one too many, so no pivot is tried
+    assert linalg._rank_mod_p(zero_first) == 0
+    assert rank_mod_p_reference(zero_first, P) == 19
+    # 3 x 4: one column may go without a pivot, a second may not
+    assert linalg._rank_mod_p([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 3
+    assert linalg._rank_mod_p([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]) == 0
+
+
+def test_rank_deficient_leaf_gets_its_exact_rank_from_bareiss(monkeypatch):
+    rng = random.Random(3)
+    rows = [[rng.choice([0, 1, -1, 2, Fraction(1, 2)]) for _ in range(24)] for _ in range(24)]
+    rows[5] = [2 * x for x in rows[0]]
+    expected = naive_rank(rows)
+    assert expected < 24
+    calls = _counting_bareiss(monkeypatch)
+    assert leaf_rank(rows) == expected
+    assert calls == [1]
