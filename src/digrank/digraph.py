@@ -73,6 +73,10 @@ class WeightedDigraph:
         for (u, v) in sorted(self._arcs):
             yield u, v, self._arcs[(u, v)]
 
+    def arc_weights(self) -> dict[tuple[int, int], Fraction]:
+        """A fresh dict (u, v) -> weight of every arc, in no particular order."""
+        return dict(self._arcs)
+
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arcs
 

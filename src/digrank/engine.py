@@ -29,9 +29,12 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   block graphs still exercise the peeling rules.
 - MDT_FORMULA / GEN_R2: per-block and attachment variants of the r2 sum.
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
-  one-block component included): from order _MOD_P_MIN_ORDER up by
-  `leaf_rank` (full rank proved by one elimination mod a prime, dense
-  Bareiss otherwise), below it by dense Bareiss.
+  one-block component included).  From order _MOD_P_MIN_ORDER up, its rows
+  are read from the block's out-arcs in O(arcs of the block) and handed to
+  `leaf_rank`, which maps each weight a/b to a * b^-1 mod a prime p: the
+  weights lie in Z_(p) and reduction mod p is a ring map onto F_p, so full
+  rank mod p proves full rank over Q, and any other leaf goes to dense
+  Bareiss.  Below that order it is dense Bareiss.
 - COMPONENT_SUM: plumbing node summing over connected components, or over
   the flat list of nodes of one peel pass.
 """
@@ -70,11 +73,12 @@ from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
 
-# DIRECT_RANK leaves of this order and up go to `leaf_rank`; smaller ones
-# stay on plain Bareiss.  A rank-deficient leaf pays for leaf_rank's mod-p
-# pass, up to its first pivot-less column too many, and Bareiss both.  On
-# full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density
-# 0.3) the packed-row pass took 1.9-2.2x Bareiss's time at order 8, where
+# DIRECT_RANK leaves of this order and up are built as sparse rows and go
+# to `leaf_rank`, which reduces them mod p; smaller ones stay on plain
+# Bareiss.  A rank-deficient leaf pays for leaf_rank's mod-p pass, up to
+# its first pivot-less column too many, and Bareiss both.  On full-rank
+# random digraph matrices (weights 1, -1, 2, 1/2, arc density 0.3) the
+# packed-row pass took 1.9-2.2x Bareiss's time at order 8, where
 # its fixed cost per column outweighs the per-entry work, 0.70-0.73x at 16
 # and 0.13-0.19x at 40 (three runs, each best of 5 over 400 or 100
 # matrices, CPython 3.11, 2-core VM).  Small leaves are mostly
@@ -629,8 +633,8 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     disagreement.
     """
     d = decompose(G)
-    arcs = {(u, t): w for u, t, w in G.arcs()}
-    root = _sum_node([_component_rule(G, d, order, arcs) for order in _leaves_first(d)])
+    arcs, out = G.arc_weights(), []
+    root = _sum_node([_component_rule(G, d, order, arcs, out) for order in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -651,7 +655,7 @@ def _sum_node(nodes: list[CertNode]) -> CertNode:
 
 
 def _component_rule(
-    G: WeightedDigraph, d: BlockDecomposition, order: list, arcs: dict
+    G: WeightedDigraph, d: BlockDecomposition, order: list, arcs: dict, out: list
 ) -> CertNode:
     """Tree closed form, else a sum rule, else one peel pass, for the
     component of G whose leaves-first (block, parent cut) list is order.
@@ -678,9 +682,11 @@ def _component_rule(
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
         if not any(G.has_loop(v) for v in cuts) and _r0_but_one(G, d, blocks):
             # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
-            children = tuple(_summand(d, b, _peel_pass(arcs, d, [(b, None)])) for b in blocks)
+            children = tuple(
+                _summand(d, b, _peel_pass(arcs, out, d, [(b, None)])) for b in blocks
+            )
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
-    return _peel_pass(arcs, d, order)
+    return _peel_pass(arcs, out, d, order)
 
 
 def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
@@ -693,15 +699,20 @@ def _breve_pass(G: WeightedDigraph, d: BlockDecomposition, b: int) -> CertNode:
     not blocks of G, so it is ranked as an induced copy."""
     sub, labels = G.induced_with_labels(v for v in d.blocks[b] if v not in d.cut_vertices)
     sd = decompose(sub)
-    arcs = {(u, t): w for u, t, w in sub.arcs()}
-    return _peel_pass(arcs, sd, [p for order in _leaves_first(sd) for p in order], labels)
+    order = [p for comp in _leaves_first(sd) for p in comp]
+    return _peel_pass(sub.arc_weights(), [], sd, order, labels)
 
 
 def _peel_pass(
-    arcs: dict, d: BlockDecomposition, order: Sequence, labels: tuple | None = None
+    arcs: dict,
+    out: list,
+    d: BlockDecomposition,
+    order: Sequence,
+    labels: tuple | None = None,
 ) -> CertNode:
     """Rank by one leaves-first peel over the (block, parent cut) pairs of
-    order, from `_leaves_first(d)`; arcs maps (u, t) to the arc weight.
+    order, from `_leaves_first(d)`; arcs maps (u, t) to the arc weight, and
+    out is empty or `_out_lists(arcs, n)`, shared by every pass over arcs.
 
     Every non-root block b is peeled at its parent cut-vertex v against B,
     the current matrix on b - v: the rows and columns still present, with
@@ -712,7 +723,9 @@ def _peel_pass(
     residue alpha - x.d with B d = y, written back into arcs.  Each outcome
     is a row or column operation that touches only v's row, column and
     loop, so the original block-cut tree stays a separator tree throughout.
-    What is left of each root block is ranked directly.  Peel nodes name
+    What is left of each root block is ranked directly: from order
+    _MOD_P_MIN_ORDER up by `leaf_rank` on sparse rows read from out, which
+    is filled by the first such leaf, else by Bareiss.  Peel nodes name
     block b of d; when labels is given, d decomposes an induced copy whose
     vertex u is labels[u] of the graph, and they carry no block_index.
     """
@@ -724,10 +737,12 @@ def _peel_pass(
         rows = [u for u in blk if u != v and u not in no_row]
         cols = [u for u in blk if u != v and u not in no_col]
         if v is None:
-            leaf = [[arcs.get((u, t), _ZERO) for t in cols] for u in rows]
             if min(len(rows), len(cols)) >= _MOD_P_MIN_ORDER:
-                r = leaf_rank(leaf)
+                if not out:
+                    out.extend(_out_lists(arcs, len(d.membership)))
+                r = leaf_rank(_sparse_rows(arcs, out, rows, cols), len(cols))
             else:
+                leaf = [[arcs.get((u, t), _ZERO) for t in cols] for u in rows]
                 r = rank(RationalMatrix(leaf, cols=len(cols))).rank
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
@@ -762,6 +777,35 @@ def _peel_pass(
             where = dict(block_vertices=tuple(labels[u] for u in blk), cut_vertex=labels[v])
         nodes.append(CertNode(tag, peel.rank + row_out + col_out, note=note, **where))
     return _sum_node(nodes)
+
+
+def _out_lists(arcs: dict, n: int) -> list[list[tuple[int, Fraction]]]:
+    """For each vertex u < n, the (t, w) of its arcs u -> t with t != u.
+
+    Peels write only loops, so these lists hold for a whole rank.
+    """
+    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for (u, t), w in arcs.items():
+        if u != t:
+            out[u].append((t, w))
+    return out
+
+
+def _sparse_rows(arcs: dict, out: list, rows: list, cols: list) -> list[dict]:
+    """The matrix on rows x cols as {column position: weight} per row.
+
+    The diagonal comes from arcs itself, not from out: peels write loop
+    residues there, also onto vertices that had no loop.
+    """
+    pos = {t: j for j, t in enumerate(cols)}
+    leaf = []
+    for u in rows:
+        row = {j: w for t, w in out[u] if (j := pos.get(t)) is not None}
+        j = pos.get(u)
+        if j is not None and (w := arcs.get((u, u))):
+            row[j] = w
+        leaf.append(row)
+    return leaf
 
 
 def _leaves_first(d: BlockDecomposition) -> list[list[tuple[int, int | None]]]:

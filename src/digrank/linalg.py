@@ -6,12 +6,16 @@ denominator lcm first, which changes neither rank nor pivot columns), so
 arbitrarily large intermediate values stay exact.  Rank, row/column-space
 membership with witness coefficients, and `schur_peel` -- what a bordering
 row and column add to a matrix's rank -- are all read off that one loop.
-`leaf_rank` runs one elimination modulo a small prime first, on rows packed
-into one Python int each (one fixed-width field per column, so a row update
-is one big-integer multiply-add): it only ever proves a lower bound on the
-rank, which settles a matrix of full rank, and it stops as soon as full rank
-is out of reach and hands that matrix to Bareiss.  There is no floating
-point anywhere in this module.
+`leaf_rank` takes sparse rows and maps each entry a/b straight to its
+residue a * b^-1 modulo a small prime p; it needs no common denominator.
+Such entries lie in Z_(p), the rationals whose denominator p does not
+divide, and reduction mod p is a ring map from Z_(p) onto F_p, so a minor
+that is nonzero mod p is nonzero over Q.  One elimination mod p, on rows
+packed into one Python int each (one fixed-width field per column, so a row
+update is one big-integer multiply-add), thus proves a lower bound on the
+rank, which settles a matrix of full rank; it stops as soon as full rank is
+out of reach and hands that matrix to Bareiss, as it does a matrix with a
+denominator p divides.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -268,19 +272,50 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     return r
 
 
-def leaf_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a rational matrix given as a list of rows.
+def _residue_rows(rows: Sequence[dict], ncols: int) -> list[list[int]] | None:
+    """Each entry a/b of the sparse rows as a * b^-1 mod _P, in dense rows;
+    None when _P divides a denominator.  b^-1 is computed once per b."""
+    p = _P
+    inverse = {1: 1}
+    out = []
+    for row in rows:
+        res = [0] * ncols
+        for j, x in row.items():
+            b = x.denominator
+            inv = inverse.get(b)
+            if inv is None:
+                if b % p == 0:
+                    return None
+                inv = inverse[b] = pow(b, -1, p)
+            res[j] = x.numerator * inv % p
+        out.append(res)
+    return out
 
-    Each row is scaled by its denominator lcm; one elimination mod _P then
-    proves rank >= r, which is the rank when r = min(rows, cols).  Every
-    other matrix goes to `_bareiss`, as soon as the elimination has too
-    many pivot-less columns for full rank, so a prime that divides some
-    minor costs time, never a wrong rank.
+
+def leaf_rank(rows: Sequence[dict], ncols: int) -> int:
+    """Exact rank of a rational matrix with ncols columns, given as sparse
+    rows {column: Fraction} (absent entries are zero).
+
+    Every entry a/b whose denominator _P does not divide lies in Z_(p), and
+    reduction mod _P is a ring map from Z_(p) onto F_p that takes each
+    minor to the same minor of the residues.  So r pivots of one
+    elimination on the residues a * b^-1 mod _P prove rank >= r, which is
+    the rank when r = min(rows, cols).  Every other matrix goes to
+    `_bareiss` on its rows scaled by their denominator lcm, as soon as the
+    elimination has too many pivot-less columns for full rank, or at once
+    when _P divides a denominator; so a prime that divides some minor costs
+    time, never a wrong rank.
     """
-    a = [_scaled_int_row(row)[0] for row in rows]
-    full = min(len(a), len(a[0]) if a else 0)
-    if _rank_mod_p(a) == full:
+    full = min(len(rows), ncols)
+    residues = _residue_rows(rows, ncols)
+    if residues is not None and _rank_mod_p(residues) == full:
         return full
+    a = []
+    for row in rows:
+        dense = [_ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        a.append(_scaled_int_row(dense)[0])
     return int_rank(a)
 
 

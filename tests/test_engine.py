@@ -650,3 +650,40 @@ def test_the_oracle_does_not_use_the_mod_p_pass(monkeypatch):
     assert rank_recursive(S).rank == 40  # the wrong claim reaches the engine
     with pytest.raises(InternalMismatch):
         rank_recursive(S, oracle_check=True)
+
+
+PEEL_WRITTEN_LOOP = """\
+ComponentSum contributes=0
+  CaseIPeel block=1 v=18 contributes=2 [18,21]
+  CaseIIILt block=2 v=19 contributes=1 [19,20] (loop residue -1/2)
+  DirectRank contributes=19 (n=20)
+"""
+
+
+def peel_written_loop_graph():
+    """A random block on 0-19 (seed 0 of a search for the first graph the
+    test below accepts) where vertex 19 copies vertex 0's row and has no
+    loop, with a bi-arc pendant 18-21 and a pendant 19-20 looped at 20."""
+    G = random_digraph(20, random.Random("peel-loop:0"), p=0.4)
+    arcs = [(u, t, w) for u, t, w in G.arcs() if u != 19 and (u, t) != (0, 19)]
+    arcs += [(19, t, w) for u, t, w in arcs if u == 0]
+    pendants = [(19, 20, 1), (20, 19, 1), (20, 20, 2), (18, 21, 1), (21, 18, 1)]
+    return build(22, arcs + pendants)
+
+
+def test_leaf_reads_the_loop_a_peel_wrote():
+    """The pendant at 19 writes the residue -1/2 onto 19, which had no loop,
+    and 18's row and column are deleted.  The root leaf (19 rows, so it is
+    built as sparse rows) is singular without that loop and full with it;
+    a leaf that took its diagonal from the graph's own loops would miss
+    it and come out one short."""
+    G = peel_written_loop_graph()
+    assert not G.has_loop(19)
+    assert decompose(G).blocks == (tuple(range(20)), (18, 21), (19, 20))
+    root = [u for u in range(20) if u != 18]
+    leaf = G.induced_subdigraph(root)
+    assert len(root) >= engine._MOD_P_MIN_ORDER
+    assert (oracle_rank(leaf), oracle_rank(leaf.with_loop(root.index(19), "-1/2"))) == (18, 19)
+    cert = rank_recursive(G)
+    assert render_certificate(cert) == PEEL_WRITTEN_LOOP
+    assert cert.rank == oracle_rank(G) == 22

@@ -259,14 +259,26 @@ P = linalg._P
 
 # multiples of P, and denominators of P, make minors vanish mod P only
 mod_p_entries = st.one_of(
-    entries, st.sampled_from([P, -P, 2 * P, P + 1, Fraction(1, P), Fraction(P, 2)])
+    entries,
+    st.sampled_from(
+        [P, -P, 2 * P, P + 1, Fraction(1, P), Fraction(P, 2), Fraction(5, 2 * P)]
+    ),
 )
 
 
-@given(matrices(ents=mod_p_entries))
-@settings(max_examples=400, deadline=None)
-def test_leaf_rank_matches_rank(M):
-    assert leaf_rank(M.to_lists()) == rank(M).rank
+def sparse(rows):
+    """Dense rows as leaf_rank's arguments: one {column: Fraction} per row,
+    zeros kept as explicit entries, and the column count."""
+    ncols = len(rows[0]) if rows else 0
+    return [{j: Fraction(x) for j, x in enumerate(row)} for row in rows], ncols
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix and its sparse rows, each zero entry left out or kept."""
+    M = draw(matrices(ents=mod_p_entries))
+    rows = [{j: x for j, x in enumerate(row) if x or draw(st.booleans())} for row in M.to_lists()]
+    return M, rows
 
 
 def _counting_bareiss(monkeypatch):
@@ -276,12 +288,34 @@ def _counting_bareiss(monkeypatch):
     return calls
 
 
+@given(sparse_matrices())
+@example((RationalMatrix([[0, 0], [0, 0]]), [{0: Fraction(0)}, {}]))
+@example((RationalMatrix([[], []], cols=0), [{}, {}]))
+@example((RationalMatrix([[Fraction(1, P), 0], [0, 1]]), [{0: Fraction(1, P)}, {1: Fraction(1)}]))
+@example((RationalMatrix([[0, Fraction(5, 2 * P)]]), [{0: Fraction(0), 1: Fraction(5, 2 * P)}]))
+@settings(max_examples=400, deadline=None)
+def test_leaf_rank_matches_rank(case):
+    """Exact on sparse rows; Bareiss runs at most once, and exactly once
+    when the rank is not full or P divides a denominator."""
+    M, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_bareiss(mp)
+        got = leaf_rank(rows, M.cols)
+    expected = rank(M).rank
+    assert got == expected
+    assert len(calls) <= 1
+    if expected < min(M.rows, M.cols) or any(
+        x.denominator % P == 0 for row in rows for x in row.values()
+    ):
+        assert calls == [1]
+
+
 FALLBACK = [
     ([[P]], 1),
     ([[P, 0], [0, 1]], 2),
     ([[1, 1], [1, P + 1]], 2),  # determinant P
-    ([[1, Fraction(1, P)], [0, 1]], 2),  # first row scales to (P, 1)
-    ([[Fraction(1, P), 1], [1, 0]], 2),  # first row scales to (1, P)
+    ([[1, Fraction(1, P)], [0, 1]], 2),  # denominator P: no residue mod P
+    ([[Fraction(1, P), 1], [1, 0]], 2),  # the same, in the first entry
 ]
 
 
@@ -289,16 +323,16 @@ FALLBACK = [
 def test_leaf_rank_falls_back_when_p_divides_a_minor(monkeypatch, rows, expected):
     assert naive_rank(rows) == expected
     calls = _counting_bareiss(monkeypatch)
-    assert leaf_rank(rows) == expected
+    assert leaf_rank(*sparse(rows)) == expected
     assert calls == [1]
 
 
 def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
     calls = _counting_bareiss(monkeypatch)
-    assert leaf_rank([[1, 2], [3, 4]]) == 2
-    assert leaf_rank([[1, 2, Fraction(1, 3)]]) == 1
-    assert leaf_rank([[2], [Fraction(1, 2)]]) == 1
-    assert leaf_rank([]) == 0 and leaf_rank([[], []]) == 0
+    assert leaf_rank(*sparse([[1, 2], [3, 4]])) == 2
+    assert leaf_rank(*sparse([[1, 2, Fraction(1, 3)]])) == 1
+    assert leaf_rank(*sparse([[2], [Fraction(1, 2)]])) == 1
+    assert leaf_rank(*sparse([])) == 0 and leaf_rank(*sparse([[], []])) == 0
     assert calls == []
 
 
@@ -394,5 +428,5 @@ def test_rank_deficient_leaf_gets_its_exact_rank_from_bareiss(monkeypatch):
     expected = naive_rank(rows)
     assert expected < 24
     calls = _counting_bareiss(monkeypatch)
-    assert leaf_rank(rows) == expected
+    assert leaf_rank(*sparse(rows)) == expected
     assert calls == [1]
