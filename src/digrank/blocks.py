@@ -1,10 +1,15 @@
 """Block decomposition of the underlying simple graph.
 
 Blocks (maximal subgraphs without a cut-vertex, i.e. biconnected components
-plus bridges and isolated vertices) are found with an iterative Tarjan DFS
+plus bridges and isolated vertices) are found with one iterative Tarjan DFS
 over the underlying simple graph; loops and arc directions are irrelevant
-here.  A vertex is a cut-vertex exactly when it lies in two or more blocks,
-which the tests cross-check against a brute-force removal count.
+here.  The DFS pushes each vertex on a stack when it discovers it.  When a
+child v of u closes with low[v] >= disc[u], the vertices pushed since v,
+plus u, form a block, and they are popped.  A vertex is a cut-vertex exactly
+when it lies in two or more blocks, so the cut-vertices and the pendant flags
+are read from block membership after the DFS; the tests cross-check them
+against networkx and a brute-force removal count.  Each block and the block
+list are sorted, so the result does not depend on the DFS order.
 """
 
 from __future__ import annotations
@@ -40,23 +45,11 @@ class BlockDecomposition:
 def decompose(G: WeightedDigraph) -> BlockDecomposition:
     """Blocks and cut-vertices of G's underlying simple graph."""
     n = G.n
-    adj = [sorted(s) for s in G.underlying_adjacency()]
+    adj = G.underlying_adjacency()
     disc = [0] * n  # 0 = unvisited, else 1 + discovery index
     low = [0] * n
-    parent = [-1] * n
     blocks: list[tuple[int, ...]] = []
-    cuts: set[int] = set()
     timer = 1
-
-    def pop_block(estack: list[tuple[int, int]], u: int, v: int) -> None:
-        comp: set[int] = set()
-        while True:
-            a, b = estack.pop()
-            comp.add(a)
-            comp.add(b)
-            if (a, b) == (u, v):
-                break
-        blocks.append(tuple(sorted(comp)))
 
     for root in range(n):
         if disc[root]:
@@ -64,56 +57,48 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
         if not adj[root]:
             blocks.append((root,))
             continue
-        estack: list[tuple[int, int]] = []
-        root_children = 0
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[tuple[int, object]] = [(root, iter(adj[root]))]
+        vstack = [root]
+        stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
-                if w == parent[v]:
-                    continue
                 if not disc[w]:
-                    parent[w] = v
-                    estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
+                    vstack.append(w)
                     stack.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    pop_block(estack, u, v)
-                    if u != root:
-                        cuts.add(u)
-        if root_children >= 2:
-            cuts.add(root)
-        if estack:
-            raise InternalMismatch("edge stack must drain for each DFS root")
+                # w may be v's parent u: the graph is simple, so that edge
+                # lowers low[v] at most to disc[u] and leaves the test
+                # low[v] >= disc[u] below as it is.
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(vstack.pop())
+                        blocks.append(tuple(sorted(block)))
+        if vstack != [root]:
+            raise InternalMismatch("vertex stack must end as [root] after each DFS")
 
     blocks.sort()
     member: list[list[int]] = [[] for _ in range(n)]
     for i, blk in enumerate(blocks):
         for v in blk:
             member[v].append(i)
+    cuts = frozenset(v for v in range(n) if len(member[v]) >= 2)
     pendant = tuple(sum(1 for v in blk if v in cuts) <= 1 for blk in blocks)
     return BlockDecomposition(
         blocks=tuple(blocks),
-        cut_vertices=frozenset(cuts),
+        cut_vertices=cuts,
         membership=tuple(tuple(m) for m in member),
         pendant=pendant,
     )

@@ -284,7 +284,16 @@ def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
     return WeightedDigraph(n, store)
 
 
-_WEIGHT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+_WEIGHT_RE = re.compile(r"^-?\d+(/\d+)?$", re.ASCII)
+
+
+def _parse_int(tok: str) -> int:
+    """The integer an ASCII token -?[0-9]+ spells; ValueError for any other
+    token, such as '+3', '1_0' or non-ASCII digits, which int() accepts."""
+    if not _INT_RE.fullmatch(tok):
+        raise ValueError(tok)
+    return int(tok)
 
 
 def parse_digraph(text: str) -> WeightedDigraph:
@@ -301,7 +310,7 @@ def parse_digraph(text: str) -> WeightedDigraph:
             if len(fields) != 2 or fields[0] != "digraph":
                 raise ParseError("expected header 'digraph <n>'", lineno)
             try:
-                n = int(fields[1])
+                n = _parse_int(fields[1])
             except ValueError:
                 raise ParseError(f"vertex count {fields[1]!r} is not an integer", lineno)
             if n < 0:
@@ -310,8 +319,8 @@ def parse_digraph(text: str) -> WeightedDigraph:
         if fields[0] != "a" or len(fields) != 4:
             raise ParseError("expected arc line 'a <u> <v> <weight>'", lineno)
         try:
-            u = int(fields[1])
-            v = int(fields[2])
+            u = _parse_int(fields[1])
+            v = _parse_int(fields[2])
         except ValueError:
             raise ParseError("arc endpoints must be integers", lineno)
         if not (0 <= u < n) or not (0 <= v < n):

@@ -218,7 +218,8 @@ def _unpack(v: int, k: int, nb: int) -> array:
 
 
 def _rank_mod_p(a: list[list[int]]) -> int:
-    """Rank of an integer matrix modulo _P, or fewer once it cannot be full.
+    """Rank modulo _P of a matrix of residues in [0, _P), or fewer once it
+    cannot be full.
 
     It never exceeds the rank over Q: r pivots mod _P pick an r x r minor
     that is nonzero mod _P, hence nonzero over the integers.  It returns
@@ -245,7 +246,7 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     w = 8 * nb
     mask = (1 << w) - 1
     rb = ncols * nb
-    flat = _pack([x % p for row in a for x in row], nb)
+    flat = _pack([x for row in a for x in row], nb)
     rows = [int.from_bytes(flat[i * rb : (i + 1) * rb], "little") for i in range(nrows)]
     r = 0
     for k in range(ncols - 1, -1, -1):

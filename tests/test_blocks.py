@@ -76,6 +76,47 @@ def test_random_graphs_match_networkx(seed):
     assert set(d.cut_vertices) == cuts_by_networkx(G)
 
 
+def biarcs(edges):
+    return [(u, v, 1) for a, b in edges for (u, v) in ((a, b), (b, a))]
+
+
+def grid_edges(k):
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                yield (i * k + j, (i + 1) * k + j)
+            if j + 1 < k:
+                yield (i * k + j, i * k + j + 1)
+
+
+# Deep DFS trees (a path or cycle of 3,000 vertices, 2,000 triangles in a
+# chain), many blocks at one vertex (a star) and one block with many cycles.
+LARGE = {
+    "biarc-path": lambda: (3000, biarcs((i, i + 1) for i in range(2999))),
+    "biarc-cycle": lambda: (3000, biarcs((i, (i + 1) % 3000) for i in range(3000))),
+    "triangle-chain": lambda: (
+        4001,
+        [(2 * k + a, 2 * k + (a + 1) % 3, 1) for k in range(2000) for a in range(3)],
+    ),
+    "star": lambda: (2001, [(0, i, 1) for i in range(1, 2001)]),
+    "biarc-grid": lambda: (900, biarcs(grid_edges(30))),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_graphs_match_networkx(name, relabel):
+    n, arcs = LARGE[name]()
+    if relabel:
+        perm = list(range(n))
+        random.Random(name).shuffle(perm)
+        arcs = [(perm[u], perm[v], w) for u, v, w in arcs]
+    G = build(n, arcs)
+    d = decompose(G)
+    assert list(d.blocks) == blocks_by_networkx(G)
+    assert set(d.cut_vertices) == cuts_by_networkx(G)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_cut_vertices_lie_in_at_least_two_blocks(seed):
     rng = random.Random(f"cuts:{seed}")

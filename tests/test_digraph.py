@@ -117,6 +117,13 @@ def test_parse_accepts_comments_and_blanks():
         ("digraph 2\na 0 1 0", 2, "zero weight"),
         ("digraph 2\na 0 1 0/3", 2, "zero weight"),
         ("digraph 2\na 0 1 1\na 0 1 2", 3, "duplicate arc"),
+        ("digraph +3", 1, "not an integer"),
+        ("digraph \u0663", 1, "not an integer"),  # ARABIC-INDIC DIGIT THREE
+        ("digraph 3\na +1 2 1", 2, "endpoints must be integers"),
+        ("digraph 11\na 1_0 2 1", 2, "endpoints must be integers"),
+        ("digraph 3\na \u0661 \u0662 1/\u0662", 2, "endpoints must be integers"),
+        ("digraph 3\na 1 2 1/\u0662", 2, "malformed weight"),
+        ("digraph 2\na -1 0 1", 2, "outside 0..1"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

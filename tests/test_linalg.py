@@ -293,6 +293,18 @@ def _counting_bareiss(monkeypatch):
 @example((RationalMatrix([[], []], cols=0), [{}, {}]))
 @example((RationalMatrix([[Fraction(1, P), 0], [0, 1]]), [{0: Fraction(1, P)}, {1: Fraction(1)}]))
 @example((RationalMatrix([[0, Fraction(5, 2 * P)]]), [{0: Fraction(0), 1: Fraction(5, 2 * P)}]))
+@example(
+    (
+        RationalMatrix([[Fraction(-(2**70), 3), Fraction(P + 1)], [Fraction(-P - 1, 7), 1]]),
+        [{0: Fraction(-(2**70), 3), 1: Fraction(P + 1)}, {0: Fraction(-P - 1, 7), 1: Fraction(1)}],
+    )
+)
+@example(
+    (
+        RationalMatrix([[Fraction(-P - 1, 7), Fraction(-(2**70), 3)], [Fraction(-2 * P - 2, 7), 0]]),
+        [{0: Fraction(-P - 1, 7), 1: Fraction(-(2**70), 3)}, {0: Fraction(-2 * P - 2, 7)}],
+    )
+)
 @settings(max_examples=400, deadline=None)
 def test_leaf_rank_matches_rank(case):
     """Exact on sparse rows; Bareiss runs at most once, and exactly once
@@ -338,7 +350,8 @@ def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
 
 # -- the packed mod-p kernel against the list-of-lists reference --------------
 
-# 0, multiples of P and residues -1 / 1 by large and negative representatives
+# 0, multiples of P and residues -1 / 1 by large and negative representatives;
+# the kernel takes residues, so each matrix is reduced mod P before the check
 residue_entries = st.one_of(
     st.sampled_from([0, 1, -1, P, -P, P - 1, -P - 1, 2 * P + 1]),
     st.integers(-(2**200), -(2**64)),
@@ -370,6 +383,7 @@ def check_against_reference(a):
 @example([[-1], [P], [-(2**70)]])
 @settings(max_examples=600, deadline=None)
 def test_packed_mod_p_kernel_matches_reference(a):
+    a = [[x % P for x in row] for row in a]
     before = [row[:] for row in a]
     check_against_reference(a)
     assert a == before
