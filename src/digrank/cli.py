@@ -32,13 +32,7 @@ from .errors import (
 )
 from .engine import rank_recursive, render_certificate
 from .generate import FAMILIES, GenSpec, gen
-from .trees import (
-    TreeKind,
-    classify_tree,
-    count_loop_attachments,
-    is_r2_tree_digraph,
-    max_matching,
-)
+from .trees import TreeKind, is_r2_tree_digraph, tree_summary
 from .verify import run_suite, suite_names
 
 
@@ -52,10 +46,8 @@ def _read_graph(path: str) -> WeightedDigraph:
 def _cmd_rank(args) -> int:
     G = _read_graph(args.input)
     if args.tree:
-        kind = classify_tree(G)
+        kind, q, s = tree_summary(G)
         if kind is TreeKind.LOOPLESS_BI_ARC or is_r2_tree_digraph(G):
-            q = max_matching(G).size
-            s = count_loop_attachments(G)
             print(f"q={q} s={s} rank={2 * q + s}")
             return 0
         raise InvalidSpec("no closed tree form applies to this digraph")

@@ -73,9 +73,13 @@ class WeightedDigraph:
         for (u, v) in sorted(self._arcs):
             yield u, v, self._arcs[(u, v)]
 
-    def arc_weights(self) -> dict[tuple[int, int], Fraction]:
-        """A fresh dict (u, v) -> weight of every arc, in no particular order."""
-        return dict(self._arcs)
+    def out_rows(self) -> list[dict[int, Fraction]]:
+        """Fresh per-vertex dicts: out_rows()[u][v] is the weight of arc
+        u -> v, loops included."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        for (u, v), w in self._arcs.items():
+            rows[u][v] = w
+        return rows
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arcs

@@ -29,12 +29,13 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   block graphs still exercise the peeling rules.
 - MDT_FORMULA / GEN_R2: per-block and attachment variants of the r2 sum.
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
-  one-block component included).  From order _MOD_P_MIN_ORDER up, its rows
-  are read from the block's out-arcs in O(arcs of the block) and handed to
-  `leaf_rank`, which maps each weight a/b to a * b^-1 mod a prime p: the
-  weights lie in Z_(p) and reduction mod p is a ring map onto F_p, so full
-  rank mod p proves full rank over Q, and any other leaf goes to dense
-  Bareiss.  Below that order it is dense Bareiss.
+  one-block component included), read from the rank's per-vertex weight
+  store, where peels write loop residues.  From order _MOD_P_MIN_ORDER up,
+  each row is the vertex's out-dict cut to the leaf's columns, O(arcs of
+  the block), handed to `leaf_rank`, which maps each weight a/b to
+  a * b^-1 mod a prime p: the weights lie in Z_(p) and reduction mod p is
+  a ring map onto F_p, so full rank mod p proves full rank over Q, and any
+  other leaf goes to dense Bareiss.  Below that order it is dense Bareiss.
 - COMPONENT_SUM: plumbing node summing over connected components, or over
   the flat list of nodes of one peel pass.
 """
@@ -625,16 +626,18 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     (blocks minus G's cut-vertices) each get one peel pass; the r0-digraph
     sum rule, whose summands are blocks of G and so are ranked directly;
     otherwise one peel pass over the component's block-cut tree
-    (`_peel_pass`), which ends in dense elimination of what is left of the
-    root block.  The certificate is at most four levels deep.  A node's
-    block_index is the position of its vertices in decompose(G), None when
-    they are not a block of G.  With oracle_check=True the final value is
+    (`_peel_pass`), which ends in a direct rank of what is left of the root
+    block.  The passes over G's own blocks share one weight store,
+    G.out_rows(), into which peels write loop residues; each r2 summand's
+    copy has its own.  The certificate is at most four levels deep.  A
+    node's block_index is the position of its vertices in decompose(G),
+    None when they are not a block of G.  With oracle_check=True the final value is
     compared against the dense oracle and InternalMismatch is raised on
     disagreement.
     """
     d = decompose(G)
-    arcs, out = G.arc_weights(), []
-    root = _sum_node([_component_rule(G, d, order, arcs, out) for order in _leaves_first(d)])
+    W = G.out_rows()
+    root = _sum_node([_component_rule(G, d, order, W) for order in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -655,7 +658,7 @@ def _sum_node(nodes: list[CertNode]) -> CertNode:
 
 
 def _component_rule(
-    G: WeightedDigraph, d: BlockDecomposition, order: list, arcs: dict, out: list
+    G: WeightedDigraph, d: BlockDecomposition, order: list, W: list
 ) -> CertNode:
     """Tree closed form, else a sum rule, else one peel pass, for the
     component of G whose leaves-first (block, parent cut) list is order.
@@ -683,10 +686,10 @@ def _component_rule(
         if not any(G.has_loop(v) for v in cuts) and _r0_but_one(G, d, blocks):
             # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
             children = tuple(
-                _summand(d, b, _peel_pass(arcs, out, d, [(b, None)])) for b in blocks
+                _summand(d, b, _peel_pass(W, d, [(b, None)])) for b in blocks
             )
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
-    return _peel_pass(arcs, out, d, order)
+    return _peel_pass(W, d, order)
 
 
 def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
@@ -700,19 +703,18 @@ def _breve_pass(G: WeightedDigraph, d: BlockDecomposition, b: int) -> CertNode:
     sub, labels = G.induced_with_labels(v for v in d.blocks[b] if v not in d.cut_vertices)
     sd = decompose(sub)
     order = [p for comp in _leaves_first(sd) for p in comp]
-    return _peel_pass(sub.arc_weights(), [], sd, order, labels)
+    return _peel_pass(sub.out_rows(), sd, order, labels)
 
 
 def _peel_pass(
-    arcs: dict,
-    out: list,
+    W: list,
     d: BlockDecomposition,
     order: Sequence,
     labels: tuple | None = None,
 ) -> CertNode:
     """Rank by one leaves-first peel over the (block, parent cut) pairs of
-    order, from `_leaves_first(d)`; arcs maps (u, t) to the arc weight, and
-    out is empty or `_out_lists(arcs, n)`, shared by every pass over arcs.
+    order, from `_leaves_first(d)`; W[u][t] is the weight of arc u -> t,
+    loops included, and every pass over the same graph shares W.
 
     Every non-root block b is peeled at its parent cut-vertex v against B,
     the current matrix on b - v: the rows and columns still present, with
@@ -720,12 +722,12 @@ def _peel_pass(
     v's row x, column y and loop alpha decides the outcome: v's row is
     deleted (+1) when x lies outside B's row space, v's column likewise for
     y and the column space, and when v keeps both, its loop becomes the
-    residue alpha - x.d with B d = y, written back into arcs.  Each outcome
-    is a row or column operation that touches only v's row, column and
-    loop, so the original block-cut tree stays a separator tree throughout.
-    What is left of each root block is ranked directly: from order
-    _MOD_P_MIN_ORDER up by `leaf_rank` on sparse rows read from out, which
-    is filled by the first such leaf, else by Bareiss.  Peel nodes name
+    residue alpha - x.d with B d = y, written into W[v][v] even when it is
+    0.  Each outcome is a row or column operation that touches only v's
+    row, column and loop, so the original block-cut tree stays a separator
+    tree throughout.  What is left of each root block is ranked directly
+    from W: from order _MOD_P_MIN_ORDER up by `leaf_rank` on each row's
+    out-dict cut to the leaf's columns, else by Bareiss.  Peel nodes name
     block b of d; when labels is given, d decomposes an induced copy whose
     vertex u is labels[u] of the graph, and they carry no block_index.
     """
@@ -738,20 +740,20 @@ def _peel_pass(
         cols = [u for u in blk if u != v and u not in no_col]
         if v is None:
             if min(len(rows), len(cols)) >= _MOD_P_MIN_ORDER:
-                if not out:
-                    out.extend(_out_lists(arcs, len(d.membership)))
-                r = leaf_rank(_sparse_rows(arcs, out, rows, cols), len(cols))
+                pos = {t: j for j, t in enumerate(cols)}
+                leaf = [{pos[t]: w for t, w in W[u].items() if t in pos} for u in rows]
+                r = leaf_rank(leaf, len(cols))
             else:
-                leaf = [[arcs.get((u, t), _ZERO) for t in cols] for u in rows]
+                leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]
                 r = rank(RationalMatrix(leaf, cols=len(cols))).rank
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
         B = RationalMatrix(
-            [[arcs.get((u, t), _ZERO) for t in cols] for u in rows], cols=len(cols)
+            [[W[u].get(t, _ZERO) for t in cols] for u in rows], cols=len(cols)
         )
-        x = [arcs.get((v, t), _ZERO) for t in cols]
-        y = [arcs.get((u, v), _ZERO) for u in rows]
-        peel = schur_peel(arcs.get((v, v), _ZERO), x, y, B)
+        x = [W[v].get(t, _ZERO) for t in cols]
+        y = [W[u].get(v, _ZERO) for u in rows]
+        peel = schur_peel(W[v].get(v, _ZERO), x, y, B)
         has_row, has_col = v not in no_row, v not in no_col
         row_out = has_row and not peel.x_in
         col_out = has_col and not peel.y_in
@@ -761,7 +763,7 @@ def _peel_pass(
             no_col.add(v)
         residue = _ZERO
         if has_row and has_col and peel.x_in and peel.y_in:
-            arcs[(v, v)] = residue = peel.residue
+            W[v][v] = residue = peel.residue
         if row_out and col_out:
             tag, note = RuleTag.CASE_I_PEEL, ""
         elif row_out or col_out:
@@ -777,35 +779,6 @@ def _peel_pass(
             where = dict(block_vertices=tuple(labels[u] for u in blk), cut_vertex=labels[v])
         nodes.append(CertNode(tag, peel.rank + row_out + col_out, note=note, **where))
     return _sum_node(nodes)
-
-
-def _out_lists(arcs: dict, n: int) -> list[list[tuple[int, Fraction]]]:
-    """For each vertex u < n, the (t, w) of its arcs u -> t with t != u.
-
-    Peels write only loops, so these lists hold for a whole rank.
-    """
-    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for (u, t), w in arcs.items():
-        if u != t:
-            out[u].append((t, w))
-    return out
-
-
-def _sparse_rows(arcs: dict, out: list, rows: list, cols: list) -> list[dict]:
-    """The matrix on rows x cols as {column position: weight} per row.
-
-    The diagonal comes from arcs itself, not from out: peels write loop
-    residues there, also onto vertices that had no loop.
-    """
-    pos = {t: j for j, t in enumerate(cols)}
-    leaf = []
-    for u in rows:
-        row = {j: w for t, w in out[u] if (j := pos.get(t)) is not None}
-        j = pos.get(u)
-        if j is not None and (w := arcs.get((u, u))):
-            row[j] = w
-        leaf.append(row)
-    return leaf
 
 
 def _leaves_first(d: BlockDecomposition) -> list[list[tuple[int, int | None]]]:

@@ -55,6 +55,33 @@ def test_adjacency_and_vectors():
     assert G.in_vector(0, [1, 2]) == (-2, 0)
 
 
+@given(digraphs())
+@settings(max_examples=150, deadline=None)
+def test_out_rows_hold_every_arc_and_are_fresh(G):
+    """out_rows()[u][v] is the weight of u -> v, loops included; each call
+    returns new dicts, so writing into one changes neither G nor a later
+    call."""
+    W = G.out_rows()
+    assert len(W) == G.n
+    assert sorted((u, v, w) for u, row in enumerate(W) for v, w in row.items()) == list(
+        G.arcs()
+    )
+    before = G.adjacency_matrix().to_lists()
+    again = G.out_rows()
+    assert again == W and all(a is not b for a, b in zip(again, W))
+    for v, row in enumerate(W):
+        row[v] = Fraction(0)
+        row[(v + 1) % G.n] = Fraction(7)
+    assert G.out_rows() == again
+    assert G.adjacency_matrix().to_lists() == before
+
+
+def test_out_rows_of_a_small_graph():
+    G = build(3, [(0, 1, Fraction(1, 2)), (1, 0, -2), (2, 2, 3), (0, 2, 1)])
+    assert G.out_rows() == [{1: Fraction(1, 2), 2: 1}, {0: -2}, {2: 3}]
+    assert build(0, []).out_rows() == []
+
+
 def test_induced_with_labels_remaps_sorted():
     G = build(4, [(3, 1, 5), (1, 1, 2), (0, 3, 7)])
     H, labels = G.induced_with_labels([3, 1])

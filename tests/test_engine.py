@@ -537,10 +537,12 @@ def test_cli_ranks_the_400_triangle_chain(tmp_path, capsys):
 
 
 def traced_rank(monkeypatch, G):
-    """rank_recursive(G) with the engine's decompose calls and the graph's
-    induced copies counted: (certificate, decompose calls, copies)."""
-    counts = {"decompose": 0, "copies": 0}
+    """rank_recursive(G) with the engine's decompose calls, the graph's
+    induced copies and its weight stores (out_rows calls) counted:
+    (certificate, decompose calls, copies, weight stores)."""
+    counts = {"decompose": 0, "copies": 0, "stores": 0}
     decompose_, induced = engine.decompose, WeightedDigraph.induced_with_labels
+    out_rows = WeightedDigraph.out_rows
 
     def counted_decompose(H):
         counts["decompose"] += 1
@@ -550,11 +552,16 @@ def traced_rank(monkeypatch, G):
         counts["copies"] += 1
         return induced(self, S)
 
+    def counted_out_rows(self):
+        counts["stores"] += 1
+        return out_rows(self)
+
     with monkeypatch.context() as m:
         m.setattr(engine, "decompose", counted_decompose)
         m.setattr(WeightedDigraph, "induced_with_labels", counted_induced)
+        m.setattr(WeightedDigraph, "out_rows", counted_out_rows)
         cert = rank_recursive(G)
-    return cert, counts["decompose"], counts["copies"]
+    return cert, counts["decompose"], counts["copies"], counts["stores"]
 
 
 def three_components():
@@ -582,13 +589,15 @@ ROUTES = {
 def test_one_decomposition_per_rank(monkeypatch, request, route):
     """The graph is decomposed once and read in its own ids: only a tree
     component of a disconnected graph and an r2 summand are copied, and
-    only the r2 summands are decomposed again."""
+    only the r2 summands are decomposed again.  There is one weight store
+    for the rank and one for each r2 summand's copy, so as many as there
+    are decompositions."""
     make, root_rule, decomposes, copies = ROUTES[route]
     G = make(request.getfixturevalue)
-    cert, d_calls, c_calls = traced_rank(monkeypatch, G)
+    cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
     assert cert.root.rule is root_rule
     assert cert.rank == cert.root.total == oracle_rank(G)
-    assert (d_calls, c_calls) == (decomposes, copies)
+    assert (d_calls, c_calls, stores) == (decomposes, copies, decomposes)
 
 
 # -- the r0 sum rule and the dense leaf ----------------------------------------
@@ -687,3 +696,40 @@ def test_leaf_reads_the_loop_a_peel_wrote():
     cert = rank_recursive(G)
     assert render_certificate(cert) == PEEL_WRITTEN_LOOP
     assert cert.rank == oracle_rank(G) == 22
+
+
+PEEL_ZEROED_LOOP = """\
+ComponentSum contributes=0
+  R0Peel block=1 v=19 contributes=1 [19,20]
+  DirectRank contributes=19 (n=20)
+"""
+
+
+def peel_zeroed_loop_graph():
+    """A random block on 0-19 (seed 0 of a search for the first graph the
+    test below accepts) where vertex 19 copies vertex 0's row and has the
+    loop 2, with a pendant 20 joined by 19 -> 20 of weight 1, 20 -> 19 of
+    weight -1/2 and the loop 1 * (-1/2) / 2 = -1/4 on 20."""
+    G = random_digraph(20, random.Random("zero-residue:0"), p=0.4)
+    arcs = [(u, t, w) for u, t, w in G.arcs() if u != 19 and (u, t) != (0, 19)]
+    arcs += [(19, t, w) for u, t, w in arcs if u == 0]
+    alpha, x, y = Fraction(2), Fraction(1), Fraction(-1, 2)
+    pendant = [(19, 19, alpha), (19, 20, x), (20, 19, y), (20, 20, x * y / alpha)]
+    return build(21, arcs + pendant)
+
+
+def test_leaf_reads_the_zero_a_peel_wrote_over_a_loop():
+    """The pendant's peel at 19 leaves the residue 2 - 1 * (-1/4)^-1 * (-1/2)
+    = 0 over 19's own loop 2, so it is an R0 peel.  The root leaf (20 rows,
+    so it is built as sparse rows) has 19's row equal to 0's once that loop
+    is gone: rank 19, against 20 with the loop kept.  A peel that wrote
+    only nonzero residues would leave the loop 2 in place and come out one
+    over."""
+    G = peel_zeroed_loop_graph()
+    assert decompose(G).blocks == (tuple(range(20)), (19, 20))
+    leaf = G.induced_subdigraph(range(20))
+    assert leaf.n >= engine._MOD_P_MIN_ORDER
+    assert (oracle_rank(leaf), oracle_rank(leaf.with_loop(19, 0))) == (20, 19)
+    cert = rank_recursive(G)
+    assert render_certificate(cert) == PEEL_ZEROED_LOOP
+    assert cert.rank == oracle_rank(G) == 20

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import digrank
-from digrank import format_digraph, gen, GenSpec
+from digrank import build, format_digraph, gen, GenSpec
+from digrank.engine import oracle_rank, rank_recursive
+from digrank.trees import TreeKind, classify_tree, is_r2_tree_digraph
 from digrank.cli import main
 from digrank.errors import UnknownSuite
 from digrank.verify import SUITE_DEFAULTS, run_suite, suite_names
@@ -70,6 +72,20 @@ def test_cli_rank_tree(tmp_path, capsys, r2_tree_10):
     p.write_text(format_digraph(r2_tree_10), encoding="utf-8")
     assert main(["rank", "--input", str(p), "--tree"]) == 0
     assert capsys.readouterr().out == "q=4 s=1 rank=9\n"
+
+
+def test_cli_rank_tree_on_a_cut_loop_tree_that_is_r2(tmp_path, capsys):
+    """The bi-arc path 0-1-2-3 with a loop on cut-vertex 1 classifies as a
+    cut-loop bi-arc tree, and its cuts 1 and 2 keep the plain leaves 0 and
+    3, so the r2-tree form 2q + s applies."""
+    arcs = [(u, v, 1) for a, b in [(0, 1), (1, 2), (2, 3)] for u, v in [(a, b), (b, a)]]
+    G = build(4, arcs + [(1, 1, 3)])
+    assert classify_tree(G) is TreeKind.CUT_LOOP_BI_ARC and is_r2_tree_digraph(G)
+    p = tmp_path / "t.dg"
+    p.write_text(format_digraph(G), encoding="utf-8")
+    assert main(["rank", "--input", str(p), "--tree"]) == 0
+    assert capsys.readouterr().out == "q=2 s=0 rank=4\n"
+    assert rank_recursive(G).rank == oracle_rank(G) == 4
 
 
 def test_cli_rank_tree_rejects_non_trees(graph_file, capsys):
