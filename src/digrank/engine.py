@@ -21,6 +21,9 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   or v had already lost its row or column to an earlier peel).
 - R2_DIGRAPH: every cut-vertex has an incident block whose rank drops by
   exactly 2 when the cut-vertex is removed; r(G) = sum r(breve B_i) + 2m.
+  Each summand breve B_i (block i minus G's cut-vertices) is a copy of its
+  vertices' rows of the rank's weight store, made in O(arcs of the block),
+  and gets a peel pass of its own.
 - R0_DIGRAPH: at most one block fails the all-cuts rank-drop-0 test and
   no cut-vertex carries a loop; r(G) = sum r(B_i).
 - TREE_MATCHING / R2_TREE: closed forms for tree-shaped components.
@@ -60,11 +63,12 @@ from .errors import (
 )
 from .linalg import (
     RationalMatrix,
+    SchurPeel,
+    _peel_rows,
     in_column_space,
     in_row_space,
     leaf_rank,
     rank,
-    schur_peel,
 )
 from .trees import TreeKind, tree_summary
 
@@ -167,18 +171,53 @@ def render_certificate(cert: RankCertificate) -> str:
 # -- r2 / r0 block predicates ------------------------------------------------
 
 
-def _cut_peel(G: WeightedDigraph, blk: Sequence[int], v: int):
-    """schur_peel of the matrix on blk - v bordered by v's row, column and loop."""
-    rest = [u for u in blk if u != v]
-    B = RationalMatrix([G.out_vector(u, rest) for u in rest], cols=len(rest))
-    return schur_peel(G.loop_weight(v), G.out_vector(v, rest), G.in_vector(v, rest), B)
+def _cut_peel(W, rows: list, cols: list, v: int, alpha) -> SchurPeel:
+    """schur_peel(alpha, x, y, B) for B the matrix on rows x cols and x, y
+    v's row and column there, read from W (W[u][t] the weight of u -> t)."""
+    ext = cols + [v]
+    x = [W[v].get(t, _ZERO) for t in cols] + [alpha]
+    return _peel_rows([[W[u].get(t, _ZERO) for t in ext] for u in rows], x)
+
+
+def _block_rows(G: WeightedDigraph, blk: Sequence[int]) -> dict:
+    """G's weights among blk in W's shape: rows[u][t] for u, t in blk."""
+    return {u: dict(zip(blk, G.out_vector(u, blk))) for u in blk}
+
+
+def _shared_peel(W, d: BlockDecomposition, peels: dict, b: int, v: int) -> SchurPeel:
+    """The peel of block b of d at v, with loop 0 so that its residue is
+    -x.d, on W as it stands at the first call for (b, v): computed once."""
+    peel = peels.get((b, v))
+    if peel is None:
+        rest = [u for u in d.blocks[b] if u != v]
+        peel = peels[(b, v)] = _cut_peel(W, rest, rest, v, _ZERO)
+    return peel
+
+
+def _r2_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
+    """Block b has exactly one cut-vertex v and loses rank 2 when v goes:
+    v's row and column both lie outside the spaces of b - v."""
+    cuts = d.cuts_in_block(b)
+    if len(cuts) != 1:
+        return False
+    peel = _shared_peel(W, d, peels, b, cuts[0])
+    return not peel.x_in and not peel.y_in
+
+
+def _r0_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
+    """Removing any one cut-vertex v of d from block b keeps its rank: v's
+    row and column lie in the spaces of b - v and its residue is 0."""
+    for v in d.cuts_in_block(b):
+        peel = _shared_peel(W, d, peels, b, v)
+        if not (peel.x_in and peel.y_in and W[v].get(v, _ZERO) + peel.residue == 0):
+            return False
+    return True
 
 
 def is_r2_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
     """Block i has exactly one cut-vertex v and loses rank 2 when v goes:
     v's border adds 2 to the rank of the rest of the block."""
-    cuts = d.cuts_in_block(i)
-    return len(cuts) == 1 and _cut_peel(G, d.blocks[i], cuts[0]).delta == 2
+    return _r2_block(_block_rows(G, d.blocks[i]), d, {}, i)
 
 
 def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
@@ -194,21 +233,19 @@ def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
 def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
     """Removing any one of G's cut-vertices from block i keeps its rank:
     each cut-vertex's border adds 0 to the rank of the rest of the block."""
-    return all(_cut_peel(G, d.blocks[i], v).delta == 0 for v in d.cuts_in_block(i))
+    return _r0_block(_block_rows(G, d.blocks[i]), d, {}, i)
 
 
 def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
     """All blocks, or all but one, are r0-blocks."""
     if d is None:
         d = decompose(G)
-    return _r0_but_one(G, d, range(d.block_count))
+    return _r0_but_one(not is_r0_block(G, d, b) for b in range(d.block_count))
 
 
-def _r0_but_one(G: WeightedDigraph, d: BlockDecomposition, blocks) -> bool:
-    """At most one of blocks fails the r0-block test; stops at the second
-    failure."""
-    failing = (b for b in blocks if not is_r0_block(G, d, b))
-    return len(list(islice(failing, 2))) <= 1
+def _r0_but_one(fails: Iterator[bool]) -> bool:
+    """At most one block fails the r0 test; reads fails up to the second."""
+    return len(list(islice(filter(None, fails), 2))) <= 1
 
 
 # -- sum formulas ------------------------------------------------------------
@@ -453,7 +490,7 @@ def rank_case2_peel(G: WeightedDigraph, split: CutSplit) -> int:
         raise PreconditionViolated(f"split is case {cls.label}, not II")
     v, inner, rest = _split_pieces(G, split)
     if G.has_loop(v):
-        outside = _cut_peel(G, rest + [v], v)
+        outside = _cut_peel(_block_rows(G, rest + [v]), rest, rest, v, G.loop_weight(v))
         if outside.x_in and outside.y_in:
             raise PreconditionViolated(
                 "loop present and both outside memberships hold; formula not claimed"
@@ -474,7 +511,8 @@ def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
     m1, m2 = cls.memberships[0], cls.memberships[1]
     r_inner = oracle_rank(G.induced_subdigraph(inner))
     if m1 and m2:  # v's loop becomes its residue alpha - x.d over H - v
-        residual = _cut_peel(G, inner + [v], v).residue
+        side = _block_rows(G, inner + [v])
+        residual = _cut_peel(side, inner, inner, v, G.loop_weight(v)).residue
         outside = G.induced_subdigraph(rest + [v])
         v_local = sorted(rest + [v]).index(v)
         return r_inner + oracle_rank(outside.with_loop(v_local, residual))
@@ -627,17 +665,19 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     sum rule, whose summands are blocks of G and so are ranked directly;
     otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
-    block.  The passes over G's own blocks share one weight store,
-    G.out_rows(), into which peels write loop residues; each r2 summand's
-    copy has its own.  The certificate is at most four levels deep.  A
-    node's block_index is the position of its vertices in decompose(G),
-    None when they are not a block of G.  With oracle_check=True the final value is
-    compared against the dense oracle and InternalMismatch is raised on
-    disagreement.
+    block.  There is one weight store per rank, W = G.out_rows(), which
+    peels write loop residues into; each r2 summand copies its rows.  The
+    peel of a block of G at a cut-vertex is computed once, with loop 0, and
+    shared by the r2 test, the r0 test and the peel pass.  The certificate
+    is at most four levels deep.  A node's block_index is the position of
+    its vertices in decompose(G), None when they are not a block of G.
+    With oracle_check=True the final value is compared against the dense
+    oracle and InternalMismatch is raised on disagreement.
     """
     d = decompose(G)
     W = G.out_rows()
-    root = _sum_node([_component_rule(G, d, order, W) for order in _leaves_first(d)])
+    peels: dict[tuple[int, int], SchurPeel] = {}
+    root = _sum_node([_component_rule(G, d, o, W, peels) for o in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -658,7 +698,7 @@ def _sum_node(nodes: list[CertNode]) -> CertNode:
 
 
 def _component_rule(
-    G: WeightedDigraph, d: BlockDecomposition, order: list, W: list
+    G: WeightedDigraph, d: BlockDecomposition, order: list, W: list, peels: dict
 ) -> CertNode:
     """Tree closed form, else a sum rule, else one peel pass, for the
     component of G whose leaves-first (block, parent cut) list is order.
@@ -679,17 +719,19 @@ def _component_rule(
             return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
     if len(blocks) > 1:
-        if all(any(is_r2_block(G, d, b) for b in d.membership[v]) for v in cuts):
+        # No peel of this component has written W yet: the tests read G.
+        if all(any(_r2_block(W, d, peels, b) for b in d.membership[v]) for v in cuts):
             m = len(cuts)
-            children = tuple(_summand(d, b, _breve_pass(G, d, b)) for b in blocks)
+            children = tuple(_summand(d, b, _breve_pass(W, d, b)) for b in blocks)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
-        if not any(G.has_loop(v) for v in cuts) and _r0_but_one(G, d, blocks):
+        fails = (not _r0_block(W, d, peels, b) for b in blocks)
+        if not any(G.has_loop(v) for v in cuts) and _r0_but_one(fails):
             # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
             children = tuple(
-                _summand(d, b, _peel_pass(W, d, [(b, None)])) for b in blocks
+                _summand(d, b, _peel_pass(W, d, [(b, None)], peels)) for b in blocks
             )
             return CertNode(RuleTag.R0_DIGRAPH, 0, children)
-    return _peel_pass(W, d, order)
+    return _peel_pass(W, d, order, peels)
 
 
 def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
@@ -697,19 +739,24 @@ def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
     return replace(node, block_index=b, block_vertices=d.blocks[b])
 
 
-def _breve_pass(G: WeightedDigraph, d: BlockDecomposition, b: int) -> CertNode:
-    """One peel pass over block b minus G's cut-vertices.  Its blocks are
-    not blocks of G, so it is ranked as an induced copy."""
-    sub, labels = G.induced_with_labels(v for v in d.blocks[b] if v not in d.cut_vertices)
-    sd = decompose(sub)
+def _breve_pass(W: list, d: BlockDecomposition, b: int) -> CertNode:
+    """One peel pass over block b minus d's cut-vertices.  Its blocks are
+    not blocks of d, so it is decomposed anew as a copy whose vertex i is
+    labels[i], with W's rows cut to it in O(arcs of the block) as store."""
+    labels = tuple(u for u in d.blocks[b] if u not in d.cut_vertices)
+    pos = {u: i for i, u in enumerate(labels)}
+    rows = [{pos[t]: w for t, w in W[u].items() if t in pos} for u in labels]
+    arcs = {(i, j): w for i, row in enumerate(rows) for j, w in row.items()}
+    sd = decompose(WeightedDigraph(len(rows), arcs))
     order = [p for comp in _leaves_first(sd) for p in comp]
-    return _peel_pass(sub.out_rows(), sd, order, labels)
+    return _peel_pass(rows, sd, order, {}, labels)
 
 
 def _peel_pass(
     W: list,
     d: BlockDecomposition,
     order: Sequence,
+    peels: dict,
     labels: tuple | None = None,
 ) -> CertNode:
     """Rank by one leaves-first peel over the (block, parent cut) pairs of
@@ -718,8 +765,12 @@ def _peel_pass(
 
     Every non-root block b is peeled at its parent cut-vertex v against B,
     the current matrix on b - v: the rows and columns still present, with
-    loops as earlier peels left them.  One `schur_peel` of B bordered by
-    v's row x, column y and loop alpha decides the outcome: v's row is
+    loops as earlier peels left them.  One Schur peel of B bordered by
+    v's row x, column y and loop alpha decides the outcome.  When v is b's
+    only cut-vertex, no earlier peel has touched b - v, so b takes its
+    peel at v with loop 0 from peels (keyed by (b, v), filled on first
+    use) and its residue is v's current loop plus that peel's -x.d; every
+    other block is peeled on the current matrix.  v's row is
     deleted (+1) when x lies outside B's row space, v's column likewise for
     y and the column space, and when v keeps both, its loop becomes the
     residue alpha - x.d with B d = y, written into W[v][v] even when it is
@@ -748,12 +799,11 @@ def _peel_pass(
                 r = rank(RationalMatrix(leaf, cols=len(cols))).rank
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
-        B = RationalMatrix(
-            [[W[u].get(t, _ZERO) for t in cols] for u in rows], cols=len(cols)
-        )
-        x = [W[v].get(t, _ZERO) for t in cols]
-        y = [W[u].get(v, _ZERO) for u in rows]
-        peel = schur_peel(W[v].get(v, _ZERO), x, y, B)
+        alpha = W[v].get(v, _ZERO)
+        if d.pendant[b]:
+            peel, shift = _shared_peel(W, d, peels, b, v), alpha
+        else:
+            peel, shift = _cut_peel(W, rows, cols, v, alpha), _ZERO
         has_row, has_col = v not in no_row, v not in no_col
         row_out = has_row and not peel.x_in
         col_out = has_col and not peel.y_in
@@ -763,7 +813,7 @@ def _peel_pass(
             no_col.add(v)
         residue = _ZERO
         if has_row and has_col and peel.x_in and peel.y_in:
-            W[v][v] = residue = peel.residue
+            W[v][v] = residue = shift + peel.residue
         if row_out and col_out:
             tag, note = RuleTag.CASE_I_PEEL, ""
         elif row_out or col_out:

@@ -374,28 +374,37 @@ class SchurPeel:
 
 
 def schur_peel(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> SchurPeel:
-    """Decide the border (alpha, x, y) of B with one Bareiss elimination of
-    [[B, y], [x, alpha]], pivots in B only.  x lies in B's row space when
-    the x row's B part ends up zero, y in its column space when the rows
-    of B past its rank end up with zero y entries.  The x row's last entry
-    is the pivot minor bordered by x and y (Sylvester's identity); over the
-    last pivot and the x row's scale it is alpha - x.d, d the witness of
-    `in_column_space(y, B)`.
-    """
+    """Decide the border (alpha, x, y) of B: check the shapes, then
+    `_peel_rows`, which callers holding Fraction rows call directly."""
     x, y = vector(x), vector(y)
     if len(x) != B.cols or len(y) != B.rows:
         raise DimensionMismatch(f"border {len(x)}, {len(y)} vs {B.rows}x{B.cols} B")
-    a = [_scaled_int_row(B._data[i] + (y[i],))[0] for i in range(B.rows)]
-    last, scale = _scaled_int_row(x + (_frac(alpha),))
-    a.append(last)
-    pivots = _bareiss(a, B.rows, B.cols)
+    return _peel_rows([B._data[i] + (y[i],) for i in range(B.rows)], x + (_frac(alpha),))
+
+
+def _peel_rows(rows: Sequence[Sequence[Fraction]], last: Sequence[Fraction]) -> SchurPeel:
+    """`schur_peel` on Fraction rows: rows are [B | y], last is [x, alpha].
+
+    Each row is scaled to integers (the rows themselves are not touched)
+    and `_bareiss` eliminates all of them with pivots in B only.  x lies in
+    B's row space when the x row's B part ends up zero, y in its column
+    space when the rows of B past its rank end up with zero y entries.  The
+    x row's last entry is the pivot minor bordered by x and y (Sylvester's
+    identity); over the last pivot and the x row's scale it is alpha - x.d,
+    d the witness of `in_column_space(y, B)`.
+    """
+    n = len(last) - 1
+    a = [_scaled_int_row(row)[0] for row in rows]
+    border, scale = _scaled_int_row(last)
+    a.append(border)
+    pivots = _bareiss(a, len(rows), n)
     r = len(pivots)
-    x_in = not any(last[: B.cols])
-    y_in = not any(row[B.cols] for row in a[r : B.rows])
+    x_in = not any(border[:n])
+    y_in = not any(row[n] for row in a[r:-1])
     residue = None
     if y_in:
         prev = a[r - 1][pivots[-1]] if r else 1
-        residue = Fraction(last[B.cols], prev * scale)
+        residue = Fraction(border[n], prev * scale)
     delta = int(residue != 0) if x_in and y_in else 2 - x_in - y_in
     return SchurPeel(r, x_in, y_in, residue, delta)
 

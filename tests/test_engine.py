@@ -577,27 +577,26 @@ ROUTES = {
     "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0),
     "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0),
     "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0),
-    # 12 blocks: each breve is one induced copy with its own decompose
-    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 12, 12),
+    # 12 blocks: each breve is copied from W and decomposed on its own
+    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 12, 0),
     "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 2),
     # three tree components, and an R2 component of 2 blocks
-    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 2, 3 + 2),
+    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 2, 3),
 }
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_one_decomposition_per_rank(monkeypatch, request, route):
     """The graph is decomposed once and read in its own ids: only a tree
-    component of a disconnected graph and an r2 summand are copied, and
-    only the r2 summands are decomposed again.  There is one weight store
-    for the rank and one for each r2 summand's copy, so as many as there
-    are decompositions."""
+    component of a disconnected graph is an induced copy of G, and only
+    the r2 summands are decomposed again.  An r2 summand's rows are copied
+    from the rank's weight store, so there is one store per rank."""
     make, root_rule, decomposes, copies = ROUTES[route]
     G = make(request.getfixturevalue)
     cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
     assert cert.root.rule is root_rule
     assert cert.rank == cert.root.total == oracle_rank(G)
-    assert (d_calls, c_calls, stores) == (decomposes, copies, decomposes)
+    assert (d_calls, c_calls, stores) == (decomposes, copies, 1)
 
 
 # -- the r0 sum rule and the dense leaf ----------------------------------------
@@ -612,8 +611,8 @@ def test_r0_sum_rule_stops_at_the_second_failing_block(monkeypatch):
     failing = [b for b in range(d.block_count) if not is_r0_block(G, d, b)]
     assert d.block_count == 30 and len(failing) >= 2
     calls = []
-    real = engine.is_r0_block
-    monkeypatch.setattr(engine, "is_r0_block", lambda *a: calls.append(a[2]) or real(*a))
+    real = engine._r0_block
+    monkeypatch.setattr(engine, "_r0_block", lambda *a: calls.append(a[3]) or real(*a))
     cert = rank_recursive(G)
     assert cert.root.rule is RuleTag.COMPONENT_SUM
     assert cert.rank == oracle_rank(G)
@@ -733,3 +732,101 @@ def test_leaf_reads_the_zero_a_peel_wrote_over_a_loop():
     cert = rank_recursive(G)
     assert render_certificate(cert) == PEEL_ZEROED_LOOP
     assert cert.rank == oracle_rank(G) == 20
+
+
+# -- one peel per (block, cut), shared by the sum-rule tests and the pass ------
+
+
+def triangle_with_two_pendants(*pendants):
+    """The unit bi-arc triangle 0-1-2, rooted at its block, with pendant
+    vertices 3 and 4 joined to the cut-vertex 2 by the given arcs."""
+    edges = [(0, 1), (1, 2), (2, 0)]
+    arcs = [(u, v, 1) for a, b in edges for u, v in [(a, b), (b, a)]]
+    G = build(5, arcs + list(pendants))
+    assert decompose(G).blocks == ((0, 1, 2), (2, 3), (2, 4))
+    return G
+
+
+SIBLING_LOOP = """\
+ComponentSum contributes=0
+  CaseIIILt block=1 v=2 contributes=1 [2,3] (loop residue -1)
+  CaseIIILt block=2 v=2 contributes=1 [2,4] (loop residue -3)
+  DirectRank contributes=3 (n=3)
+"""
+
+
+def test_shared_peel_reads_the_loop_a_sibling_wrote():
+    """Both pendants at 2 are bi-arcs to a looped vertex, so neither is an
+    r2 nor an r0 block and the component takes the peel pass.  Pendant 3
+    turns 2's missing loop into 0 - 1 * 1 * 1 = -1; pendant 4 then peels
+    against that loop: -1 - 1 * 1 * 2 = -3.  Its peel is the one the
+    sum-rule tests computed with loop 0 (residue -2), so a pass that took
+    that residue as it stands would print -2 and rank the root leaf on
+    the wrong loop."""
+    G = triangle_with_two_pendants(
+        (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 1), (4, 2, 2), (4, 4, 1)
+    )
+    cert = rank_recursive(G)
+    assert render_certificate(cert) == SIBLING_LOOP
+    assert cert.rank == oracle_rank(G) == 5
+
+
+SIBLING_DELETES = {
+    "row": """\
+ComponentSum contributes=0
+  CaseIIIPeel block=1 v=2 contributes=1 [2,3] (out-row deleted)
+  R0Peel block=2 v=2 contributes=1 [2,4]
+  DirectRank contributes=2 (n=3)
+""",
+    "column": """\
+ComponentSum contributes=0
+  CaseIIIPeel block=1 v=2 contributes=1 [2,3] (in-column deleted)
+  R0Peel block=2 v=2 contributes=1 [2,4]
+  DirectRank contributes=2 (n=3)
+""",
+}
+
+
+@pytest.mark.parametrize("deleted", SIBLING_DELETES)
+def test_shared_peel_after_a_sibling_deleted_the_row_or_column(deleted):
+    """Pendant 3 hangs by the one arc 2 -> 3 (or 3 -> 2), so its peel
+    deletes 2's row (or column).  Pendant 4 shares the peel the sum-rule
+    tests computed on the whole matrix: both memberships hold there, but
+    2 has lost a row or column, so it is an R0 peel that writes no loop."""
+    arc = (2, 3, 1) if deleted == "row" else (3, 2, 1)
+    G = triangle_with_two_pendants(arc, (2, 4, 1), (4, 2, 2), (4, 4, 1))
+    cert = rank_recursive(G)
+    assert render_certificate(cert) == SIBLING_DELETES[deleted]
+    assert cert.rank == oracle_rank(G) == 4
+
+
+def big_block_with_pendant(root_in_block):
+    """dense_block() plus one pendant arc.  With root_in_block the block
+    holds vertex 0 and is the root of the block-cut tree, with the arc
+    0 -> 40 below it; otherwise the block is shifted to 1-40 and hangs
+    below the root pendant 0 -> 1."""
+    arcs = list(dense_block().arcs())
+    if root_in_block:
+        return build(41, arcs + [(0, 40, 1)])
+    return build(41, [(u + 1, v + 1, w) for u, v, w in arcs] + [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("root_in_block", [True, False], ids=["block-root", "block-leaf"])
+def test_one_big_elimination_per_rank(monkeypatch, root_in_block):
+    """The 40-vertex block's peel at its cut-vertex is the only elimination
+    with 39 pivot rows or more: the r2 test computes it, and the r0 test
+    and, when the block is a leaf, the peel pass reuse it.  The root leaf
+    is proved full rank mod p.  Each of them used to eliminate it anew."""
+    G = big_block_with_pendant(root_in_block)
+    big = []
+    real = linalg._bareiss
+
+    def counted(a, prows, pcols):
+        big.append(prows >= 39)
+        return real(a, prows, pcols)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    cert = rank_recursive(G)
+    assert sum(big) == 1
+    monkeypatch.undo()
+    assert cert.rank == oracle_rank(G) == 40
