@@ -21,16 +21,17 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   or v had already lost its row or column to an earlier peel).
 - R2_DIGRAPH: every cut-vertex has an incident block whose rank drops by
   exactly 2 when the cut-vertex is removed; r(G) = sum r(breve B_i) + 2m.
-  Each summand breve B_i (block i minus G's cut-vertices) is a copy of its
-  vertices' rows of the rank's weight store, made in O(arcs of the block),
-  and gets a peel pass of its own.
+  The summands breve B_i (block i minus G's cut-vertices) together make up
+  the component minus its cut-vertices.  That is cut from the rank's weight
+  store as one copy, in O(its arcs), and decomposed once; each component of
+  the copy lies inside one block i, and each summand gets one peel pass
+  over the components in its block.
 - R0_DIGRAPH: at most one block fails the all-cuts rank-drop-0 test and
   no cut-vertex carries a loop; r(G) = sum r(B_i).
 - TREE_MATCHING / R2_TREE: closed forms for tree-shaped components.
 - BLOCK_GRAPH_2K / BIBLOCK_GRAPH_2K: family formulas (rank = n, rank = 2k);
   used by the dedicated family operations, never by the engine, so that
   block graphs still exercise the peeling rules.
-- MDT_FORMULA / GEN_R2: per-block and attachment variants of the r2 sum.
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
   one-block component included), read from the rank's per-vertex weight
   store, where peels write loop residues.  From order _MOD_P_MIN_ORDER up,
@@ -61,19 +62,12 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import (
-    RationalMatrix,
-    SchurPeel,
-    _peel_rows,
-    in_column_space,
-    in_row_space,
-    leaf_rank,
-    rank,
-)
+from .linalg import RationalMatrix, SchurPeel, _peel_rows, leaf_rank, rank
 from .trees import TreeKind, tree_summary
 
 # Bound here, though the engine does not call them, because perfbench's
 # tracer wraps these names on this module.
+from .linalg import in_column_space, in_row_space  # noqa: F401
 from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
@@ -101,8 +95,6 @@ def oracle_rank(G: WeightedDigraph) -> int:
 class RuleTag(Enum):
     CASE_I_PEEL = "CaseIPeel"
     R2_DIGRAPH = "R2Digraph"
-    MDT_FORMULA = "MdtFormula"
-    GEN_R2 = "GenR2"
     R0_PEEL = "R0Peel"
     R0_DIGRAPH = "R0Digraph"
     CASE_III_PEEL = "CaseIIIPeel"
@@ -171,11 +163,12 @@ def render_certificate(cert: RankCertificate) -> str:
 # -- r2 / r0 block predicates ------------------------------------------------
 
 
-def _cut_peel(W, rows: list, cols: list, v: int, alpha) -> SchurPeel:
-    """schur_peel(alpha, x, y, B) for B the matrix on rows x cols and x, y
-    v's row and column there, read from W (W[u][t] the weight of u -> t)."""
+def _cut_peel(W, rows: list, cols: list, v: int) -> SchurPeel:
+    """schur_peel(0, x, y, B) for B the matrix on rows x cols and x, y v's
+    row and column there, read from W (W[u][t] the weight of u -> t): loop
+    0, so its residue is -x.d, and v's loop is added by the caller."""
     ext = cols + [v]
-    x = [W[v].get(t, _ZERO) for t in cols] + [alpha]
+    x = [W[v].get(t, _ZERO) for t in cols] + [_ZERO]
     return _peel_rows([[W[u].get(t, _ZERO) for t in ext] for u in rows], x)
 
 
@@ -185,12 +178,12 @@ def _block_rows(G: WeightedDigraph, blk: Sequence[int]) -> dict:
 
 
 def _shared_peel(W, d: BlockDecomposition, peels: dict, b: int, v: int) -> SchurPeel:
-    """The peel of block b of d at v, with loop 0 so that its residue is
-    -x.d, on W as it stands at the first call for (b, v): computed once."""
+    """The peel of block b of d at v on W as it stands at the first call
+    for (b, v): computed once."""
     peel = peels.get((b, v))
     if peel is None:
         rest = [u for u in d.blocks[b] if u != v]
-        peel = peels[(b, v)] = _cut_peel(W, rest, rest, v, _ZERO)
+        peel = peels[(b, v)] = _cut_peel(W, rest, rest, v)
     return peel
 
 
@@ -490,7 +483,7 @@ def rank_case2_peel(G: WeightedDigraph, split: CutSplit) -> int:
         raise PreconditionViolated(f"split is case {cls.label}, not II")
     v, inner, rest = _split_pieces(G, split)
     if G.has_loop(v):
-        outside = _cut_peel(_block_rows(G, rest + [v]), rest, rest, v, G.loop_weight(v))
+        outside = _cut_peel(_block_rows(G, rest + [v]), rest, rest, v)
         if outside.x_in and outside.y_in:
             raise PreconditionViolated(
                 "loop present and both outside memberships hold; formula not claimed"
@@ -512,18 +505,18 @@ def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
     r_inner = oracle_rank(G.induced_subdigraph(inner))
     if m1 and m2:  # v's loop becomes its residue alpha - x.d over H - v
         side = _block_rows(G, inner + [v])
-        residual = _cut_peel(side, inner, inner, v, G.loop_weight(v)).residue
+        residual = G.loop_weight(v) + _cut_peel(side, inner, inner, v).residue
         outside = G.induced_subdigraph(rest + [v])
         v_local = sorted(rest + [v]).index(v)
         return r_inner + oracle_rank(outside.with_loop(v_local, residual))
-    A_R = G.induced_subdigraph(rest).adjacency_matrix()
+    peel = _cut_peel(_block_rows(G, rest + [v]), rest, rest, v)
     if m2:  # in-vector lies inside; the out-row stands alone
-        extra, _ = in_column_space(G.in_vector(v, rest), A_R)
+        extra = peel.y_in
     elif m1:  # out-vector lies inside; the in-column stands alone
-        extra, _ = in_row_space(G.out_vector(v, rest), A_R)
+        extra = peel.x_in
     else:  # pragma: no cover - would be case I
         raise InconsistentClassification("case III with neither membership")
-    return r_inner + 1 + rank(A_R).rank + (0 if extra else 1)
+    return r_inner + 1 + peel.rank + (0 if extra else 1)
 
 
 # -- simple-graph families ----------------------------------------------------
@@ -666,9 +659,11 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
     block.  There is one weight store per rank, W = G.out_rows(), which
-    peels write loop residues into; each r2 summand copies its rows.  The
-    peel of a block of G at a cut-vertex is computed once, with loop 0, and
-    shared by the r2 test, the r0 test and the peel pass.  The certificate
+    peels write loop residues into.  The only copies are cut from it by
+    `_copy`: a tree component of a disconnected G, and an r2 component
+    minus its cut-vertices, which is decomposed once for all its summands.
+    The peel of a block of G at a cut-vertex is computed once, with loop 0,
+    and shared by the r2 test, the r0 test and the peel pass.  The certificate
     is at most four levels deep.  A node's block_index is the position of
     its vertices in decompose(G), None when they are not a block of G.
     With oracle_check=True the final value is compared against the dense
@@ -705,13 +700,14 @@ def _component_rule(
 
     The parent cuts are the component's cut-vertices.  It is tree-shaped
     when every block has at most two vertices; only then are the tree
-    forms tried, on G itself when G is this one component.
+    forms tried, on G itself when G is this one component, else on a
+    `_copy` from W.
     """
     blocks = sorted(b for b, _ in order)
     cuts = {v for _, v in order if v is not None}
     if all(len(d.blocks[b]) <= 2 for b in blocks):
         vertices = {u for b in blocks for u in d.blocks[b]}
-        T = G if len(vertices) == G.n else G.induced_subdigraph(vertices)
+        T = G if len(vertices) == G.n else _copy(W, sorted(vertices))[0]
         kind, q, s = tree_summary(T)
         if kind is TreeKind.LOOPLESS_BI_ARC:
             return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
@@ -721,8 +717,18 @@ def _component_rule(
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
         if all(any(_r2_block(W, d, peels, b) for b in d.membership[v]) for v in cuts):
+            # The summands make up the component minus its cuts: one copy, each
+            # of whose components lies in the one block of any of its vertices.
+            labels = sorted(u for b in blocks for u in d.blocks[b] if u not in cuts)
+            sub, rows = _copy(W, labels)
+            sd = decompose(sub)
+            lists: dict[int, list] = {b: [] for b in blocks}
+            for comp in _leaves_first(sd):
+                lists[d.membership[labels[sd.blocks[comp[0][0]][0]]][0]] += comp
+            children = tuple(
+                _summand(d, b, _peel_pass(rows, sd, lists[b], {}, labels)) for b in blocks
+            )
             m = len(cuts)
-            children = tuple(_summand(d, b, _breve_pass(W, d, b)) for b in blocks)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
         fails = (not _r0_block(W, d, peels, b) for b in blocks)
         if not any(G.has_loop(v) for v in cuts) and _r0_but_one(fails):
@@ -739,17 +745,13 @@ def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
     return replace(node, block_index=b, block_vertices=d.blocks[b])
 
 
-def _breve_pass(W: list, d: BlockDecomposition, b: int) -> CertNode:
-    """One peel pass over block b minus d's cut-vertices.  Its blocks are
-    not blocks of d, so it is decomposed anew as a copy whose vertex i is
-    labels[i], with W's rows cut to it in O(arcs of the block) as store."""
-    labels = tuple(u for u in d.blocks[b] if u not in d.cut_vertices)
+def _copy(W: list, labels: Sequence[int]) -> tuple[WeightedDigraph, list]:
+    """The digraph W induces on labels, and its rows in W's shape, cut from
+    W in O(arcs among labels); vertex i of the copy is labels[i]."""
     pos = {u: i for i, u in enumerate(labels)}
     rows = [{pos[t]: w for t, w in W[u].items() if t in pos} for u in labels]
     arcs = {(i, j): w for i, row in enumerate(rows) for j, w in row.items()}
-    sd = decompose(WeightedDigraph(len(rows), arcs))
-    order = [p for comp in _leaves_first(sd) for p in comp]
-    return _peel_pass(rows, sd, order, {}, labels)
+    return WeightedDigraph(len(rows), arcs), rows
 
 
 def _peel_pass(
@@ -757,7 +759,7 @@ def _peel_pass(
     d: BlockDecomposition,
     order: Sequence,
     peels: dict,
-    labels: tuple | None = None,
+    labels: Sequence[int] | None = None,
 ) -> CertNode:
     """Rank by one leaves-first peel over the (block, parent cut) pairs of
     order, from `_leaves_first(d)`; W[u][t] is the weight of arc u -> t,
@@ -766,20 +768,18 @@ def _peel_pass(
     Every non-root block b is peeled at its parent cut-vertex v against B,
     the current matrix on b - v: the rows and columns still present, with
     loops as earlier peels left them.  One Schur peel of B bordered by
-    v's row x, column y and loop alpha decides the outcome.  When v is b's
-    only cut-vertex, no earlier peel has touched b - v, so b takes its
-    peel at v with loop 0 from peels (keyed by (b, v), filled on first
-    use) and its residue is v's current loop plus that peel's -x.d; every
-    other block is peeled on the current matrix.  v's row is
-    deleted (+1) when x lies outside B's row space, v's column likewise for
-    y and the column space, and when v keeps both, its loop becomes the
-    residue alpha - x.d with B d = y, written into W[v][v] even when it is
-    0.  Each outcome is a row or column operation that touches only v's
-    row, column and loop, so the original block-cut tree stays a separator
-    tree throughout.  What is left of each root block is ranked directly
+    v's row x and column y, with loop 0, decides the outcome: taken from
+    peels (keyed by (b, v), filled on first use) when v is b's only
+    cut-vertex, as no earlier peel has touched b - v, else on the current
+    matrix.  v's row is deleted (+1) when x lies outside B's row space,
+    v's column likewise for y and the column space, and when v keeps both,
+    its loop alpha becomes the residue alpha - x.d with B d = y, written
+    into W[v][v] even when it is 0.  Each outcome is a row or column
+    operation that touches only v's row, column and loop, so the original
+    block-cut tree stays a separator tree throughout.  What is left of each root block is ranked directly
     from W: from order _MOD_P_MIN_ORDER up by `leaf_rank` on each row's
     out-dict cut to the leaf's columns, else by Bareiss.  Peel nodes name
-    block b of d; when labels is given, d decomposes an induced copy whose
+    block b of d; when labels is given, d decomposes a `_copy` whose
     vertex u is labels[u] of the graph, and they carry no block_index.
     """
     no_row: set[int] = set()
@@ -799,11 +799,10 @@ def _peel_pass(
                 r = rank(RationalMatrix(leaf, cols=len(cols))).rank
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
-        alpha = W[v].get(v, _ZERO)
         if d.pendant[b]:
-            peel, shift = _shared_peel(W, d, peels, b, v), alpha
+            peel = _shared_peel(W, d, peels, b, v)
         else:
-            peel, shift = _cut_peel(W, rows, cols, v, alpha), _ZERO
+            peel = _cut_peel(W, rows, cols, v)
         has_row, has_col = v not in no_row, v not in no_col
         row_out = has_row and not peel.x_in
         col_out = has_col and not peel.y_in
@@ -813,7 +812,7 @@ def _peel_pass(
             no_col.add(v)
         residue = _ZERO
         if has_row and has_col and peel.x_in and peel.y_in:
-            W[v][v] = residue = shift + peel.residue
+            W[v][v] = residue = W[v].get(v, _ZERO) + peel.residue
         if row_out and col_out:
             tag, note = RuleTag.CASE_I_PEEL, ""
         elif row_out or col_out:

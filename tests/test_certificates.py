@@ -1,6 +1,6 @@
 """Certificate text pinned byte for byte.
 
-`render_certificate` output for five graphs, the first four frozen from the
+`render_certificate` output for six graphs, the first four frozen from the
 engine that introduced the single peel pass.  Between them they cover
 CASE_III_PEEL with both notes, R0_PEEL, CASE_III_LT, DIRECT_RANK,
 R2_DIGRAPH, R0_DIGRAPH, TREE_MATCHING, R2_TREE and COMPONENT_SUM, and a
@@ -95,6 +95,31 @@ ComponentSum contributes=0
 """
 
 
+R2_SPLIT_SUMMANDS = """\
+R2Digraph contributes=4 (m=2)
+  ComponentSum block=0 contributes=0 [0,1,2,3,4]
+    DirectRank contributes=0 (n=1)
+    DirectRank contributes=2 (n=2)
+  DirectRank block=1 contributes=0 [0,5] (n=1)
+  ComponentSum block=2 contributes=0 [0,7,8,9,10,11]
+    CaseIIILt v=9 contributes=2 [9,10,11] (loop residue -2)
+    DirectRank contributes=3 (n=3)
+  DirectRank block=3 contributes=0 [2,6] (n=1)
+"""
+
+
+def r2_split_summands_graph():
+    """An r2-digraph whose cuts 0 and 2 carry bi-arc pendants 5 and 6.  The
+    5-cycle 0-4 minus its cuts falls into two components, {1} and {3, 4};
+    the block on 0 and 7-11 minus 0 is two triangles glued at 9, so its
+    summand has two blocks and a peel."""
+    edges = [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (2, 6),
+        (0, 7), (7, 8), (8, 9), (9, 7), (9, 10), (10, 11), (11, 9), (11, 0),
+    ]
+    return build(12, [(u, v, 1) for a, b in edges for u, v in [(a, b), (b, a)]])
+
+
 def loop_residue_graph():
     """The 3-vertex graph of test_case3_peel_loop_residue: bordered rows
     [[1,1,0],[1,2,1],[0,1,1]], residue 2 - 1 = 1 at vertex 1."""
@@ -123,6 +148,14 @@ def test_fixture_certificate_text_is_frozen(fixture, expected, request):
 
 def test_loop_residue_certificate_text_is_frozen():
     assert render_certificate(rank_recursive(loop_residue_graph())) == LOOP_RESIDUE
+
+
+def test_r2_summands_keep_their_components_and_blocks():
+    """Each summand holds the components of its own block, in order, and
+    the peels and leaves of a summand with several blocks."""
+    cert = rank_recursive(r2_split_summands_graph())
+    assert render_certificate(cert) == R2_SPLIT_SUMMANDS
+    assert cert.rank == 11
 
 
 def test_block_index_names_that_block_of_the_graph():

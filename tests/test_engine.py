@@ -572,31 +572,84 @@ def three_components():
     return build(8, arcs + [(3, 6, 1), (7, 7, 2)])
 
 
+def two_r2_components():
+    """Two disjoint copies of a triangle with a bi-arc pendant at each
+    vertex: each is an r2 component whose three cuts leave four summands."""
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]
+    arcs = [(u, v, 1) for a, b in edges for u, v in [(a, b), (b, a)]]
+    return build(12, arcs + [(u + 6, v + 6, w) for u, v, w in arcs])
+
+
 ROUTES = {
     "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 1, 0),
     "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0),
     "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0),
     "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0),
-    # 12 blocks: each breve is copied from W and decomposed on its own
-    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 12, 0),
-    "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 2),
+    # 12 blocks: their breves are one copy from W, decomposed once
+    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 1, 0),
+    "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 0),
     # three tree components, and an R2 component of 2 blocks
-    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 2, 3),
+    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 1, 0),
+    "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1 + 2, 0),
 }
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_one_decomposition_per_rank(monkeypatch, request, route):
-    """The graph is decomposed once and read in its own ids: only a tree
-    component of a disconnected graph is an induced copy of G, and only
-    the r2 summands are decomposed again.  An r2 summand's rows are copied
-    from the rank's weight store, so there is one store per rank."""
+    """The graph is decomposed once and read in its own ids, and nothing is
+    an induced copy of G.  Each r2 component minus its cut-vertices is one
+    copy of the rank's weight store, decomposed once for all its summands;
+    a tree component of a disconnected graph is a copy of the store too, so
+    there is one store per rank."""
     make, root_rule, decomposes, copies = ROUTES[route]
     G = make(request.getfixturevalue)
     cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
     assert cert.root.rule is root_rule
     assert cert.rank == cert.root.total == oracle_rank(G)
     assert (d_calls, c_calls, stores) == (decomposes, copies, 1)
+
+
+def reversed_union(parts):
+    """The disjoint union of parts, every vertex id i renamed n - 1 - i, so
+    that no part keeps its place and most are not a range of ids."""
+    arcs, n = [], 0
+    for H in parts:
+        arcs += [(u + n, v + n, w) for u, v, w in H.arcs()]
+        n += H.n
+    return build(n, [(n - 1 - u, n - 1 - v, w) for u, v, w in arcs])
+
+
+def copy_guard_corpus():
+    """Every family at n = 8 and 30, seeds 0-3, and eight disjoint unions of
+    three or four of them."""
+    graphs = []
+    for family in FAMILIES:
+        for n in (8, 30):
+            for seed in range(4):
+                base = None
+                if family == "r2-extension":
+                    base = gen(GenSpec("random-digraph", n=n // 2, seed=seed))
+                graphs.append(gen(GenSpec(family, n=n, seed=seed, base=base)))
+    rng = random.Random("copy-guard")
+    unions = [reversed_union(rng.sample(graphs, rng.randint(3, 4))) for _ in range(8)]
+    return graphs + unions
+
+
+def test_every_copy_is_cut_from_the_store(monkeypatch):
+    """No rank makes an induced copy of G, and only an r2 component is
+    decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions."""
+    trees = (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
+    r2_ranks = r2_unions = tree_unions = 0
+    for G in copy_guard_corpus():
+        cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
+        rules = [node.rule for node in cert.root.walk()]
+        r2 = rules.count(RuleTag.R2_DIGRAPH)
+        assert (d_calls, c_calls, stores) == (1 + r2, 0, 1), format_digraph(G)
+        assert cert.rank == oracle_rank(G)
+        r2_ranks += r2 > 0
+        r2_unions += r2 > 1
+        tree_unions += not G.is_connected() and any(r in trees for r in rules)
+    assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5
 
 
 # -- the r0 sum rule and the dense leaf ----------------------------------------
