@@ -35,8 +35,9 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
   one-block component included), read from the rank's per-vertex weight
   store, where peels write loop residues.  From order _MOD_P_MIN_ORDER up,
-  each row is the vertex's out-dict cut to the leaf's columns, O(arcs of
-  the block), handed to `leaf_rank`, which maps each weight a/b to
+  the leaf's rows are the vertices' out-dicts themselves, handed with the
+  leaf's columns to `leaf_rank`, which walks them once, O(arcs of the
+  block), skipping arcs to other columns and mapping each weight a/b to
   a * b^-1 mod a prime p: the weights lie in Z_(p) and reduction mod p is
   a ring map onto F_p, so full rank mod p proves full rank over Q, and any
   other leaf goes to dense Bareiss.  Below that order it is dense Bareiss.
@@ -72,18 +73,14 @@ from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
 
-# DIRECT_RANK leaves of this order and up are built as sparse rows and go
-# to `leaf_rank`, which reduces them mod p; smaller ones stay on plain
-# Bareiss.  A rank-deficient leaf pays for leaf_rank's mod-p pass, up to
-# its first pivot-less column too many, and Bareiss both.  On full-rank
-# random digraph matrices (weights 1, -1, 2, 1/2, arc density 0.3) the
-# packed-row pass took 1.9-2.2x Bareiss's time at order 8, where
-# its fixed cost per column outweighs the per-entry work, 0.70-0.73x at 16
-# and 0.13-0.19x at 40 (three runs, each best of 5 over 400 or 100
-# matrices, CPython 3.11, 2-core VM).  Small leaves are mostly
-# rank-deficient: 5,710 of the 8,275 leaves (all of order <= 10) of
-# perfbench's small-mixed workload and 2,233 of the 3,416 (order <= 6) of
-# closed-forms, where leaf_rank made leaf ranking 1.7x slower.
+# DIRECT_RANK leaves of this order and up go to `leaf_rank` (mod p, Bareiss
+# when that cannot prove full rank), smaller ones to `rank` (Bareiss).  On
+# full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density 0.3)
+# leaf_rank took 0.76-0.81x the time of `rank` at order 8, 0.41-0.43x at 16
+# and 0.13x at 40 (three runs, best of 5 over 400 or 100 matrices each,
+# CPython 3.11, 2-core VM).  But small leaves are mostly rank-deficient and
+# pay for both: 5,710 of the 8,275 (order <= 10) of perfbench's small-mixed
+# and 2,233 of the 3,416 (order <= 6) of closed-forms, 2.4-2.6x slower.
 _MOD_P_MIN_ORDER = 16
 
 
@@ -215,8 +212,7 @@ def is_r2_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
 
 def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
     """Every cut-vertex has at least one incident r2-block (vacuous if none)."""
-    if d is None:
-        d = decompose(G)
+    d = d or decompose(G)
     r2 = [is_r2_block(G, d, i) for i in range(d.block_count)]
     return all(
         any(r2[i] for i in d.membership[v]) for v in d.cut_vertices
@@ -231,8 +227,7 @@ def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
 
 def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
     """All blocks, or all but one, are r0-blocks."""
-    if d is None:
-        d = decompose(G)
+    d = d or decompose(G)
     return _r0_but_one(not is_r0_block(G, d, b) for b in range(d.block_count))
 
 
@@ -246,8 +241,7 @@ def _r0_but_one(fails: Iterator[bool]) -> bool:
 
 def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
-    if d is None:
-        d = decompose(G)
+    d = d or decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_r2_digraph expects a connected digraph")
     if not is_r2_digraph(G, d):
@@ -261,8 +255,7 @@ def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> 
 def rank_mdt(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """Per-block variant: needs every breve nonempty and every block to
     satisfy r(B_i) = r(breve B_i) + 2 * (cut-vertices in B_i)."""
-    if d is None:
-        d = decompose(G)
+    d = d or decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_mdt expects a connected digraph")
     total = 2 * len(d.cut_vertices)
@@ -438,8 +431,7 @@ def check_lemma_2rin(
 
 def rank_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of block ranks, for r0-digraphs without cut-vertex loops."""
-    if d is None:
-        d = decompose(G)
+    d = d or decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_r0_digraph expects a connected digraph")
     if not is_r0_digraph(G, d):
@@ -659,20 +651,22 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
     block.  There is one weight store per rank, W = G.out_rows(), which
-    peels write loop residues into.  The only copies are cut from it by
-    `_copy`: a tree component of a disconnected G, and an r2 component
-    minus its cut-vertices, which is decomposed once for all its summands.
-    The peel of a block of G at a cut-vertex is computed once, with loop 0,
-    and shared by the r2 test, the r0 test and the peel pass.  The certificate
+    peels write loop residues into, and none when a connected G takes a
+    tree form.  The only copies are cut from it by `_copy`: a tree
+    component of a disconnected G, and an r2 component minus its
+    cut-vertices, which is decomposed once for all its summands.  The peel
+    of a block of G at a cut-vertex is computed once, with loop 0, and
+    shared by the r2 test, the r0 test and the peel pass.  The certificate
     is at most four levels deep.  A node's block_index is the position of
     its vertices in decompose(G), None when they are not a block of G.
     With oracle_check=True the final value is compared against the dense
     oracle and InternalMismatch is raised on disagreement.
     """
     d = decompose(G)
-    W = G.out_rows()
+    orders = _leaves_first(d)
+    W = G.out_rows() if len(orders) > 1 else []
     peels: dict[tuple[int, int], SchurPeel] = {}
-    root = _sum_node([_component_rule(G, d, o, W, peels) for o in _leaves_first(d)])
+    root = _sum_node([_component_rule(G, d, o, W, peels) for o in orders])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -700,8 +694,8 @@ def _component_rule(
 
     The parent cuts are the component's cut-vertices.  It is tree-shaped
     when every block has at most two vertices; only then are the tree
-    forms tried, on G itself when G is this one component, else on a
-    `_copy` from W.
+    forms tried, on G itself when G is this one component (W is then
+    still empty), else on a `_copy` from W.
     """
     blocks = sorted(b for b, _ in order)
     cuts = {v for _, v in order if v is not None}
@@ -714,6 +708,8 @@ def _component_rule(
         if kind is TreeKind.R2_TREE:
             return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
 
+    if not W:  # G is this one component, and no tree form fired
+        W += G.out_rows()
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
         if all(any(_r2_block(W, d, peels, b) for b in d.membership[v]) for v in cuts):
@@ -776,11 +772,12 @@ def _peel_pass(
     its loop alpha becomes the residue alpha - x.d with B d = y, written
     into W[v][v] even when it is 0.  Each outcome is a row or column
     operation that touches only v's row, column and loop, so the original
-    block-cut tree stays a separator tree throughout.  What is left of each root block is ranked directly
-    from W: from order _MOD_P_MIN_ORDER up by `leaf_rank` on each row's
-    out-dict cut to the leaf's columns, else by Bareiss.  Peel nodes name
-    block b of d; when labels is given, d decomposes a `_copy` whose
-    vertex u is labels[u] of the graph, and they carry no block_index.
+    block-cut tree stays a separator tree throughout.  What is left of each
+    root block is ranked directly from W: from order _MOD_P_MIN_ORDER up by
+    `leaf_rank` on the rows' out-dicts themselves and the leaf's columns,
+    else by Bareiss on a dense copy.  Peel nodes name block b of d; when
+    labels is given, d decomposes a `_copy` whose vertex u is labels[u] of
+    the graph, and they carry no block_index.
     """
     no_row: set[int] = set()
     no_col: set[int] = set()
@@ -791,9 +788,7 @@ def _peel_pass(
         cols = [u for u in blk if u != v and u not in no_col]
         if v is None:
             if min(len(rows), len(cols)) >= _MOD_P_MIN_ORDER:
-                pos = {t: j for j, t in enumerate(cols)}
-                leaf = [{pos[t]: w for t, w in W[u].items() if t in pos} for u in rows]
-                r = leaf_rank(leaf, len(cols))
+                r = leaf_rank([W[u] for u in rows], cols)
             else:
                 leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]
                 r = rank(RationalMatrix(leaf, cols=len(cols))).rank

@@ -6,16 +6,16 @@ denominator lcm first, which changes neither rank nor pivot columns), so
 arbitrarily large intermediate values stay exact.  Rank, row/column-space
 membership with witness coefficients, and `schur_peel` -- what a bordering
 row and column add to a matrix's rank -- are all read off that one loop.
-`leaf_rank` takes sparse rows and maps each entry a/b straight to its
-residue a * b^-1 modulo a small prime p; it needs no common denominator.
-Such entries lie in Z_(p), the rationals whose denominator p does not
-divide, and reduction mod p is a ring map from Z_(p) onto F_p, so a minor
-that is nonzero mod p is nonzero over Q.  One elimination mod p, on rows
-packed into one Python int each (one fixed-width field per column, so a row
-update is one big-integer multiply-add), thus proves a lower bound on the
-rank, which settles a matrix of full rank; it stops as soon as full rank is
-out of reach and hands that matrix to Bareiss, as it does a matrix with a
-denominator p divides.  There is no floating point anywhere in this module.
+`leaf_rank` maps each entry a/b of sparse rows (a weight store's
+out-dicts) to a * b^-1 modulo a small prime p, in one walk.  Such entries
+lie in Z_(p), the rationals whose denominator p does not divide, and
+reduction mod p is a ring map from Z_(p) onto F_p, so a minor nonzero mod
+p is nonzero over Q.  One elimination mod p, on rows packed into one
+Python int each (one field per column: a row update is one big-integer
+multiply-add, and the pivot row is reduced by folding all its fields at
+once), thus proves a lower bound on the rank, which settles a full-rank
+matrix; it stops once full rank is out of reach and hands that matrix to
+Bareiss, as it does one with a denominator p divides.  No floating point.
 """
 
 from __future__ import annotations
@@ -186,35 +186,32 @@ def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
     return pivots
 
 
-# The largest prime below 2**15: a residue fits in 16 bits, and a product
-# of two residues in 30.
+# The largest prime below 2**15.  2**15 = _P + _FOLD, so a field f of a
+# packed row is (f >> 15) * _FOLD + (f & 0x7FFF) mod _P (`_fold`).
 _P = 32749
+_FOLD = 19
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _pack(residues: list[int], nb: int) -> bytearray:
-    """Residues below 2**16 as little-endian nb-byte fields, in order."""
-    h = array("H", residues)
-    if _BIG_ENDIAN:
-        h.byteswap()
-    h = h.tobytes()
-    buf = bytearray(len(residues) * nb)
-    buf[0::nb] = h[0::2]
-    buf[1::nb] = h[1::2]
-    return buf
+def _fold_masks(w: int, k: int) -> tuple[int, int, int]:
+    """(hi, lo, folds) for k fields of w bits: the low w - 15 and the low 15
+    bits of every field, and how many folds take fields below 2**w to
+    fields below 2**16."""
+    ones = ((1 << w * k) - 1) // ((1 << w) - 1)
+    bound, folds = (1 << w) - 1, 0
+    while bound >> 16:
+        bound = (bound >> 15) * _FOLD + 0x7FFF
+        folds += 1
+    return ones * ((1 << w - 15) - 1), ones * 0x7FFF, folds
 
 
-def _unpack(v: int, k: int, nb: int) -> array:
-    """The k nb-byte fields of v (nb <= 8), the lowest first."""
-    b = v.to_bytes(k * nb, "little")
-    q = bytearray(8 * k)
-    for t in range(nb):
-        q[t::8] = b[t::nb]
-    fields = array("Q", q)
-    if _BIG_ENDIAN:
-        fields.byteswap()
-    return fields
+def _fold(x: int, hi: int, lo: int, folds: int) -> int:
+    """x with each field f replaced `folds` times by (f >> 15) * _FOLD +
+    (f & 0x7FFF), which keeps f mod _P and never carries."""
+    for _ in range(folds):
+        x = ((x >> 15) & hi) * _FOLD + (x & lo)
+    return x
 
 
 def _rank_mod_p(a: list[list[int]]) -> int:
@@ -227,16 +224,17 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     the pivots found so far, as soon as more than cols - min(rows, cols)
     columns have no pivot.  `a` is not mutated.
 
-    Each row is one int with one W-bit field per column, column 0 lowest,
-    W = 32 + len(a).bit_length() rounded up to whole bytes (8 bytes while
-    len(a) < 2**32).  Each step reads field 0 of every row mod _P, takes
-    the first row nonzero there as pivot, reduces its other fields mod _P
-    and scales them by the pivot's inverse, adds (_P - m) times that to
-    every other row whose field 0 is m != 0, and shifts every row right
-    by one field.  Fields start below _P and each addition is below
-    _P**2 < 2**30; a row takes at most len(a) of them, so a field stays
-    below 2**(30 + len(a).bit_length()) < 2**W: no carry ever crosses
-    into the next field and no row needs reducing between steps.
+    Each row is one int with one w-bit field per column, column 0 lowest,
+    w = 32 + len(a).bit_length() rounded up to whole bytes.  Each step
+    takes the first row whose field 0 is nonzero mod _P as pivot, folds
+    the rest of it in place (`_fold`) until every field is below 2**16,
+    multiplies that by the pivot's inverse and folds twice more (from
+    below 2**16 * _P < 2**31 back below 2**16), adds (_P - m) times it to
+    every other row whose field 0 is m != 0 mod _P, and shifts every row
+    right by one field.  Fields start below _P and each addition is below
+    _P * 2**16 < 2**31; a row takes fewer than len(a) of them, so a field
+    stays below 2**(31 + len(a).bit_length()) < 2**w: no carry ever
+    crosses into the next field and no row needs reducing between steps.
     """
     p = _P
     nrows = len(a)
@@ -245,11 +243,19 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     nb = (32 + nrows.bit_length() + 7) // 8
     w = 8 * nb
     mask = (1 << w) - 1
+    hi, lo, folds = _fold_masks(w, ncols)
+    h = array("H")  # the residues as 16-bit words, spread to nb-byte fields
+    for row in a:
+        h.fromlist(row)
+    if _BIG_ENDIAN:
+        h.byteswap()
+    h = h.tobytes()
+    flat = bytearray(nrows * ncols * nb)
+    flat[0::nb], flat[1::nb] = h[0::2], h[1::2]
     rb = ncols * nb
-    flat = _pack([x for row in a for x in row], nb)
     rows = [int.from_bytes(flat[i * rb : (i + 1) * rb], "little") for i in range(nrows)]
     r = 0
-    for k in range(ncols - 1, -1, -1):
+    for _ in range(ncols):
         for i, row in enumerate(rows):
             if (row & mask) % p:
                 break
@@ -264,8 +270,7 @@ def _rank_mod_p(a: list[list[int]]) -> int:
         if not rows:
             break
         inv = pow((piv & mask) % p, -1, p)
-        scaled = [x * inv % p for x in _unpack(piv >> w, k, nb)]
-        tail = int.from_bytes(_pack(scaled, nb), "little")
+        tail = _fold(_fold(piv >> w, hi, lo, folds) * inv, hi, lo, 2)
         rows = [
             (row >> w) + (p - m) * tail if (m := (row & mask) % p) else row >> w
             for row in rows
@@ -273,51 +278,51 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     return r
 
 
-def _residue_rows(rows: Sequence[dict], ncols: int) -> list[list[int]] | None:
-    """Each entry a/b of the sparse rows as a * b^-1 mod _P, in dense rows;
-    None when _P divides a denominator.  b^-1 is computed once per b."""
+def _residue_rows(rows: Sequence[dict], pos: dict) -> list[list[int]] | None:
+    """The sparse rows as dense residue rows in one walk: x = a/b at label t
+    goes to column pos[t] as a * b^-1 mod _P (b^-1 computed once per b),
+    or nowhere when pos has no t.  None when _P divides a denominator."""
     p = _P
+    ncols = len(pos)
     inverse = {1: 1}
     out = []
     for row in rows:
         res = [0] * ncols
-        for j, x in row.items():
-            b = x.denominator
-            inv = inverse.get(b)
-            if inv is None:
-                if b % p == 0:
-                    return None
-                inv = inverse[b] = pow(b, -1, p)
-            res[j] = x.numerator * inv % p
+        for t, x in row.items():
+            if t in pos:
+                b = x.denominator
+                inv = inverse.get(b)
+                if inv is None:
+                    if b % p == 0:
+                        return None
+                    inv = inverse[b] = pow(b, -1, p)
+                res[pos[t]] = x.numerator * inv % p
         out.append(res)
     return out
 
 
-def leaf_rank(rows: Sequence[dict], ncols: int) -> int:
-    """Exact rank of a rational matrix with ncols columns, given as sparse
-    rows {column: Fraction} (absent entries are zero).
+def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
+    """Exact rank of the rational matrix with entry (i, j) rows[i][cols[j]]:
+    rows are sparse {label: Fraction} dicts, such as a weight store's
+    out-dicts, absent entries are zero and labels not in cols are skipped.
 
     Every entry a/b whose denominator _P does not divide lies in Z_(p), and
     reduction mod _P is a ring map from Z_(p) onto F_p that takes each
     minor to the same minor of the residues.  So r pivots of one
-    elimination on the residues a * b^-1 mod _P prove rank >= r, which is
-    the rank when r = min(rows, cols).  Every other matrix goes to
-    `_bareiss` on its rows scaled by their denominator lcm, as soon as the
-    elimination has too many pivot-less columns for full rank, or at once
-    when _P divides a denominator; so a prime that divides some minor costs
-    time, never a wrong rank.
+    elimination on the residues a * b^-1 mod _P (packed rows, the pivot
+    row folded in place, see `_rank_mod_p`) prove rank >= r, which is the
+    rank when r = min(rows, cols).  Every other matrix goes to
+    `_bareiss` on its rows made dense and scaled by their denominator lcm,
+    as soon as the elimination has too many pivot-less columns for full
+    rank, or at once when _P divides a denominator; so a prime that divides
+    some minor costs time, never a wrong rank.
     """
-    full = min(len(rows), ncols)
-    residues = _residue_rows(rows, ncols)
+    pos = {t: j for j, t in enumerate(cols)}
+    residues = _residue_rows(rows, pos)
+    full = min(len(rows), len(pos))
     if residues is not None and _rank_mod_p(residues) == full:
         return full
-    a = []
-    for row in rows:
-        dense = [_ZERO] * ncols
-        for j, x in row.items():
-            dense[j] = x
-        a.append(_scaled_int_row(dense)[0])
-    return int_rank(a)
+    return int_rank([_scaled_int_row([row.get(t, _ZERO) for t in cols])[0] for row in rows])
 
 
 def int_rank(a: list[list[int]]) -> int:

@@ -580,17 +580,19 @@ def two_r2_components():
     return build(12, arcs + [(u + 6, v + 6, w) for u, v, w in arcs])
 
 
+# (graph, root rule, decompositions, copies, weight stores); a connected
+# tree-shaped graph is read as itself, so it builds no store
 ROUTES = {
-    "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 1, 0),
-    "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0),
-    "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0),
-    "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0),
+    "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 1, 0, 0),
+    "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0, 0),
+    "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0, 1),
+    "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0, 1),
     # 12 blocks: their breves are one copy from W, decomposed once
-    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 1, 0),
-    "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 0),
+    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 1, 0, 1),
+    "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 0, 1),
     # three tree components, and an R2 component of 2 blocks
-    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 1, 0),
-    "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1 + 2, 0),
+    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 1, 0, 1),
+    "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1 + 2, 0, 1),
 }
 
 
@@ -600,13 +602,13 @@ def test_one_decomposition_per_rank(monkeypatch, request, route):
     an induced copy of G.  Each r2 component minus its cut-vertices is one
     copy of the rank's weight store, decomposed once for all its summands;
     a tree component of a disconnected graph is a copy of the store too, so
-    there is one store per rank."""
-    make, root_rule, decomposes, copies = ROUTES[route]
+    there is one store per rank, and none when nothing reads it."""
+    make, root_rule, decomposes, copies, stores = ROUTES[route]
     G = make(request.getfixturevalue)
-    cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
+    cert, d_calls, c_calls, s_calls = traced_rank(monkeypatch, G)
     assert cert.root.rule is root_rule
     assert cert.rank == cert.root.total == oracle_rank(G)
-    assert (d_calls, c_calls, stores) == (decomposes, copies, 1)
+    assert (d_calls, c_calls, s_calls) == (decomposes, copies, stores)
 
 
 def reversed_union(parts):
@@ -637,19 +639,22 @@ def copy_guard_corpus():
 
 def test_every_copy_is_cut_from_the_store(monkeypatch):
     """No rank makes an induced copy of G, and only an r2 component is
-    decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions."""
+    decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions.  There
+    is one weight store, and none when a connected G takes a tree form."""
     trees = (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
-    r2_ranks = r2_unions = tree_unions = 0
+    r2_ranks = r2_unions = tree_unions = storeless = 0
     for G in copy_guard_corpus():
         cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
         rules = [node.rule for node in cert.root.walk()]
         r2 = rules.count(RuleTag.R2_DIGRAPH)
-        assert (d_calls, c_calls, stores) == (1 + r2, 0, 1), format_digraph(G)
+        store = not (G.is_connected() and cert.root.rule in trees)
+        assert (d_calls, c_calls, stores) == (1 + r2, 0, store), format_digraph(G)
         assert cert.rank == oracle_rank(G)
         r2_ranks += r2 > 0
         r2_unions += r2 > 1
         tree_unions += not G.is_connected() and any(r in trees for r in rules)
-    assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5
+        storeless += not store
+    assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5 and storeless >= 10
 
 
 # -- the r0 sum rule and the dense leaf ----------------------------------------
@@ -784,6 +789,46 @@ def test_leaf_reads_the_zero_a_peel_wrote_over_a_loop():
     assert (oracle_rank(leaf), oracle_rank(leaf.with_loop(19, 0))) == (20, 19)
     cert = rank_recursive(G)
     assert render_certificate(cert) == PEEL_ZEROED_LOOP
+    assert cert.rank == oracle_rank(G) == 20
+
+
+RECTANGULAR_LEAF = """\
+ComponentSum contributes=0
+  CaseIIIPeel block=1 v=19 contributes=1 [19,20] ({})
+  DirectRank contributes=19 (n=20)
+"""
+
+
+@pytest.mark.parametrize(
+    "arc, note", [((19, 20, 1), "out-row deleted"), ((20, 19, 1), "in-column deleted")]
+)
+def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
+    """A random block on 0-19 (seed 0 of a search for the first graph the
+    test accepts) with a pendant 20 joined to 19 by one arc.  With 19 -> 20,
+    19's row lies outside the pendant's zero row space, so the peel
+    deletes it and the root leaf is 19 x 20; with 20 -> 19 the peel deletes
+    19's column, the leaf is 20 x 19, and the residue walk skips the
+    entries the block's rows have in column 19.  Both leaves have full
+    rank, proved mod p with no Bareiss call."""
+    G = random_digraph(20, random.Random("rect-leaf:0"), p=0.4)
+    G = build(21, list(G.arcs()) + [arc])
+    assert decompose(G).blocks == (tuple(range(20)), (19, 20))
+    assert any(G.has_arc(u, 19) for u in range(19))
+    calls, leaves = [], []
+    real_bareiss, real_leaf = linalg._bareiss, engine.leaf_rank
+
+    def counted_leaf(rows, cols):
+        before = len(calls)
+        r = real_leaf(rows, cols)
+        leaves.append((len(rows), len(cols), r, len(calls) - before))
+        return r
+
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real_bareiss(*a))
+    monkeypatch.setattr(engine, "leaf_rank", counted_leaf)
+    cert = rank_recursive(G)
+    shape = (19, 20) if arc[0] == 19 else (20, 19)
+    assert leaves == [(*shape, 19, 0)]
+    assert render_certificate(cert) == RECTANGULAR_LEAF.format(note)
     assert cert.rank == oracle_rank(G) == 20
 
 

@@ -268,9 +268,9 @@ mod_p_entries = st.one_of(
 
 def sparse(rows):
     """Dense rows as leaf_rank's arguments: one {column: Fraction} per row,
-    zeros kept as explicit entries, and the column count."""
+    zeros kept as explicit entries, and the column labels 0, 1, ..."""
     ncols = len(rows[0]) if rows else 0
-    return [{j: Fraction(x) for j, x in enumerate(row)} for row in rows], ncols
+    return [{j: Fraction(x) for j, x in enumerate(row)} for row in rows], range(ncols)
 
 
 @st.composite
@@ -312,7 +312,7 @@ def test_leaf_rank_matches_rank(case):
     M, rows = case
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_bareiss(mp)
-        got = leaf_rank(rows, M.cols)
+        got = leaf_rank(rows, range(M.cols))
     expected = rank(M).rank
     assert got == expected
     assert len(calls) <= 1
@@ -346,6 +346,30 @@ def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
     assert leaf_rank(*sparse([[2], [Fraction(1, 2)]])) == 1
     assert leaf_rank(*sparse([])) == 0 and leaf_rank(*sparse([[], []])) == 0
     assert calls == []
+
+
+def test_leaf_rank_reads_only_its_columns():
+    """Rows as a weight store holds them, out-dicts over vertex labels with
+    entries at labels the leaf does not have: the leaf is the matrix on
+    cols alone, in cols' order.  Half the cases copy row 0 to row 1 on
+    cols only, so they differ only outside cols and the leaf is deficient."""
+    rng = random.Random("leaf-labels")
+    deficient = 0
+    for i in range(60):
+        labels = rng.sample(range(100), 26)
+        cols = labels[: rng.randint(16, 20)]
+        weights = [Fraction(w) for w in (1, -1, 2, "1/2", "-5/3")]
+        rows = [
+            {t: rng.choice(weights) for t in labels if rng.random() < 0.5}
+            for _ in range(rng.randint(16, len(cols)) if i % 2 else rng.randint(16, 20))
+        ]
+        if i % 2:
+            rows[1] = {t: x for t, x in rows[0].items() if t in cols}
+            rows[1].update({t: rng.choice(weights) for t in labels if t not in cols})
+        expected = naive_rank([[row.get(t, 0) for t in cols] for row in rows])
+        assert leaf_rank(rows, cols) == expected
+        deficient += expected < min(len(rows), len(cols))
+    assert deficient >= 30
 
 
 # -- the packed mod-p kernel against the list-of-lists reference --------------
@@ -389,15 +413,120 @@ def test_packed_mod_p_kernel_matches_reference(a):
     assert a == before
 
 
+def residue_sweep():
+    """About 100 seeded residue matrices of order 16-60: full-rank square
+    ones, dense and sparse; ones with duplicated rows (copies and multiples
+    mod P); and rectangular ones with up to 5 rows or columns to spare."""
+    rng = random.Random("mod-p-sweep")
+    out = []
+    for i in range(100):
+        n = rng.randint(16, 60)
+        rows, cols = n, n
+        if i % 4 == 3:
+            rows, cols = (n, n + rng.randint(1, 5)) if i % 8 == 3 else (n + rng.randint(1, 5), n)
+        density = rng.choice((0.1, 0.3, 1.0))
+        a = [
+            [rng.choice((rng.randrange(P), 1, P - 1)) if rng.random() < density else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if i % 4 == 2:
+            for _ in range(rng.randint(1, 4)):
+                src, dst = rng.sample(range(rows), 2)
+                m = rng.choice((1, P - 1, rng.randrange(1, P)))
+                a[dst] = [x * m % P for x in a[src]]
+        out.append(a)
+    return out
+
+
+def test_packed_mod_p_kernel_matches_reference_on_large_matrices():
+    """Hypothesis draws at most 8 x 8; these run the folded pivot rows over
+    many more steps.  Full rank is found exactly when the reference finds
+    it, and a deficient matrix never gets more pivots than it has."""
+    full = deficient = 0
+    for a in residue_sweep():
+        check_against_reference(a)
+        if rank_mod_p_reference(a, P) == min(len(a), len(a[0])):
+            full += 1
+        else:
+            deficient += 1
+    assert full >= 50 and deficient >= 20
+
+
+def test_fold_constant_is_two_to_the_15_minus_p():
+    """The fold relies on 2**15 = P + 19: a new prime needs a new constant."""
+    assert linalg._FOLD == 2**15 - P
+
+
+# The field widths at 1, 255, 256 and 1025 rows: 32 + rows.bit_length()
+# bits rounded up to whole bytes.
+@pytest.mark.parametrize("rows, w", [(1, 40), (255, 40), (256, 48), (1025, 48)])
+def test_fold_brings_every_field_below_2_16_and_keeps_its_residue(rows, w):
+    """Fields of any value below 2**w, all 2**w - 1 among them, come out of
+    the pivot row's folds below 2**16 and congruent mod P; times the
+    largest inverse, P - 1, two more folds take them below 2**16 again.
+    No fold carries into the next field."""
+    assert (32 + rows.bit_length() + 7) // 8 * 8 == w
+    k = 9
+    hi, lo, folds = linalg._fold_masks(w, k)
+    rng = random.Random(f"fold:{rows}")
+    cases = [[(1 << w) - 1] * k, [0] * k]
+    cases += [[rng.randrange(1 << rng.randint(1, w)) for _ in range(k)] for _ in range(300)]
+
+    def fields(x):
+        assert x >> (w * k) == 0
+        return [(x >> (w * i)) & ((1 << w) - 1) for i in range(k)]
+
+    for case in cases:
+        x = sum(f << (w * i) for i, f in enumerate(case))
+        once = fields(linalg._fold(x, hi, lo, folds))
+        assert all(g < 2**16 and (g - f) % P == 0 for f, g in zip(case, once))
+        y = sum(f * (P - 1) << (w * i) for i, f in enumerate(once))
+        twice = fields(linalg._fold(y, hi, lo, 2))
+        assert all(g < 2**16 and (g - f * (P - 1)) % P == 0 for f, g in zip(once, twice))
+
+
+def inverse_heavy(n):
+    """Rows of L * U mod P for L unit lower triangular with -1 below the
+    diagonal and U upper triangular with -1 on and above it, in n - 1 rows
+    of n columns, then the sum of the last two as row n: rank n - 1.  Every
+    pivot is -1 and so is every other field of its row, so the pivot's
+    inverse is P - 1, its folded fields times that come near 2**30, and
+    every multiplier is 1 or 2."""
+    a = [[(i - 1) % P if j >= i else (j + 1) % P for j in range(n)] for i in range(n - 1)]
+    a.append([(x + y) % P for x, y in zip(a[-1], a[-2])])
+    return a
+
+
+def test_every_fold_of_the_kernel_ends_below_2_16(monkeypatch):
+    """Each `_fold` call `_rank_mod_p` makes, on the pivot row before and
+    after the multiply by its inverse, returns fields all below 2**16."""
+    real, results = linalg._fold, []
+
+    def checked(x, hi, lo, folds):
+        y = real(x, hi, lo, folds)
+        results.append(y & ~(lo // 0x7FFF * 0xFFFF) == 0)
+        return y
+
+    monkeypatch.setattr(linalg, "_fold", checked)
+    for n in (16, 60, 255, 256):
+        assert linalg._rank_mod_p(inverse_heavy(n)) == n - 1
+    assert rank_mod_p_reference(inverse_heavy(60), P) == 59
+    for a in residue_sweep()[:20]:
+        linalg._rank_mod_p(a)
+    assert len(results) > 1000 and all(results)
+
+
 def worst_carry(rows, cols):
     """Row i holds 1 - j in columns j <= i and -1 - i after, in all columns
     but the last, which repeats column 0 (all ones); the last row is the
     sum of the two before it.  At every step the pivot is the next row,
-    its normalised fields are all P - 1 but the last, and every other row
-    but the last has residue 1 under it, so it takes the largest
-    multiplier, P - 1, and grows each field by (P - 1)**2.  For rows >=
-    cols the rank is cols - 1: a carry into a higher field turns into a
-    pivot the last column or the last row should not have."""
+    every other row but the last has residue 1 under it, so it takes the
+    largest multiplier, P - 1, and each of its fields grows by P - 1 times
+    the pivot's folded field, which is below 2**16 (P - 1 itself here, so
+    the growth is (P - 1)**2).  For rows >= cols the rank is cols - 1: a
+    carry into a higher field turns into a pivot the last column or the
+    last row should not have."""
     a = [
         [(1 - j) % P if j <= i else (-1 - i) % P for j in range(cols - 1)] + [1]
         for i in range(rows)
@@ -407,8 +536,9 @@ def worst_carry(rows, cols):
 
 
 # Fields are 32 + rows.bit_length() bits rounded up to bytes: 5 bytes for
-# 255 rows, 6 from 256 rows on (1025 rows: 43 bits).  The square case gives
-# a row one addition per column but the last.
+# 255 rows, 6 from 256 rows on (1025 rows: 43 bits).  Each addition is
+# below P * 2**16 < 2**31.  The square case gives a row one addition per
+# column but the last.
 @pytest.mark.parametrize(
     "rows, cols", [(255, 24), (256, 24), (1025, 24), (2000, 24), (160, 160)]
 )
