@@ -212,7 +212,8 @@ def is_r2_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
 
 def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
     """Every cut-vertex has at least one incident r2-block (vacuous if none)."""
-    d = d or decompose(G)
+    if d is None:
+        d = decompose(G)
     r2 = [is_r2_block(G, d, i) for i in range(d.block_count)]
     return all(
         any(r2[i] for i in d.membership[v]) for v in d.cut_vertices
@@ -227,7 +228,8 @@ def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
 
 def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
     """All blocks, or all but one, are r0-blocks."""
-    d = d or decompose(G)
+    if d is None:
+        d = decompose(G)
     return _r0_but_one(not is_r0_block(G, d, b) for b in range(d.block_count))
 
 
@@ -241,7 +243,8 @@ def _r0_but_one(fails: Iterator[bool]) -> bool:
 
 def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
-    d = d or decompose(G)
+    if d is None:
+        d = decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_r2_digraph expects a connected digraph")
     if not is_r2_digraph(G, d):
@@ -255,7 +258,8 @@ def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> 
 def rank_mdt(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """Per-block variant: needs every breve nonempty and every block to
     satisfy r(B_i) = r(breve B_i) + 2 * (cut-vertices in B_i)."""
-    d = d or decompose(G)
+    if d is None:
+        d = decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_mdt expects a connected digraph")
     total = 2 * len(d.cut_vertices)
@@ -431,7 +435,8 @@ def check_lemma_2rin(
 
 def rank_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of block ranks, for r0-digraphs without cut-vertex loops."""
-    d = d or decompose(G)
+    if d is None:
+        d = decompose(G)
     if not G.is_connected():
         raise PreconditionViolated("rank_r0_digraph expects a connected digraph")
     if not is_r0_digraph(G, d):

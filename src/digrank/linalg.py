@@ -20,10 +20,10 @@ Bareiss, as it does one with a denominator p divides.  No floating point.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -191,8 +191,6 @@ def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
 _P = 32749
 _FOLD = 19
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
 
 def _fold_masks(w: int, k: int) -> tuple[int, int, int]:
     """(hi, lo, folds) for k fields of w bits: the low w - 15 and the low 15
@@ -244,12 +242,8 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     w = 8 * nb
     mask = (1 << w) - 1
     hi, lo, folds = _fold_masks(w, ncols)
-    h = array("H")  # the residues as 16-bit words, spread to nb-byte fields
-    for row in a:
-        h.fromlist(row)
-    if _BIG_ENDIAN:
-        h.byteswap()
-    h = h.tobytes()
+    # each residue's two little-endian bytes open its nb-byte field
+    h = struct.pack(f"<{nrows * ncols}H", *chain.from_iterable(a))
     flat = bytearray(nrows * ncols * nb)
     flat[0::nb], flat[1::nb] = h[0::2], h[1::2]
     rb = ncols * nb
@@ -309,13 +303,14 @@ def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
     Every entry a/b whose denominator _P does not divide lies in Z_(p), and
     reduction mod _P is a ring map from Z_(p) onto F_p that takes each
     minor to the same minor of the residues.  So r pivots of one
-    elimination on the residues a * b^-1 mod _P (packed rows, the pivot
-    row folded in place, see `_rank_mod_p`) prove rank >= r, which is the
-    rank when r = min(rows, cols).  Every other matrix goes to
-    `_bareiss` on its rows made dense and scaled by their denominator lcm,
-    as soon as the elimination has too many pivot-less columns for full
-    rank, or at once when _P divides a denominator; so a prime that divides
-    some minor costs time, never a wrong rank.
+    elimination on the residues a * b^-1 mod _P (`_rank_mod_p`: packed
+    rows, each pivot row folded in place so an update adds below
+    _P * 2**16 to a field) prove rank >= r, which is the rank when
+    r = min(rows, cols).  Every other matrix goes to `_bareiss` on its rows
+    made dense and scaled by their denominator lcm, as soon as the
+    elimination has too many pivot-less columns for full rank, or at once
+    when _P divides a denominator; so a prime that divides some minor costs
+    time, never a wrong rank.
     """
     pos = {t: j for j, t in enumerate(cols)}
     residues = _residue_rows(rows, pos)
