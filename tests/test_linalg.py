@@ -414,7 +414,7 @@ def test_packed_mod_p_kernel_matches_reference(a):
 
 
 def residue_sweep():
-    """About 100 seeded residue matrices of order 16-60: full-rank square
+    """100 seeded residue matrices of order 16-60: full-rank square
     ones, dense and sparse; ones with duplicated rows (copies and multiples
     mod P); and rectangular ones with up to 5 rows or columns to spare."""
     rng = random.Random("mod-p-sweep")
