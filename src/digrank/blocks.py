@@ -27,19 +27,21 @@ class BlockDecomposition:
     - cut_vertices: vertices lying in >= 2 blocks
     - membership[v]: sorted indices of the blocks containing v
     - pendant[i]: block i contains at most one cut-vertex
+    - block_cuts[i]: the cut-vertices of block i, in increasing order
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: frozenset[int]
     membership: tuple[tuple[int, ...], ...]
     pendant: tuple[bool, ...]
+    block_cuts: tuple[tuple[int, ...], ...]
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
     def cuts_in_block(self, i: int) -> tuple[int, ...]:
-        return tuple(v for v in self.blocks[i] if v in self.cut_vertices)
+        return self.block_cuts[i]
 
 
 def decompose(G: WeightedDigraph) -> BlockDecomposition:
@@ -95,12 +97,13 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
         for v in blk:
             member[v].append(i)
     cuts = frozenset(v for v in range(n) if len(member[v]) >= 2)
-    pendant = tuple(sum(1 for v in blk if v in cuts) <= 1 for blk in blocks)
+    block_cuts = tuple(tuple(v for v in blk if v in cuts) for blk in blocks)
     return BlockDecomposition(
         blocks=tuple(blocks),
         cut_vertices=cuts,
         membership=tuple(tuple(m) for m in member),
-        pendant=pendant,
+        pendant=tuple(len(c) <= 1 for c in block_cuts),
+        block_cuts=block_cuts,
     )
 
 

@@ -21,13 +21,17 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   or v had already lost its row or column to an earlier peel).
 - R2_DIGRAPH: every cut-vertex has an incident block whose rank drops by
   exactly 2 when the cut-vertex is removed; r(G) = sum r(breve B_i) + 2m.
+  The test visits a cut-vertex's blocks smallest first: a pendant edge
+  settles it with a 1x1 peel.
   The summands breve B_i (block i minus G's cut-vertices) together make up
   the component minus its cut-vertices.  That is cut from the rank's weight
   store as one copy, in O(its arcs), and decomposed once; each component of
   the copy lies inside one block i, and each summand gets one peel pass
   over the components in its block.
 - R0_DIGRAPH: at most one block fails the all-cuts rank-drop-0 test and
-  no cut-vertex carries a loop; r(G) = sum r(B_i).
+  no cut-vertex carries a loop; r(G) = sum r(B_i).  Its test visits blocks
+  smallest first too; both run before any peel writes W, so order changes
+  no peel.
 - TREE_MATCHING / R2_TREE: closed forms for tree-shaped components.
 - BLOCK_GRAPH_2K / BIBLOCK_GRAPH_2K: family formulas (rank = n, rank = 2k);
   used by the dedicated family operations, never by the engine, so that
@@ -48,7 +52,7 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice
@@ -63,7 +67,7 @@ from .errors import (
     PreconditionViolated,
     VertexOutOfRange,
 )
-from .linalg import RationalMatrix, SchurPeel, _peel_rows, leaf_rank, rank
+from .linalg import RationalMatrix, SchurPeel, _int_row, _peel_rows, leaf_rank, rank
 from .trees import TreeKind, tree_summary
 
 # Bound here, though the engine does not call them, because perfbench's
@@ -163,10 +167,13 @@ def render_certificate(cert: RankCertificate) -> str:
 def _cut_peel(W, rows: list, cols: list, v: int) -> SchurPeel:
     """schur_peel(0, x, y, B) for B the matrix on rows x cols and x, y v's
     row and column there, read from W (W[u][t] the weight of u -> t): loop
-    0, so its residue is -x.d, and v's loop is added by the caller."""
+    0, so its residue is -x.d, and v's loop is added by the caller.  The
+    rows [B | y] and [x, 0] are scaled integers read by one lookup per
+    label of the peel (`_int_row`): arcs into other blocks cost nothing."""
+    border, scale = _int_row(W[v], cols)
+    border.append(0)
     ext = cols + [v]
-    x = [W[v].get(t, _ZERO) for t in cols] + [_ZERO]
-    return _peel_rows([[W[u].get(t, _ZERO) for t in ext] for u in rows], x)
+    return _peel_rows([_int_row(W[u], ext)[0] for u in rows], border, scale)
 
 
 def _block_rows(G: WeightedDigraph, blk: Sequence[int]) -> dict:
@@ -717,7 +724,7 @@ def _component_rule(
         W += G.out_rows()
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
-        if all(any(_r2_block(W, d, peels, b) for b in d.membership[v]) for v in cuts):
+        if all(any(_r2_block(W, d, peels, b) for b in _by_size(d, d.membership[v])) for v in cuts):
             # The summands make up the component minus its cuts: one copy, each
             # of whose components lies in the one block of any of its vertices.
             labels = sorted(u for b in blocks for u in d.blocks[b] if u not in cuts)
@@ -731,7 +738,7 @@ def _component_rule(
             )
             m = len(cuts)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
-        fails = (not _r0_block(W, d, peels, b) for b in blocks)
+        fails = (not _r0_block(W, d, peels, b) for b in _by_size(d, blocks))
         if not any(G.has_loop(v) for v in cuts) and _r0_but_one(fails):
             # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
             children = tuple(
@@ -741,9 +748,16 @@ def _component_rule(
     return _peel_pass(W, d, order, peels)
 
 
+def _by_size(d: BlockDecomposition, bs: Sequence[int]) -> list[int]:
+    """The blocks bs of d, smallest first; ties keep their order."""
+    return sorted(bs, key=lambda b: len(d.blocks[b]))
+
+
 def _summand(d: BlockDecomposition, b: int, node: CertNode) -> CertNode:
     """node as the sum-rule summand of block b of d."""
-    return replace(node, block_index=b, block_vertices=d.blocks[b])
+    return CertNode(
+        node.rule, node.contributed, node.children, b, d.blocks[b], node.cut_vertex, node.note
+    )
 
 
 def _copy(W: list, labels: Sequence[int]) -> tuple[WeightedDigraph, list]:

@@ -124,16 +124,25 @@ class RankResult:
     pivot_columns: tuple[int, ...]
 
 
-def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
+def _scaled(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Each pair (n, d) as the integer n * (m // d), m the lcm of the ds; and m."""
     scale = 1
-    for x in row:
-        d = x.denominator
+    for _, d in ratios:
         if d != 1:
             scale = lcm(scale, d)
     if scale == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+        return [n for n, _ in ratios], 1
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    return _scaled([x.as_integer_ratio() for x in row])
+
+
+def _int_row(out: dict, labels: Sequence) -> tuple[list[int], int]:
+    """`_scaled_int_row` of [out.get(t, 0) for t in labels], one lookup each."""
+    return _scaled([out[t].as_integer_ratio() if t in out else (0, 1) for t in labels])
 
 
 def _scaled_int_rows(M: RationalMatrix) -> list[list[int]]:
@@ -374,30 +383,29 @@ class SchurPeel:
 
 
 def schur_peel(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> SchurPeel:
-    """Decide the border (alpha, x, y) of B: check the shapes, then
-    `_peel_rows`, which callers holding Fraction rows call directly."""
+    """Decide the border (alpha, x, y) of B: check the shapes, scale each
+    row of [B | y] and [x, alpha] to integers and hand them to `_peel_rows`."""
     x, y = vector(x), vector(y)
     if len(x) != B.cols or len(y) != B.rows:
         raise DimensionMismatch(f"border {len(x)}, {len(y)} vs {B.rows}x{B.cols} B")
-    return _peel_rows([B._data[i] + (y[i],) for i in range(B.rows)], x + (_frac(alpha),))
+    a = [_scaled_int_row(B._data[i] + (y[i],))[0] for i in range(B.rows)]
+    return _peel_rows(a, *_scaled_int_row(x + (_frac(alpha),)))
 
 
-def _peel_rows(rows: Sequence[Sequence[Fraction]], last: Sequence[Fraction]) -> SchurPeel:
-    """`schur_peel` on Fraction rows: rows are [B | y], last is [x, alpha].
+def _peel_rows(a: list[list[int]], border: list[int], scale: int) -> SchurPeel:
+    """`schur_peel` on integer rows: a holds the rows of [B | y], each
+    times any nonzero factor, and border is [x, alpha] times scale.
 
-    Each row is scaled to integers (the rows themselves are not touched)
-    and `_bareiss` eliminates all of them with pivots in B only.  x lies in
-    B's row space when the x row's B part ends up zero, y in its column
-    space when the rows of B past its rank end up with zero y entries.  The
-    x row's last entry is the pivot minor bordered by x and y (Sylvester's
-    identity); over the last pivot and the x row's scale it is alpha - x.d,
-    d the witness of `in_column_space(y, B)`.
+    `_bareiss` eliminates all of them, border appended to a, with pivots in
+    B only.  x lies in B's row space when the border's B part ends up zero,
+    y in its column space when the rows of B past its rank end up with zero
+    y entries.  The border's last entry is the pivot minor bordered by x
+    and y (Sylvester's identity); over the last pivot and scale it is
+    alpha - x.d, d the witness of `in_column_space(y, B)`.
     """
-    n = len(last) - 1
-    a = [_scaled_int_row(row)[0] for row in rows]
-    border, scale = _scaled_int_row(last)
+    n = len(border) - 1
     a.append(border)
-    pivots = _bareiss(a, len(rows), n)
+    pivots = _bareiss(a, len(a) - 1, n)
     r = len(pivots)
     x_in = not any(border[:n])
     y_in = not any(row[n] for row in a[r:-1])

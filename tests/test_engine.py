@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digrank import (
     CutVertexCase,
@@ -56,6 +58,7 @@ from digrank import engine, linalg
 from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
+from digrank.linalg import RationalMatrix, schur_peel
 from oracles import naive_rank, rank_of_digraph
 
 
@@ -661,12 +664,14 @@ def test_every_copy_is_cut_from_the_store(monkeypatch):
 
 
 def test_r0_sum_rule_stops_at_the_second_failing_block(monkeypatch):
-    """The sum rule needs all blocks but one to be r0, so its test stops at
-    the second block that fails; the r2 rule is tried first and fails."""
+    """The sum rule needs all blocks but one to be r0, so its test visits
+    the blocks in (size, index) order and stops at the second block that
+    fails; the r2 rule is tried first and fails."""
     G = glued_blocks(random.Random("r0:0"), 30)
     G = build(G.n, [(u, v, w) for u, v, w in G.arcs() if u != v])
     d = decompose(G)
-    failing = [b for b in range(d.block_count) if not is_r0_block(G, d, b)]
+    order = sorted(range(d.block_count), key=lambda b: (len(d.blocks[b]), b))
+    failing = [k for k, b in enumerate(order) if not is_r0_block(G, d, b)]
     assert d.block_count == 30 and len(failing) >= 2
     calls = []
     real = engine._r0_block
@@ -674,7 +679,7 @@ def test_r0_sum_rule_stops_at_the_second_failing_block(monkeypatch):
     cert = rank_recursive(G)
     assert cert.root.rule is RuleTag.COMPONENT_SUM
     assert cert.rank == oracle_rank(G)
-    assert calls == list(range(failing[1] + 1))
+    assert calls == order[: failing[1] + 1] and len(calls) < d.block_count
 
 
 def dense_block(n=40, singular=False):
@@ -928,3 +933,98 @@ def test_one_big_elimination_per_rank(monkeypatch, root_in_block):
     assert sum(big) == 1
     monkeypatch.undo()
     assert cert.rank == oracle_rank(G) == 40
+
+
+# -- the cut peel: integer rows read from the weight store ----------------------
+
+# 0 is stored explicitly, as a peel writes a zero residue; 1/32749 and 32749
+# put the mod-p prime into a denominator and a numerator.
+STORE_WEIGHTS = [
+    Fraction(x) for x in (0, 1, -1, 2, 3, "1/2", "-3/7", "5/6", 32749, "1/32749", "5/32749")
+]
+
+
+@st.composite
+def cut_peels(draw):
+    """(W, rows, cols, v): a store over scattered labels, rows and cols
+    drawn from the peel's labels (possibly none), and arcs to labels
+    outside the peel."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
+    v, inside = labels[0], labels[1:]
+    rows = draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+    cols = draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+    targets = st.sampled_from(labels) | st.integers(41, 60)
+    W = {u: draw(st.dictionaries(targets, st.sampled_from(STORE_WEIGHTS))) for u in labels}
+    return W, rows, cols, v
+
+
+def dense_schur_peel(W, rows, cols, v):
+    x = [W[v].get(t, 0) for t in cols]
+    y = [W[u].get(v, 0) for u in rows]
+    B = RationalMatrix([[W[u].get(t, 0) for t in cols] for u in rows], cols=len(cols))
+    return schur_peel(0, x, y, B)
+
+
+@given(cut_peels())
+@example(({0: {0: Fraction(2), 50: Fraction(1)}}, [], [], 0))  # |B| = 0
+@example(
+    (
+        {
+            0: {0: Fraction(0), 1: Fraction(1, 32749), 50: Fraction(3)},
+            1: {0: Fraction(2), 1: Fraction(0), 2: Fraction(-1)},
+        },
+        [1],
+        [1],
+        0,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cut_peel_matches_schur_peel_on_the_dense_matrices(peel):
+    W, rows, cols, v = peel
+    got = engine._cut_peel(W, rows, cols, v)
+    want = dense_schur_peel(W, rows, cols, v)
+    assert (got.rank, got.x_in, got.y_in, got.residue, got.delta) == (
+        want.rank,
+        want.x_in,
+        want.y_in,
+        want.residue,
+        want.delta,
+    )
+
+
+class UnwalkedRow(dict):
+    """An out-dict that may be looked up but never iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the peel walked a row of the store")
+
+    items = keys = values = __iter__
+
+
+def test_cut_peel_never_walks_the_cut_vertex_row():
+    """A cut-vertex's out-dict holds its arcs into every block at it; the
+    peel reads only the labels of its own block."""
+    v, rest = 0, [1, 2, 3]
+    hub = {t: Fraction(1, t) for t in range(4, 10_004)}
+    hub.update({1: Fraction(1), 3: Fraction(-2, 3)})
+    W = {v: hub, 1: {2: Fraction(1), 0: Fraction(1)}, 2: {3: Fraction(1)}, 3: {1: Fraction(1)}}
+    W = {u: UnwalkedRow(row) for u, row in W.items()}
+    assert engine._cut_peel(W, rest, rest, v) == dense_schur_peel(W, rest, rest, v)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_r2_test_settles_each_cut_with_its_pendant_edge(monkeypatch, seed):
+    """In an r2-block-graph each cut-vertex has one pendant edge and its
+    other blocks are complete.  The r2 test visits a cut's blocks smallest
+    first, so every peel is the pendant edge's 1x1, one per cut-vertex."""
+    G = gen(GenSpec("r2-block-graph", n=40, seed=seed))
+    d = decompose(G)
+    sizes = []
+    real = engine._cut_peel
+    monkeypatch.setattr(
+        engine, "_cut_peel", lambda W, rows, cols, v: sizes.append(len(rows)) or real(W, rows, cols, v)
+    )
+    cert = rank_recursive(G)
+    assert cert.root.rule is RuleTag.R2_DIGRAPH
+    assert cert.rank == oracle_rank(G) == G.n
+    assert len(d.cut_vertices) >= 3 and sizes == [1] * len(d.cut_vertices)
