@@ -2,13 +2,14 @@
 
 Blocks (maximal subgraphs without a cut-vertex, i.e. biconnected components
 plus bridges and isolated vertices) are found with one iterative Tarjan DFS
-over the underlying simple graph; loops and arc directions are irrelevant
-here.  The DFS pushes each vertex on a stack when it discovers it.  When a
-child v of u closes with low[v] >= disc[u], the vertices pushed since v,
-plus u, form a block, and they are popped.  A vertex is a cut-vertex exactly
-when it lies in two or more blocks, so the cut-vertices and the pendant flags
-are read from block membership after the DFS; the tests cross-check them
-against networkx and a brute-force removal count.  Each block and the block
+over the underlying graph's neighbour lists, built in one pass over the
+arcs; loops and arc directions are irrelevant here.  The DFS pushes each
+vertex on a stack when it discovers it.  When a child v of u closes with
+low[v] >= disc[u], the vertices pushed since v, plus u, form a block, and
+they are popped.  A vertex is a cut-vertex exactly when it lies in two or
+more blocks, so the cut-vertices and the pendant flags are read from block
+membership after the DFS; the tests cross-check them against networkx and
+a brute-force removal count.  Each block and the block
 list are sorted, so the result does not depend on the DFS order.
 """
 
@@ -47,7 +48,13 @@ class BlockDecomposition:
 def decompose(G: WeightedDigraph) -> BlockDecomposition:
     """Blocks and cut-vertices of G's underlying simple graph."""
     n = G.n
-    adj = G.underlying_adjacency()
+    # Neighbour lists from one pass over the arcs: an edge with arcs both
+    # ways is listed twice, which the DFS reads as a parallel edge.
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in G._arcs:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
     disc = [0] * n  # 0 = unvisited, else 1 + discovery index
     low = [0] * n
     blocks: list[tuple[int, ...]] = []
@@ -72,9 +79,9 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
                     vstack.append(w)
                     stack.append((w, iter(adj[w])))
                     break
-                # w may be v's parent u: the graph is simple, so that edge
-                # lowers low[v] at most to disc[u] and leaves the test
-                # low[v] >= disc[u] below as it is.
+                # w may be v's parent u, once per arc between them: each
+                # such entry lowers low[v] at most to disc[u] and leaves the
+                # test low[v] >= disc[u] below as it is.
                 if disc[w] < low[v]:
                     low[v] = disc[w]
             else:

@@ -31,20 +31,25 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
 - R0_DIGRAPH: at most one block fails the all-cuts rank-drop-0 test and
   no cut-vertex carries a loop; r(G) = sum r(B_i).  Its test visits blocks
   smallest first too; both run before any peel writes W, so order changes
-  no peel.
+  no peel.  When the rule fires, the test has peeled every block B_i at
+  its first cut-vertex with loop 0, which is that vertex's loop, so
+  r(B_i) is that peel's rank + delta: no summand is ranked again.
 - TREE_MATCHING / R2_TREE: closed forms for tree-shaped components.
 - BLOCK_GRAPH_2K / BIBLOCK_GRAPH_2K: family formulas (rank = n, rank = 2k);
   used by the dedicated family operations, never by the engine, so that
   block graphs still exercise the peeling rules.
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
   one-block component included), read from the rank's per-vertex weight
-  store, where peels write loop residues.  From order _MOD_P_MIN_ORDER up,
+  store, where peels write loop residues; also an R0_DIGRAPH summand,
+  whose rank comes from its peel.  A leaf with at most one row or column
+  has rank 1 exactly when one of its entries is nonzero (a zero residue a
+  peel wrote counts as zero).  From order _MOD_P_MIN_ORDER up,
   the leaf's rows are the vertices' out-dicts themselves, handed with the
   leaf's columns to `leaf_rank`, which walks them once, O(arcs of the
   block), skipping arcs to other columns and mapping each weight a/b to
   a * b^-1 mod a prime p: the weights lie in Z_(p) and reduction mod p is
   a ring map onto F_p, so full rank mod p proves full rank over Q, and any
-  other leaf goes to dense Bareiss.  Below that order it is dense Bareiss.
+  other leaf goes to dense Bareiss.  Between the two it is dense Bareiss.
 - COMPONENT_SUM: plumbing node summing over connected components, or over
   the flat list of nodes of one peel pass.
 """
@@ -78,13 +83,16 @@ from .trees import classify_tree, max_matching  # noqa: F401
 _ZERO = Fraction(0)
 
 # DIRECT_RANK leaves of this order and up go to `leaf_rank` (mod p, Bareiss
-# when that cannot prove full rank), smaller ones to `rank` (Bareiss).  On
-# full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density 0.3)
-# leaf_rank took 0.76-0.81x the time of `rank` at order 8, 0.41-0.43x at 16
-# and 0.13x at 40 (three runs, best of 5 over 400 or 100 matrices each,
-# CPython 3.11, 2-core VM).  But small leaves are mostly rank-deficient and
-# pay for both: 5,710 of the 8,275 (order <= 10) of perfbench's small-mixed
-# and 2,233 of the 3,416 (order <= 6) of closed-forms, 2.4-2.6x slower.
+# when that cannot prove full rank), those below it from order 2 to `rank`
+# (Bareiss).  On full-rank random digraph matrices (weights 1, -1, 2, 1/2,
+# arc density 0.3) leaf_rank took 0.76-0.81x the time of `rank` at order 8,
+# 0.41-0.43x at 16 and 0.13x at 40 (three runs, best of 5 over 400 or 100
+# matrices each, CPython 3.11, 2-core VM).  But small leaves are often
+# rank-deficient and pay for both: 1,769 of the 3,957 leaves (order 2-10)
+# of a seed-1 pass of perfbench's small-mixed, 186 of the 1,369 (order 2-5)
+# of closed-forms.  Sent to leaf_rank, these workloads' small leaves took
+# 2.4-2.6x as long (measured while leaves of order <= 1 and R0 summands
+# still went to `rank` too).
 _MOD_P_MIN_ORDER = 16
 
 
@@ -659,8 +667,8 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     G's own vertex ids.  Each connected component gets the first rule that
     applies: the closed tree forms; the r2-digraph sum rule, whose summands
     (blocks minus G's cut-vertices) each get one peel pass; the r0-digraph
-    sum rule, whose summands are blocks of G and so are ranked directly;
-    otherwise one peel pass over the component's block-cut tree
+    sum rule, whose summands are blocks of G, each ranked by the peel its
+    test made; otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
     block.  There is one weight store per rank, W = G.out_rows(), which
     peels write loop residues into, and none when a connected G takes a
@@ -740,11 +748,15 @@ def _component_rule(
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
         fails = (not _r0_block(W, d, peels, b) for b in _by_size(d, blocks))
         if not any(G.has_loop(v) for v in cuts) and _r0_but_one(fails):
-            # Block b of G induces one block: its pass is its DIRECT_RANK leaf.
-            children = tuple(
-                _summand(d, b, _peel_pass(W, d, [(b, None)], peels)) for b in blocks
-            )
-            return CertNode(RuleTag.R0_DIGRAPH, 0, children)
+            # The test peeled every block at its first cut, with loop 0, which
+            # is that cut's loop here: r(B_i) = rank + delta of that peel.
+            children = []
+            for b in blocks:
+                p = peels[(b, d.block_cuts[b][0])]
+                blk = d.blocks[b]
+                r = p.rank + p.delta
+                children.append(CertNode(RuleTag.DIRECT_RANK, r, (), b, blk, None, f"n={len(blk)}"))
+            return CertNode(RuleTag.R0_DIGRAPH, 0, tuple(children))
     return _peel_pass(W, d, order, peels)
 
 
@@ -792,7 +804,8 @@ def _peel_pass(
     into W[v][v] even when it is 0.  Each outcome is a row or column
     operation that touches only v's row, column and loop, so the original
     block-cut tree stays a separator tree throughout.  What is left of each
-    root block is ranked directly from W: from order _MOD_P_MIN_ORDER up by
+    root block is ranked directly from W: with at most one row or column by
+    whether an entry is nonzero, from order _MOD_P_MIN_ORDER up by
     `leaf_rank` on the rows' out-dicts themselves and the leaf's columns,
     else by Bareiss on a dense copy.  Peel nodes name block b of d; when
     labels is given, d decomposes a `_copy` whose vertex u is labels[u] of
@@ -806,7 +819,10 @@ def _peel_pass(
         rows = [u for u in blk if u != v and u not in no_row]
         cols = [u for u in blk if u != v and u not in no_col]
         if v is None:
-            if min(len(rows), len(cols)) >= _MOD_P_MIN_ORDER:
+            k = min(len(rows), len(cols))
+            if k <= 1:  # rank 1 exactly when an entry is nonzero
+                r = int(any(W[u].get(t) for u in rows for t in cols))
+            elif k >= _MOD_P_MIN_ORDER:
                 r = leaf_rank([W[u] for u in rows], cols)
             else:
                 leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]

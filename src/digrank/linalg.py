@@ -292,14 +292,15 @@ def _residue_rows(rows: Sequence[dict], pos: dict) -> list[list[int]] | None:
     for row in rows:
         res = [0] * ncols
         for t, x in row.items():
-            if t in pos:
-                b = x.denominator
+            j = pos.get(t)
+            if j is not None:
+                a, b = x.as_integer_ratio()
                 inv = inverse.get(b)
                 if inv is None:
                     if b % p == 0:
                         return None
                     inv = inverse[b] = pow(b, -1, p)
-                res[pos[t]] = x.numerator * inv % p
+                res[j] = a * inv % p
         out.append(res)
     return out
 

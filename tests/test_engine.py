@@ -22,6 +22,7 @@ from digrank import (
     RuleTag,
     WeightedDigraph,
     apply_additions,
+    block_subdigraph,
     build,
     build_genr2,
     check_lemma_2rin,
@@ -835,6 +836,113 @@ def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
     assert leaves == [(*shape, 19, 0)]
     assert render_certificate(cert) == RECTANGULAR_LEAF.format(note)
     assert cert.rank == oracle_rank(G) == 20
+
+
+# -- ranks read without elimination: R0 summands and leaves of order <= 1 -------
+
+
+def count_eliminations(monkeypatch):
+    """A list that gets one entry per call of the engine's `rank` or
+    `leaf_rank`."""
+    calls = []
+    real_rank, real_leaf = engine.rank, engine.leaf_rank
+    monkeypatch.setattr(engine, "rank", lambda *a: calls.append("rank") or real_rank(*a))
+    monkeypatch.setattr(engine, "leaf_rank", lambda *a: calls.append("leaf") or real_leaf(*a))
+    return calls
+
+
+def biblock_with_one_way_pendant():
+    """biblock-graph n=60 with the pendant arc c -> 60 at its lowest
+    cut-vertex c, which carries no loop: the pendant is the one block that
+    fails the r0 test (c's row lies outside the pendant's zero row space)."""
+    G = gen(GenSpec("biblock-graph", n=60, seed=0))
+    c = min(decompose(G).cut_vertices)
+    return G.attach_edge(c, EdgeKind.NC_TILDE_ARC, (2,), toward_new=True)
+
+
+@pytest.mark.parametrize(
+    "make, failing",
+    [(lambda: gen(GenSpec("biblock-graph", n=60, seed=0)), 0), (biblock_with_one_way_pendant, 1)],
+    ids=["all-r0", "one-non-r0"],
+)
+def test_r0_summands_take_their_rank_from_the_test_peels(monkeypatch, make, failing):
+    """Every R0 summand's rank is rank + delta of the peel the r0 test made
+    at its block's first cut-vertex, so the rule ranks no block again."""
+    G = make()
+    d = decompose(G)
+    assert sum(not is_r0_block(G, d, b) for b in range(d.block_count)) == failing
+    calls = count_eliminations(monkeypatch)
+    cert = rank_recursive(G)
+    assert calls == []
+    monkeypatch.undo()
+    assert cert.root.rule is RuleTag.R0_DIGRAPH
+    assert [c.block_index for c in cert.root.children] == list(range(d.block_count))
+    for child in cert.root.children:
+        b = child.block_index
+        assert child.rule is RuleTag.DIRECT_RANK and child.block_vertices == d.blocks[b]
+        assert child.contributed == oracle_rank(block_subdigraph(G, d, b))
+    assert cert.rank == oracle_rank(G)
+
+
+def unit_biarcs(*edges):
+    return [(u, v, 1) for a, b in edges for u, v in [(a, b), (b, a)]]
+
+
+THIN_LEAVES = {
+    # the root triangle 0-1-2 loses the rows of 1 and 2: a 1 x 3 leaf
+    "1x3": (unit_biarcs((0, 1), (1, 2), (2, 0)) + [(1, 3, 1), (2, 4, 1)], "out-row deleted", 1),
+    # ... or their columns: a 3 x 1 leaf
+    "3x1": (unit_biarcs((0, 1), (1, 2), (2, 0)) + [(3, 1, 1), (4, 2, 1)], "in-column deleted", 1),
+    # every row of the root triangle goes: a 0 x 3 leaf
+    "0x3": (
+        unit_biarcs((0, 1), (1, 2), (2, 0)) + [(0, 3, 1), (1, 4, 1), (2, 5, 1)],
+        "out-row deleted",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", THIN_LEAVES)
+def test_leaves_with_at_most_one_row_or_column_need_no_elimination(monkeypatch, case):
+    """Each pendant hangs by one arc, so its peel deletes its cut-vertex's
+    row or column; with two pendants or more, more than one block fails
+    the r0 test and the component takes the peel pass.  What is left of
+    the root block has at most one row or column, so its rank is 1 exactly
+    when one of its entries is nonzero."""
+    arcs, note, leaf = THIN_LEAVES[case]
+    G = build(max(max(u, v) for u, v, _ in arcs) + 1, arcs)
+    calls = count_eliminations(monkeypatch)
+    cert = rank_recursive(G)
+    assert calls == []
+    monkeypatch.undo()
+    *peels, root = cert.root.children
+    assert all(p.rule is RuleTag.CASE_III_PEEL and p.note == note for p in peels)
+    assert root.rule is RuleTag.DIRECT_RANK and root.contributed == leaf
+    assert cert.rank == oracle_rank(G) == len(peels) + leaf
+
+
+ZERO_RESIDUE_LEAF = """\
+ComponentSum contributes=0
+  CaseIIIPeel block=1 v=0 contributes=1 [0,3] (out-row deleted)
+  R0Peel block=2 v=1 contributes=1 [1,2]
+  DirectRank contributes=0 (n=2)
+"""
+
+
+def test_one_row_leaf_counts_a_zero_residue_as_zero(monkeypatch):
+    """The root edge is the one arc 0 -> 1.  The pendant arc 0 -> 3 deletes
+    0's row, and the looped pendant 2 (loop 1, bi-arc 1) turns 1's loop 1
+    into the residue 1 - 1 * 1 * 1 = Fraction(0), which the peel writes
+    into W.  The leaf is 1's row over the columns 0 and 1: no arc 1 -> 0
+    and that stored zero, so it has rank 0; a leaf that counted stored
+    entries would come out one over."""
+    G = build(4, [(0, 1, 3), (0, 3, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)])
+    calls = count_eliminations(monkeypatch)
+    cert = rank_recursive(G)
+    assert calls == []
+    monkeypatch.undo()
+    assert render_certificate(cert) == ZERO_RESIDUE_LEAF
+    assert cert.rank == oracle_rank(G) == 2
 
 
 # -- one peel per (block, cut), shared by the sum-rule tests and the pass ------
