@@ -94,7 +94,8 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
                         block = [u]
                         while block[-1] != v:
                             block.append(vstack.pop())
-                        blocks.append(tuple(sorted(block)))
+                        block.sort()
+                        blocks.append(tuple(block))
         if vstack != [root]:
             raise InternalMismatch("vertex stack must end as [root] after each DFS")
 
@@ -103,12 +104,12 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
     for i, blk in enumerate(blocks):
         for v in blk:
             member[v].append(i)
-    cuts = frozenset(v for v in range(n) if len(member[v]) >= 2)
-    block_cuts = tuple(tuple(v for v in blk if v in cuts) for blk in blocks)
+    cuts = frozenset(v for v, k in enumerate(map(len, member)) if k >= 2)
+    block_cuts = tuple(tuple(filter(cuts.__contains__, blk)) for blk in blocks)
     return BlockDecomposition(
         blocks=tuple(blocks),
         cut_vertices=cuts,
-        membership=tuple(tuple(m) for m in member),
+        membership=tuple(map(tuple, member)),
         pendant=tuple(len(c) <= 1 for c in block_cuts),
         block_cuts=block_cuts,
     )

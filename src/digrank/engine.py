@@ -663,30 +663,36 @@ def rank_r0_biblock_graph(G: WeightedDigraph) -> RankCertificate:
 def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertificate:
     """Structural rank with a certificate, computed without recursion.
 
-    G is decomposed once, and every rule reads that one decomposition in
-    G's own vertex ids.  Each connected component gets the first rule that
-    applies: the closed tree forms; the r2-digraph sum rule, whose summands
-    (blocks minus G's cut-vertices) each get one peel pass; the r0-digraph
-    sum rule, whose summands are blocks of G, each ranked by the peel its
-    test made; otherwise one peel pass over the component's block-cut tree
+    A connected G that takes a closed tree form (a loopless bi-arc tree or
+    an r2-tree) is ranked from its matching number and looped leaves
+    alone: it is never decomposed, and no weight store is built.
+    `tree_summary` turns any other graph away in one walk over its arcs
+    at most.  Every other G is decomposed once, and every rule reads that
+    one decomposition in G's own vertex ids.  Each connected component
+    gets the first rule that applies: the closed tree forms, when G has
+    other components; the r2-digraph sum rule, whose summands (blocks
+    minus G's cut-vertices) each get one peel pass; the r0-digraph sum
+    rule, whose summands are blocks of G, each ranked by the peel its test
+    made; otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
-    block.  There is one weight store per rank, W = G.out_rows(), which
-    peels write loop residues into, and none when a connected G takes a
-    tree form.  The only copies are cut from it by `_copy`: a tree
-    component of a disconnected G, and an r2 component minus its
-    cut-vertices, which is decomposed once for all its summands.  The peel
-    of a block of G at a cut-vertex is computed once, with loop 0, and
-    shared by the r2 test, the r0 test and the peel pass.  The certificate
-    is at most four levels deep.  A node's block_index is the position of
-    its vertices in decompose(G), None when they are not a block of G.
-    With oracle_check=True the final value is compared against the dense
-    oracle and InternalMismatch is raised on disagreement.
+    block.  There is then one weight store per rank, W = G.out_rows(),
+    which peels write loop residues into.  The only copies are cut from it
+    by `_copy`: a tree component of a disconnected G, and an r2 component
+    minus its cut-vertices, which is decomposed once for all its summands.
+    The peel of a block of G at a cut-vertex is computed once, with loop 0,
+    and shared by the r2 test, the r0 test and the peel pass.  The
+    certificate is at most four levels deep.  A node's block_index is the
+    position of its vertices in decompose(G), None when they are not a
+    block of G.  With oracle_check=True the final value, from either exit,
+    is compared against the dense oracle and InternalMismatch is raised on
+    disagreement.
     """
-    d = decompose(G)
-    orders = _leaves_first(d)
-    W = G.out_rows() if len(orders) > 1 else []
-    peels: dict[tuple[int, int], SchurPeel] = {}
-    root = _sum_node([_component_rule(G, d, o, W, peels) for o in orders])
+    root = _tree_node(G)
+    if root is None:
+        d = decompose(G)
+        W = G.out_rows()
+        peels: dict[tuple[int, int], SchurPeel] = {}
+        root = _sum_node([_component_rule(G, d, o, W, peels) for o in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)
@@ -706,6 +712,17 @@ def _sum_node(nodes: list[CertNode]) -> CertNode:
     return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(nodes))
 
 
+def _tree_node(T: WeightedDigraph) -> CertNode | None:
+    """The closed-form node of T when it is a loopless bi-arc tree or an
+    r2-tree, else None."""
+    kind, q, s = tree_summary(T)
+    if kind is TreeKind.LOOPLESS_BI_ARC:
+        return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
+    if kind is TreeKind.R2_TREE:
+        return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
+    return None
+
+
 def _component_rule(
     G: WeightedDigraph, d: BlockDecomposition, order: list, W: list, peels: dict
 ) -> CertNode:
@@ -714,22 +731,17 @@ def _component_rule(
 
     The parent cuts are the component's cut-vertices.  It is tree-shaped
     when every block has at most two vertices; only then are the tree
-    forms tried, on G itself when G is this one component (W is then
-    still empty), else on a `_copy` from W.
+    forms tried, on a `_copy` from W, and only when G has other vertices:
+    `rank_recursive` has tried them on G itself.
     """
     blocks = sorted(b for b, _ in order)
     cuts = {v for _, v in order if v is not None}
     if all(len(d.blocks[b]) <= 2 for b in blocks):
-        vertices = {u for b in blocks for u in d.blocks[b]}
-        T = G if len(vertices) == G.n else _copy(W, sorted(vertices))[0]
-        kind, q, s = tree_summary(T)
-        if kind is TreeKind.LOOPLESS_BI_ARC:
-            return CertNode(RuleTag.TREE_MATCHING, 2 * q, note=f"q={q}")
-        if kind is TreeKind.R2_TREE:
-            return CertNode(RuleTag.R2_TREE, 2 * q + s, note=f"q={q} s={s}")
+        vertices = sorted({u for b in blocks for u in d.blocks[b]})
+        node = _tree_node(_copy(W, vertices)[0]) if len(vertices) < G.n else None
+        if node is not None:
+            return node
 
-    if not W:  # G is this one component, and no tree form fired
-        W += G.out_rows()
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
         if all(any(_r2_block(W, d, peels, b) for b in _by_size(d, d.membership[v])) for v in cuts):

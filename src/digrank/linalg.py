@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InternalMismatch
 
@@ -372,8 +372,7 @@ def in_row_space(v: Sequence, M: RationalMatrix) -> tuple[bool, Vector | None]:
     return in_column_space(v, M.transpose())
 
 
-@dataclass(frozen=True)
-class SchurPeel:
+class SchurPeel(NamedTuple):
     """What a border row x, column y and corner alpha add to B's rank."""
 
     rank: int  # r(B)
@@ -402,20 +401,19 @@ def _peel_rows(a: list[list[int]], border: list[int], scale: int) -> SchurPeel:
     y in its column space when the rows of B past its rank end up with zero
     y entries.  The border's last entry is the pivot minor bordered by x
     and y (Sylvester's identity); over the last pivot and scale it is
-    alpha - x.d, d the witness of `in_column_space(y, B)`.
+    alpha - x.d, d the witness of `in_column_space(y, B)`, so it is zero
+    exactly when the residue is.
     """
     n = len(border) - 1
     a.append(border)
     pivots = _bareiss(a, len(a) - 1, n)
     r = len(pivots)
     x_in = not any(border[:n])
-    y_in = not any(row[n] for row in a[r:-1])
-    residue = None
-    if y_in:
-        prev = a[r - 1][pivots[-1]] if r else 1
-        residue = Fraction(border[n], prev * scale)
-    delta = int(residue != 0) if x_in and y_in else 2 - x_in - y_in
-    return SchurPeel(r, x_in, y_in, residue, delta)
+    if any(row[n] for row in a[r:-1]):
+        return SchurPeel(r, x_in, False, None, 2 - x_in)
+    prev = a[r - 1][pivots[-1]] if r else 1
+    delta = int(border[n] != 0) if x_in else 1
+    return SchurPeel(r, x_in, True, Fraction(border[n], prev * scale), delta)
 
 
 def bordered(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> RationalMatrix:

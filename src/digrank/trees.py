@@ -135,7 +135,8 @@ def _tree_kind(G: WeightedDigraph, adj: list[set[int]]) -> TreeKind | None:
     if shape is None:
         return None
     internal, loops = shape
-    all_bi = all(_edge_is_bi_arc(G, u, v) for u in range(G.n) for v in adj[u])
+    arcs = G._arcs
+    all_bi = all((v, u) in arcs for (u, v) in arcs)  # a loop is its own reverse
     if all_bi and not loops:
         return TreeKind.LOOPLESS_BI_ARC
     if all_bi and loops <= internal:
@@ -205,7 +206,21 @@ def rank_r2_tree(G: WeightedDigraph) -> int:
 
 def tree_summary(G: WeightedDigraph) -> tuple[TreeKind | None, int, int]:
     """(kind, q, s) of a tree-shaped digraph, from one read of its
-    underlying graph; (None, 0, 0) when it is not a tree of a known kind."""
+    underlying graph; (None, 0, 0) when it is not a tree of a known kind.
+
+    The engine asks this of every graph before it decomposes anything, so
+    a graph that cannot be a tree is turned away before any neighbour set
+    is built: when it is empty, when it has more than 3n - 2 arcs (a tree's
+    n - 1 edges carry at most two arcs each, plus n loops), or when one walk
+    over the arc keys counts other than n - 1 underlying edges.  An arc
+    (u, v), u != v, is counted when u < v or its reverse is absent.
+    """
+    n, arcs = G.n, G._arcs
+    if n == 0 or len(arcs) > 3 * n - 2:
+        return None, 0, 0
+    edges = sum(1 for (u, v) in arcs if u != v and (u < v or (v, u) not in arcs))
+    if edges != n - 1:
+        return None, 0, 0
     adj = G.underlying_adjacency()
     kind = _tree_kind(G, adj)
     if kind is None:

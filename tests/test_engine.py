@@ -20,6 +20,7 @@ from digrank import (
     EdgeKind,
     GenSpec,
     RuleTag,
+    TreeKind,
     WeightedDigraph,
     apply_additions,
     block_subdigraph,
@@ -27,6 +28,7 @@ from digrank import (
     build_genr2,
     check_lemma_2rin,
     classify_cut,
+    classify_tree,
     decompose,
     format_digraph,
     gen,
@@ -585,10 +587,11 @@ def two_r2_components():
 
 
 # (graph, root rule, decompositions, copies, weight stores); a connected
-# tree-shaped graph is read as itself, so it builds no store
+# tree-shaped graph that takes a tree form is read as itself, so it is
+# neither decomposed nor given a store
 ROUTES = {
-    "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 1, 0, 0),
-    "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 1, 0, 0),
+    "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 0, 0, 0),
+    "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 0, 0, 0),
     "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0, 1),
     "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0, 1),
     # 12 blocks: their breves are one copy from W, decomposed once
@@ -602,8 +605,9 @@ ROUTES = {
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_one_decomposition_per_rank(monkeypatch, request, route):
-    """The graph is decomposed once and read in its own ids, and nothing is
-    an induced copy of G.  Each r2 component minus its cut-vertices is one
+    """The graph is decomposed once and read in its own ids, unless it is
+    a connected tree that takes a tree form, and nothing is an induced
+    copy of G.  Each r2 component minus its cut-vertices is one
     copy of the rank's weight store, decomposed once for all its summands;
     a tree component of a disconnected graph is a copy of the store too, so
     there is one store per rank, and none when nothing reads it."""
@@ -644,7 +648,8 @@ def copy_guard_corpus():
 def test_every_copy_is_cut_from_the_store(monkeypatch):
     """No rank makes an induced copy of G, and only an r2 component is
     decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions.  There
-    is one weight store, and none when a connected G takes a tree form."""
+    is one weight store, and neither a store nor a decomposition when a
+    connected G takes a tree form."""
     trees = (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
     r2_ranks = r2_unions = tree_unions = storeless = 0
     for G in copy_guard_corpus():
@@ -652,13 +657,51 @@ def test_every_copy_is_cut_from_the_store(monkeypatch):
         rules = [node.rule for node in cert.root.walk()]
         r2 = rules.count(RuleTag.R2_DIGRAPH)
         store = not (G.is_connected() and cert.root.rule in trees)
-        assert (d_calls, c_calls, stores) == (1 + r2, 0, store), format_digraph(G)
+        assert (d_calls, c_calls, stores) == ((1 + r2) * store, 0, store), format_digraph(G)
         assert cert.rank == oracle_rank(G)
         r2_ranks += r2 > 0
         r2_unions += r2 > 1
         tree_unions += not G.is_connected() and any(r in trees for r in rules)
         storeless += not store
     assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5 and storeless >= 10
+
+
+def test_a_connected_tree_of_no_closed_form_is_summarised_once(monkeypatch):
+    """A cut-loop bi-arc tree takes neither tree form: rank_recursive asks
+    tree_summary about it once, then decomposes it once and peels it."""
+    G = biarc_path(5).with_loop(1, Fraction(1)).with_loop(3, Fraction(1))
+    assert classify_tree(G) is TreeKind.CUT_LOOP_BI_ARC
+    calls = {"tree_summary": 0, "decompose": 0}
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def wrapped(H):
+            calls[name] += 1
+            return real(H)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    cert = rank_recursive(G)
+    assert calls == {"tree_summary": 1, "decompose": 1}
+    assert cert.root.rule not in (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
+    assert cert.rank == oracle_rank(G)
+
+
+@pytest.mark.parametrize(
+    "family, rule", [("loopless-biarc-tree", RuleTag.TREE_MATCHING), ("r2-tree", RuleTag.R2_TREE)]
+)
+def test_oracle_check_guards_the_tree_exit(monkeypatch, family, rule):
+    """A connected tree is ranked before any decomposition, and the oracle
+    check still runs on that exit."""
+    G = gen(GenSpec(family, n=20, seed=0))
+    assert rank_recursive(G, oracle_check=True).root.rule is rule
+    real = engine.oracle_rank
+    monkeypatch.setattr(engine, "oracle_rank", lambda H: real(H) + 1)
+    with pytest.raises(InternalMismatch):
+        rank_recursive(G, oracle_check=True)
 
 
 # -- the r0 sum rule and the dense leaf ----------------------------------------
@@ -1090,6 +1133,50 @@ def dense_schur_peel(W, rows, cols, v):
 def test_cut_peel_matches_schur_peel_on_the_dense_matrices(peel):
     """All five fields: rank, both memberships, residue and delta."""
     assert engine._cut_peel(*peel) == dense_schur_peel(*peel)
+
+
+@st.composite
+def bordered_digraphs(draw):
+    """A digraph on 1 + k vertices, k = 0..5, whose vertex 0 borders B, the
+    matrix on the rest: its row x, column y and loop alpha.  x is often a
+    combination of B's rows and y of its columns, y = B d, and alpha then
+    often x.d, so that the residue alpha - x.d is zero."""
+    k = draw(st.integers(0, 5))
+    weight = st.sampled_from(STORE_WEIGHTS)
+    vec = st.lists(weight, min_size=k, max_size=k)
+    B = [draw(vec) for _ in range(k)]
+    if draw(st.booleans()):
+        c = draw(vec)
+        x = [sum((c[i] * B[i][j] for i in range(k)), Fraction(0)) for j in range(k)]
+    else:
+        x = draw(vec)
+    alpha = draw(weight)
+    if draw(st.booleans()):
+        d = draw(vec)
+        y = [sum((B[i][j] * d[j] for j in range(k)), Fraction(0)) for i in range(k)]
+        if draw(st.booleans()):
+            alpha = sum((x[j] * d[j] for j in range(k)), Fraction(0))
+    else:
+        y = draw(vec)
+    arcs = [(0, 0, alpha)] + [(0, j + 1, w) for j, w in enumerate(x)]
+    arcs += [(i + 1, 0, w) for i, w in enumerate(y)]
+    arcs += [(i + 1, j + 1, w) for i, row in enumerate(B) for j, w in enumerate(row)]
+    return build(k + 1, [a for a in arcs if a[2]])
+
+
+@given(bordered_digraphs())
+@example(build(1, []))  # |B| = 0, alpha = 0
+@example(build(2, [(0, 0, 2), (0, 1, 1), (1, 0, 2), (1, 1, 1)]))  # residue 2 - 1*2 = 0
+@settings(max_examples=400, deadline=None)
+def test_peel_rows_delta_is_the_rank_the_border_adds(G):
+    """_peel_rows on [B | y] and [x, alpha] read as integer rows: its rank is
+    r(B) and its delta r(G) - r(B), both by the dense oracle."""
+    W, rest = G.out_rows(), list(range(1, G.n))
+    border, scale = linalg._int_row(W[0], rest + [0])
+    peel = linalg._peel_rows([linalg._int_row(W[u], rest + [0])[0] for u in rest], border, scale)
+    r_B = oracle_rank(G.delete_vertices([0]))
+    assert peel.rank == r_B
+    assert peel.delta == oracle_rank(G) - r_B
 
 
 class UnwalkedRow(dict):

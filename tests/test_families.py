@@ -145,8 +145,8 @@ def test_recognisers_read_the_graph_a_fixed_number_of_times(
 )
 def test_tree_closed_forms_read_the_graph_once(monkeypatch, family, rule):
     """The tree forms derive the neighbour sets once for kind, matching and
-    looped leaves; the engine's one decompose builds its own neighbour
-    lists from the arcs."""
+    looped leaves; the engine ranks a connected tree from them alone, with
+    no decomposition."""
     for n in (60, 240):
         G = gen(GenSpec(family, n=n, seed=0))
         calls = _count_reads(monkeypatch)
@@ -154,6 +154,6 @@ def test_tree_closed_forms_read_the_graph_once(monkeypatch, family, rule):
         assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 0}
         calls.update(dict.fromkeys(calls, 0))
         cert = engine.rank_recursive(G)
-        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 1}
+        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 0}
         monkeypatch.undo()
         assert cert.root.rule is rule and cert.rank == 2 * q + s

@@ -7,6 +7,7 @@ import pytest
 
 from digrank import (
     TreeKind,
+    WeightedDigraph,
     build,
     classify_tree,
     count_loop_attachments,
@@ -16,11 +17,14 @@ from digrank import (
     is_r2_tree_digraph,
     is_tree,
     max_matching,
+    oracle_rank,
     rank_r2_tree,
+    rank_recursive,
     rank_tree,
     tree_summary,
 )
 from digrank.errors import NotAForest, PreconditionViolated
+from digrank.generate import random_digraph
 from oracles import max_matching_brute, max_matching_networkx, rank_of_digraph
 
 
@@ -132,3 +136,62 @@ def test_rank_constant_under_weight_rerandomization():
                 for u, v, _ in G.arcs()
             ]
             assert rank_of_digraph(build(G.n, arcs)) == base
+
+
+# -- tree_summary turns other graphs away before building neighbour sets -------
+
+
+def counted_adjacency(monkeypatch):
+    """A list that gets one entry per underlying_adjacency call."""
+    calls = []
+    real = WeightedDigraph.underlying_adjacency
+    monkeypatch.setattr(
+        WeightedDigraph, "underlying_adjacency", lambda self: calls.append(1) or real(self)
+    )
+    return calls
+
+
+def triangle_chain(k):
+    """k directed triangles, each glued to the next at one vertex: 3k
+    edges on 2k + 1 vertices."""
+    arcs = []
+    for i in range(k):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        arcs += [(a, b, 1), (b, c, 1), (c, a, 1)]
+    return build(2 * k + 1, arcs)
+
+
+def two_paths():
+    """A forest of two bi-arc paths: n - 2 edges."""
+    arcs = [(u, v, w) for u, v, w in biarc_path(4).arcs()]
+    arcs += [(u + 4, v + 4, w) for u, v, w in biarc_path(3).arcs()]
+    return build(7, arcs)
+
+
+# (graph, whether its arc count alone exceeds a tree's 3n - 2)
+NOT_TREES = {
+    "dense-random": (lambda: random_digraph(30, random.Random(0), p=0.4), True),
+    "triangle-chain": (lambda: triangle_chain(6), False),
+    "two-component-forest": (two_paths, False),
+}
+
+
+@pytest.mark.parametrize("name", NOT_TREES)
+def test_tree_summary_builds_no_neighbour_set_for_a_non_tree(monkeypatch, name):
+    make, too_many_arcs = NOT_TREES[name]
+    G = make()
+    assert (G.arc_count > 3 * G.n - 2) is too_many_arcs
+    calls = counted_adjacency(monkeypatch)
+    assert tree_summary(G) == (None, 0, 0)
+    assert calls == []
+
+
+def test_n_minus_one_edges_with_a_cycle_is_not_a_tree(monkeypatch):
+    """A bi-arc triangle plus an isolated vertex has n - 1 edges, so its
+    neighbour sets are built, once, and the forest test turns it away."""
+    G = build(4, [(u, v, 1) for a, b in [(0, 1), (1, 2), (2, 0)] for u, v in [(a, b), (b, a)]])
+    calls = counted_adjacency(monkeypatch)
+    assert tree_summary(G) == (None, 0, 0)
+    assert calls == [1]
+    monkeypatch.undo()
+    assert rank_recursive(G).rank == oracle_rank(G) == 3
