@@ -47,7 +47,11 @@ def _cmd_rank(args) -> int:
     G = _read_graph(args.input)
     if args.tree:
         kind, q, s = tree_summary(G)
-        if kind is TreeKind.LOOPLESS_BI_ARC or is_r2_tree_digraph(G):
+        # The kind settles the answer but for a cut-loop bi-arc tree, which
+        # takes the r2 form only when it meets the r2-tree conditions.
+        if kind in (TreeKind.LOOPLESS_BI_ARC, TreeKind.R2_TREE) or (
+            kind is TreeKind.CUT_LOOP_BI_ARC and is_r2_tree_digraph(G)
+        ):
             print(f"q={q} s={s} rank={2 * q + s}")
             return 0
         raise InvalidSpec("no closed tree form applies to this digraph")

@@ -666,9 +666,10 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     A connected G that takes a closed tree form (a loopless bi-arc tree or
     an r2-tree) is ranked from its matching number and looped leaves
     alone: it is never decomposed, and no weight store is built.
-    `tree_summary` turns any other graph away in one walk over its arcs
-    at most.  Every other G is decomposed once, and every rule reads that
-    one decomposition in G's own vertex ids.  Each connected component
+    `tree_summary` turns a graph away after one pass over its arcs
+    unless it has n - 1 underlying edges, and walks only those.  Every
+    other G is decomposed once, and every rule reads that one
+    decomposition in G's own vertex ids.  Each connected component
     gets the first rule that applies: the closed tree forms, when G has
     other components; the r2-digraph sum rule, whose summands (blocks
     minus G's cut-vertices) each get one peel pass; the r0-digraph sum

@@ -1,7 +1,4 @@
-"""Closed-form ranks for tree-shaped digraphs.
-
-A digraph is tree-shaped when its underlying simple graph is a tree.  Two
-closed forms are implemented:
+"""Closed-form ranks for digraphs whose underlying simple graph is a tree:
 
 - loopless bi-arc trees: rank = 2 * (maximum matching size q)
 - r2-trees: rank = 2q + s, where s counts the looped leaves
@@ -12,11 +9,15 @@ An r2-tree has every internal/internal edge bi-arc, loops only at internal
 otherwise hang by any of the five attachment shapes.  q is the matching
 number of the full underlying tree (the plain leaves saturate their cut
 neighbours, so restricting to the bi-arc core changes nothing).
+
+Every answer reads one walk (`_walk`): neighbour lists built from the arc
+keys, each underlying edge once at each end (an arc (u, v), u != v, counts
+when u < v or its reverse is absent); a depth-first walk from each unvisited
+vertex; and a maximum matching read backwards off the visit order.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,199 +31,148 @@ class TreeKind(Enum):
     R2_TREE = "r2-tree"
 
 
-def _is_forest(adj: list[set[int]]) -> bool:
-    """True when the graph with neighbour sets adj has no cycle."""
-    parent = list(range(len(adj)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if u < v:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-    return True
-
-
-def is_forest(G: WeightedDigraph) -> bool:
-    """True when the underlying simple graph has no cycle."""
-    return _is_forest(G.underlying_adjacency())
-
-
-def _is_tree(adj: list[set[int]]) -> bool:
-    """A forest on n >= 1 vertices with n - 1 edges is connected."""
-    n = len(adj)
-    return n >= 1 and sum(map(len, adj)) == 2 * (n - 1) and _is_forest(adj)
-
-
-def is_tree(G: WeightedDigraph) -> bool:
-    return _is_tree(G.underlying_adjacency())
-
-
 @dataclass(frozen=True)
 class MatchingResult:
     size: int
     edges: frozenset[tuple[int, int]]
 
 
-def max_matching(G: WeightedDigraph) -> MatchingResult:
-    """Maximum matching of the underlying forest, by greedy leaf peeling.
-
-    Matching a leaf to its unique neighbour is always optimal in a forest.
-    Raises NotAForest on cyclic inputs (the greedy argument needs acyclicity).
-    """
-    adj = G.underlying_adjacency()
-    if not _is_forest(adj):
-        raise NotAForest("maximum matching here is implemented for forests only")
-    return _matching(adj)
+def _neighbours(G: WeightedDigraph) -> list[list[int]]:
+    arcs = G._arcs
+    nbrs: list[list[int]] = [[] for _ in range(G.n)]
+    for (u, v) in arcs:
+        if u != v and (u < v or (v, u) not in arcs):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
 
 
-def _matching(adj: list[set[int]]) -> MatchingResult:
-    """Greedy leaf-peeling maximum matching of the forest with neighbour sets adj."""
-    n = len(adj)
-    deg = [len(s) for s in adj]
-    alive = [True] * n
-    heap = [v for v in range(n) if deg[v] == 1]
-    heapq.heapify(heap)
-    picked: list[tuple[int, int]] = []
-    while heap:
-        u = heapq.heappop(heap)
-        if not alive[u] or deg[u] != 1:
-            continue
-        p = next(w for w in adj[u] if alive[w])
-        picked.append((min(u, p), max(u, p)))
-        alive[u] = alive[p] = False
-        for w in adj[p]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    heapq.heappush(heap, w)
-        deg[u] = deg[p] = 0
-    return MatchingResult(len(picked), frozenset(picked))
-
-
-def _edge_is_bi_arc(G: WeightedDigraph, u: int, v: int) -> bool:
-    return G.has_arc(u, v) and G.has_arc(v, u)
-
-
-def _tree_shape(G: WeightedDigraph, adj: list[set[int]]) -> tuple[set[int], set[int]] | None:
-    """(internal vertices, looped vertices) when G, whose underlying
-    neighbour sets are adj, is tree-shaped, else None.  Internal vertices
-    are those of degree >= 2, which in a tree are exactly the cut-vertices."""
-    if not _is_tree(adj):
+def _walk(G: WeightedDigraph) -> tuple[list[list[int]], int, list[tuple[int, int]]] | None:
+    """(neighbour lists, roots, maximum matching) when G's underlying graph is
+    a forest, one with n - roots edges (a root per component), else None.
+    Going back over the visit order, a vertex no child took takes its parent."""
+    nbrs = _neighbours(G)
+    parent = [-2] * G.n  # -2: not reached yet, -1: a root
+    order: list[int] = []
+    for r in range(G.n):
+        if parent[r] == -2:
+            parent[r] = -1
+            stack = [r]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for w in nbrs[u]:
+                    if parent[w] == -2:
+                        parent[w] = u
+                        stack.append(w)
+    roots = parent.count(-1)
+    if sum(map(len, nbrs)) != 2 * (G.n - roots):
         return None
-    internal = {v for v in range(G.n) if len(adj[v]) >= 2}
-    loops = {v for v in range(G.n) if G.has_loop(v)}
-    return internal, loops
+    free, matching = [True] * G.n, []
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and free[v] and free[p]:
+            free[v] = free[p] = False
+            matching.append((v, p) if v < p else (p, v))
+    return nbrs, roots, matching
+
+
+def _looped_leaves(arcs, nbrs) -> int:
+    return sum(1 for v, x in enumerate(nbrs) if len(x) < 2 and (v, v) in arcs)
+
+
+def _is_r2(arcs, nbrs) -> bool:
+    """The r2-tree conditions on a tree with neighbour lists nbrs."""
+    leaf = [len(x) < 2 for x in nbrs]  # in a tree: not a cut-vertex
+    # Internal/internal edges are bi-arc, as is the leaf/leaf edge of n = 2.
+    if any(u != v and leaf[u] == leaf[v] and (v, u) not in arcs for (u, v) in arcs):
+        return False
+    # A looped leaf hangs from a cut-vertex; each cut-vertex has a plain leaf.
+    settled = leaf[:]  # a leaf, or a cut-vertex with a plain leaf
+    for u, x in enumerate(nbrs):
+        if leaf[u]:
+            c = x[0] if x else u  # a lone vertex is its own neighbour
+            looped = (u, u) in arcs
+            if looped and leaf[c]:
+                return False
+            settled[c] |= not looped and (u, c) in arcs and (c, u) in arcs
+    return all(settled)
+
+
+def is_forest(G: WeightedDigraph) -> bool:
+    """True when the underlying simple graph has no cycle."""
+    return _walk(G) is not None
+
+
+def is_tree(G: WeightedDigraph) -> bool:
+    walk = _walk(G)
+    return walk is not None and walk[1] == 1
+
+
+def max_matching(G: WeightedDigraph) -> MatchingResult:
+    """Maximum matching of the underlying forest, by the post-order greedy.
+    Raises NotAForest on cyclic inputs (the greedy argument needs acyclicity)."""
+    walk = _walk(G)
+    if walk is None:
+        raise NotAForest("maximum matching here is implemented for forests only")
+    return MatchingResult(len(walk[2]), frozenset(walk[2]))
 
 
 def classify_tree(G: WeightedDigraph) -> TreeKind | None:
     """Most specific matching kind, or None (non-trees always give None).
-
-    Precedence: LOOPLESS_BI_ARC, then CUT_LOOP_BI_ARC, then R2_TREE.
-    """
-    return _tree_kind(G, G.underlying_adjacency())
-
-
-def _tree_kind(G: WeightedDigraph, adj: list[set[int]]) -> TreeKind | None:
-    shape = _tree_shape(G, adj)
-    if shape is None:
-        return None
-    internal, loops = shape
-    arcs = G._arcs
-    all_bi = all((v, u) in arcs for (u, v) in arcs)  # a loop is its own reverse
-    if all_bi and not loops:
-        return TreeKind.LOOPLESS_BI_ARC
-    if all_bi and loops <= internal:
-        return TreeKind.CUT_LOOP_BI_ARC
-    if _r2_tree_shape(G, adj, internal, loops):
-        return TreeKind.R2_TREE
-    return None
-
-
-def _r2_tree_shape(G, adj, internal, loops) -> bool:
-    """The r2-tree conditions on a tree with neighbour sets adj."""
-    # Internal/internal edges must be bi-arc; leaf edges may be anything,
-    # except in a 2-vertex tree, whose one edge joins two leaves.
-    for u in range(G.n):
-        for v in adj[u]:
-            if (u in internal) == (v in internal) and not _edge_is_bi_arc(G, u, v):
-                return False
-    # Looped leaves are fine only as attachments to a cut-vertex (so a
-    # looped single vertex, or a loop in a 2-vertex tree, fails here).
-    if any(not adj[v] & internal for v in loops - internal):
-        return False
-    # Every cut-vertex needs a plain leaf: bi-arc edge, no loop on the leaf.
-    return all(
-        any(
-            u not in internal and u not in loops and _edge_is_bi_arc(G, c, u)
-            for u in adj[c]
-        )
-        for c in internal
-    )
+    Precedence: LOOPLESS_BI_ARC, then CUT_LOOP_BI_ARC, then R2_TREE."""
+    return tree_summary(G)[0]
 
 
 def is_r2_tree_digraph(G: WeightedDigraph) -> bool:
-    """Structural r2-tree test, ignoring the classify_tree precedence.
-
-    classify_tree reports the most specific kind, so a loopless bi-arc tree
-    that happens to have a plain leaf on every cut-vertex reports
-    LOOPLESS_BI_ARC; this predicate still accepts it, and is the actual
-    precondition of rank_r2_tree.
-    """
-    adj = G.underlying_adjacency()
-    shape = _tree_shape(G, adj)
-    return shape is not None and _r2_tree_shape(G, adj, *shape)
+    """Structural r2-tree test, the precondition of rank_r2_tree: unlike
+    classify_tree it has no precedence, so it accepts any kind of tree that
+    meets the conditions (say a loopless bi-arc one with plain leaves)."""
+    walk = _walk(G)
+    return walk is not None and walk[1] == 1 and _is_r2(G._arcs, walk[0])
 
 
 def count_loop_attachments(G: WeightedDigraph) -> int:
     """s = number of non-cut (leaf or isolated) vertices carrying a loop."""
-    return _looped_leaves(G, G.underlying_adjacency())
-
-
-def _looped_leaves(G: WeightedDigraph, adj: list[set[int]]) -> int:
-    return sum(1 for v in range(G.n) if G.has_loop(v) and len(adj[v]) < 2)
+    return _looped_leaves(G._arcs, _neighbours(G))
 
 
 def rank_tree(G: WeightedDigraph) -> int:
     """Rank of a loopless bi-arc tree: twice its matching number."""
-    if classify_tree(G) is not TreeKind.LOOPLESS_BI_ARC:
+    kind, q, _ = tree_summary(G)
+    if kind is not TreeKind.LOOPLESS_BI_ARC:
         raise PreconditionViolated("rank_tree needs a loopless bi-arc tree")
-    return 2 * max_matching(G).size
+    return 2 * q
 
 
 def rank_r2_tree(G: WeightedDigraph) -> int:
     """Rank of an r2-tree: 2q + s (matching number q, looped leaves s)."""
-    if not is_r2_tree_digraph(G):
+    walk = _walk(G)
+    if walk is None or walk[1] != 1 or not _is_r2(G._arcs, walk[0]):
         raise PreconditionViolated("rank_r2_tree needs an r2-tree digraph")
-    return 2 * max_matching(G).size + count_loop_attachments(G)
+    return 2 * len(walk[2]) + _looped_leaves(G._arcs, walk[0])
 
 
 def tree_summary(G: WeightedDigraph) -> tuple[TreeKind | None, int, int]:
-    """(kind, q, s) of a tree-shaped digraph, from one read of its
-    underlying graph; (None, 0, 0) when it is not a tree of a known kind.
-
-    The engine asks this of every graph before it decomposes anything, so
-    a graph that cannot be a tree is turned away before any neighbour set
-    is built: when it is empty, when it has more than 3n - 2 arcs (a tree's
-    n - 1 edges carry at most two arcs each, plus n loops), or when one walk
-    over the arc keys counts other than n - 1 underlying edges.  An arc
-    (u, v), u != v, is counted when u < v or its reverse is absent.
-    """
+    """(kind, q, s) of a tree-shaped digraph, from one walk; (None, 0, 0) when
+    it is not a tree of a known kind.  The engine asks this of every graph
+    first, so one that cannot be a tree is turned away before the walk: when
+    it is empty, has more than 3n - 2 arcs (n - 1 edges of at most two arcs
+    each, plus n loops), or other than n - 1 edges as `_neighbours` lists them."""
     n, arcs = G.n, G._arcs
     if n == 0 or len(arcs) > 3 * n - 2:
         return None, 0, 0
     edges = sum(1 for (u, v) in arcs if u != v and (u < v or (v, u) not in arcs))
     if edges != n - 1:
         return None, 0, 0
-    adj = G.underlying_adjacency()
-    kind = _tree_kind(G, adj)
-    if kind is None:
+    walk = _walk(G)  # n - 1 edges and no cycle: a tree
+    if walk is None:
         return None, 0, 0
-    return kind, _matching(adj).size, _looped_leaves(G, adj)
+    nbrs, _, matching = walk
+    q, s = len(matching), _looped_leaves(arcs, nbrs)
+    if all((v, u) in arcs for (u, v) in arcs):  # a loop is its own reverse
+        if len(arcs) == 2 * (n - 1):  # n - 1 bi-arc edges and no loop
+            return TreeKind.LOOPLESS_BI_ARC, q, 0
+        if s == 0:  # every loop on a cut-vertex
+            return TreeKind.CUT_LOOP_BI_ARC, q, 0
+    return (TreeKind.R2_TREE, q, s) if _is_r2(arcs, nbrs) else (None, 0, 0)

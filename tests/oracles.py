@@ -153,6 +153,44 @@ def max_matching_networkx(edges) -> int:
     return len(nx.max_weight_matching(H, maxcardinality=True))
 
 
+def tree_summary_reference(G):
+    """(kind, q, s) as `digrank.trees.tree_summary` reports them, spelled
+    out from the definitions in the `trees` module docstring with networkx
+    and sets; the kind is its string value, or None.
+
+    A tree is loopless bi-arc when every edge is bi-arc and no vertex has a
+    loop, cut-loop bi-arc when every edge is bi-arc and only cut-vertices
+    have loops.  Otherwise it is an r2-tree when every edge that does not
+    hang a leaf from a cut-vertex is bi-arc, every looped leaf hangs from a
+    cut-vertex, and every cut-vertex has a plain leaf: one with no loop,
+    joined by a bi-arc edge.  q is the matching number of the underlying
+    tree and s the number of looped leaves (0 unless an r2-tree).
+    """
+    H = _underlying_nx(G)
+    if G.n == 0 or not nx.is_tree(H):
+        return None, 0, 0
+    arcs = {(u, v) for u, v, _ in G.arcs()}
+    loops = {v for v in H if (v, v) in arcs}
+    cuts = {v for v in H if H.degree(v) >= 2}
+    leaves = set(H) - cuts
+
+    def bi(u, v):
+        return (u, v) in arcs and (v, u) in arcs
+
+    q = len(nx.max_weight_matching(H, maxcardinality=True))
+    if all(bi(u, v) for u, v in H.edges):
+        if not loops:
+            return "loopless-bi-arc", q, 0
+        if loops <= cuts:
+            return "cut-loop-bi-arc", q, 0
+    r2 = (
+        all(bi(u, v) for u, v in H.edges if len({u, v} & cuts) != 1)
+        and all(set(H[v]) & cuts for v in loops & leaves)
+        and all(any(u in leaves - loops and bi(c, u) for u in H[c]) for c in cuts)
+    )
+    return ("r2-tree", q, len(loops & leaves)) if r2 else (None, 0, 0)
+
+
 def all_weighted_digraphs(n, weights):
     """Every weighted digraph on n vertices with arc weights drawn from
     `weights` (absence included automatically).  Exponential; keep n small."""

@@ -25,7 +25,7 @@ from digrank import (
     rank_r2_biblock_graph,
     rank_r2_block_graph,
 )
-from digrank import engine
+from digrank import engine, trees
 from digrank.generate import FAMILIES
 from digrank.trees import (
     classify_tree,
@@ -90,7 +90,7 @@ def test_family_predicates_match_networkx_definitions():
 
 
 def _count_reads(monkeypatch):
-    calls = {"underlying_edges": 0, "underlying_adjacency": 0, "decompose": 0}
+    calls = {"underlying_edges": 0, "underlying_adjacency": 0, "decompose": 0, "walk": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -104,6 +104,7 @@ def _count_reads(monkeypatch):
             WeightedDigraph, name, counting(name, getattr(WeightedDigraph, name))
         )
     monkeypatch.setattr(engine, "decompose", counting("decompose", engine.decompose))
+    monkeypatch.setattr(trees, "_walk", counting("walk", trees._walk))
     return calls
 
 
@@ -144,16 +145,17 @@ def test_recognisers_read_the_graph_a_fixed_number_of_times(
     "family, rule", [("loopless-biarc-tree", RuleTag.TREE_MATCHING), ("r2-tree", RuleTag.R2_TREE)]
 )
 def test_tree_closed_forms_read_the_graph_once(monkeypatch, family, rule):
-    """The tree forms derive the neighbour sets once for kind, matching and
-    looped leaves; the engine ranks a connected tree from them alone, with
-    no decomposition."""
+    """The tree forms read kind, matching and looped leaves off one walk
+    and build no neighbour sets; the engine ranks a connected tree from
+    them alone, with no decomposition."""
+    once = {"underlying_edges": 0, "underlying_adjacency": 0, "decompose": 0, "walk": 1}
     for n in (60, 240):
         G = gen(GenSpec(family, n=n, seed=0))
         calls = _count_reads(monkeypatch)
         kind, q, s = tree_summary(G)
-        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 0}
+        assert dict(calls) == once
         calls.update(dict.fromkeys(calls, 0))
         cert = engine.rank_recursive(G)
-        assert dict(calls) == {"underlying_edges": 0, "underlying_adjacency": 1, "decompose": 0}
+        assert dict(calls) == once
         monkeypatch.undo()
         assert cert.root.rule is rule and cert.rank == 2 * q + s

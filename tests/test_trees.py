@@ -1,13 +1,16 @@
 """Tree-shaped digraphs: matching numbers and the two closed rank forms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digrank import (
     TreeKind,
-    WeightedDigraph,
     build,
     classify_tree,
     count_loop_attachments,
@@ -23,9 +26,15 @@ from digrank import (
     rank_tree,
     tree_summary,
 )
+from digrank import trees
 from digrank.errors import NotAForest, PreconditionViolated
 from digrank.generate import random_digraph
-from oracles import max_matching_brute, max_matching_networkx, rank_of_digraph
+from oracles import (
+    max_matching_brute,
+    max_matching_networkx,
+    rank_of_digraph,
+    tree_summary_reference,
+)
 
 
 def biarc_path(n, w=1):
@@ -65,6 +74,101 @@ def test_max_matching_agrees_with_oracles(seed):
     used = [v for e in m.edges for v in e]
     assert len(used) == len(set(used)) == 2 * m.size
     assert set(m.edges) <= set(edges)
+
+
+# One arc each way, or one arc either way; any vertex may also carry a loop.
+# Together these give the five shapes a leaf can hang by.
+SHAPES = ("both", "both", "down", "up")
+
+
+def shaped_arcs(edges, shapes):
+    """Unit arcs of the underlying edges (parent, child), each in its shape."""
+    arcs = []
+    for (a, b), shape in zip(edges, shapes):
+        if shape != "up":
+            arcs.append((a, b, 1))
+        if shape != "down":
+            arcs.append((b, a, 1))
+    return arcs
+
+
+def random_forest(rng):
+    """A disjoint union of 1-4 random trees (a one-vertex tree is an
+    isolated vertex), with relabelled vertices, random shapes and loops."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    edges, base = [], 0
+    for size in sizes:
+        edges += [(perm[base + rng.randrange(i)], perm[base + i]) for i in range(1, size)]
+        base += size
+    arcs = shaped_arcs(edges, [rng.choice(SHAPES) for _ in edges])
+    arcs += [(v, v, 1) for v in perm if rng.random() < 0.3]
+    return build(len(perm), arcs)
+
+
+def cycle_and_tree(rng):
+    """A cycle with branches, beside a separate tree: n - 1 underlying
+    edges, but not a tree."""
+    k, m, t = rng.randint(3, 5), rng.randint(0, 3), rng.randint(1, 3)
+    perm = list(range(k + m + t))
+    rng.shuffle(perm)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(rng.randrange(i), i) for i in range(k, k + m)]
+    edges += [(k + m + rng.randrange(i), k + m + i) for i in range(1, t)]
+    edges = [(perm[a], perm[b]) for a, b in edges]
+    return build(len(perm), shaped_arcs(edges, [rng.choice(SHAPES) for _ in edges]))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_forests_and_near_trees_against_networkx(seed):
+    rng = random.Random(f"forest:{seed}")
+    for G in (random_forest(rng), cycle_and_tree(rng)):
+        edges = G.underlying_edges()
+        H = nx.Graph(edges)
+        H.add_nodes_from(range(G.n))
+        assert is_forest(G) == nx.is_forest(H)
+        assert is_tree(G) == nx.is_tree(H)
+        if not is_forest(G):
+            with pytest.raises(NotAForest):
+                max_matching(G)
+            continue
+        m = max_matching(G)
+        assert m.size == max_matching_brute(edges) == max_matching_networkx(edges)
+        used = [v for e in m.edges for v in e]
+        assert len(used) == len(set(used)) == 2 * m.size
+        assert set(m.edges) <= edges
+
+
+@st.composite
+def labelled_trees(draw):
+    """Small trees with relabelled vertices, every attachment shape, random
+    weights and random loops (a loop on one vertex in four).  An edge
+    between two cut-vertices is bi-arc but for one time in eight, so that
+    r2-trees are common."""
+    n = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)]
+    deg = Counter(v for e in edges for v in e)
+    shapes = [
+        draw(st.sampled_from(SHAPES))
+        if 1 in (deg[a], deg[b]) or draw(st.integers(0, 7)) == 0
+        else "both"
+        for a, b in edges
+    ]
+    weights = st.sampled_from([1, -1, 2, Fraction(1, 2), 3])
+    arcs = [(u, v, draw(weights)) for u, v, _ in shaped_arcs(edges, shapes)]
+    arcs += [(v, v, draw(weights)) for v in range(n) if draw(st.integers(0, 3)) == 0]
+    return build(n, arcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_trees())
+def test_tree_summary_matches_its_literal_definition(G):
+    kind, q, s = tree_summary(G)
+    assert (kind and kind.value, q, s) == tree_summary_reference(G)
+    if kind in (TreeKind.LOOPLESS_BI_ARC, TreeKind.R2_TREE):
+        assert 2 * q + s == oracle_rank(G)
 
 
 def test_classify_precedence():
@@ -138,16 +242,14 @@ def test_rank_constant_under_weight_rerandomization():
             assert rank_of_digraph(build(G.n, arcs)) == base
 
 
-# -- tree_summary turns other graphs away before building neighbour sets -------
+# -- tree_summary turns other graphs away before it walks them ----------------
 
 
-def counted_adjacency(monkeypatch):
-    """A list that gets one entry per underlying_adjacency call."""
+def counted_walks(monkeypatch):
+    """A list that gets one entry per walk of the underlying graph."""
     calls = []
-    real = WeightedDigraph.underlying_adjacency
-    monkeypatch.setattr(
-        WeightedDigraph, "underlying_adjacency", lambda self: calls.append(1) or real(self)
-    )
+    real = trees._walk
+    monkeypatch.setattr(trees, "_walk", lambda G: calls.append(1) or real(G))
     return calls
 
 
@@ -181,16 +283,16 @@ def test_tree_summary_builds_no_neighbour_set_for_a_non_tree(monkeypatch, name):
     make, too_many_arcs = NOT_TREES[name]
     G = make()
     assert (G.arc_count > 3 * G.n - 2) is too_many_arcs
-    calls = counted_adjacency(monkeypatch)
+    calls = counted_walks(monkeypatch)
     assert tree_summary(G) == (None, 0, 0)
     assert calls == []
 
 
 def test_n_minus_one_edges_with_a_cycle_is_not_a_tree(monkeypatch):
-    """A bi-arc triangle plus an isolated vertex has n - 1 edges, so its
-    neighbour sets are built, once, and the forest test turns it away."""
+    """A bi-arc triangle plus an isolated vertex has n - 1 edges, so it is
+    walked, once, and the walk's edge count turns it away."""
     G = build(4, [(u, v, 1) for a, b in [(0, 1), (1, 2), (2, 0)] for u, v in [(a, b), (b, a)]])
-    calls = counted_adjacency(monkeypatch)
+    calls = counted_walks(monkeypatch)
     assert tree_summary(G) == (None, 0, 0)
     assert calls == [1]
     monkeypatch.undo()

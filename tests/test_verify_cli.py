@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import digrank
-from digrank import build, format_digraph, gen, GenSpec
+from digrank import build, format_digraph, gen, GenSpec, trees
 from digrank.engine import oracle_rank, rank_recursive
 from digrank.trees import TreeKind, classify_tree, is_r2_tree_digraph
 from digrank.cli import main
@@ -72,6 +72,17 @@ def test_cli_rank_tree(tmp_path, capsys, r2_tree_10):
     p.write_text(format_digraph(r2_tree_10), encoding="utf-8")
     assert main(["rank", "--input", str(p), "--tree"]) == 0
     assert capsys.readouterr().out == "q=4 s=1 rank=9\n"
+
+
+def test_cli_rank_tree_walks_an_r2_tree_once(tmp_path, capsys, monkeypatch, r2_tree_10):
+    p = tmp_path / "t.dg"
+    p.write_text(format_digraph(r2_tree_10), encoding="utf-8")
+    walks = []
+    real = trees._walk
+    monkeypatch.setattr(trees, "_walk", lambda G: walks.append(1) or real(G))
+    assert main(["rank", "--input", str(p), "--tree"]) == 0
+    assert capsys.readouterr().out == "q=4 s=1 rank=9\n"
+    assert walks == [1]
 
 
 def test_cli_rank_tree_on_a_cut_loop_tree_that_is_r2(tmp_path, capsys):
