@@ -43,6 +43,12 @@ class EdgeKind(Enum):
     - NC_TILDE_ARC: one arc (either direction), no loop at u
     - NC_EDGE: arcs both ways with independent weights, plus a loop at u
     - NC_ARC: one arc (either direction), plus a loop at u
+
+    `_SHAPE_ARCS` lists the arcs each shape adds, in the order
+    `WeightedDigraph.attach_edge` inserts them, as (end, index of the weight
+    it takes): "out" is u->v, "in" is v->u, "loop" is u->u, and "arc" is
+    v->u or u->v as `toward_new` picks.  A shape takes one more weight than
+    its largest index (`_weight_count`).
     """
 
     SIMPLE_EDGE = "simple-edge"
@@ -50,6 +56,20 @@ class EdgeKind(Enum):
     NC_TILDE_ARC = "nc-tilde-arc"
     NC_EDGE = "nc-edge"
     NC_ARC = "nc-arc"
+
+
+_SHAPE_ARCS: dict[EdgeKind, tuple[tuple[str, int], ...]] = {
+    EdgeKind.SIMPLE_EDGE: (("out", 0), ("in", 0)),
+    EdgeKind.NC_TILDE_EDGE: (("out", 0), ("in", 1)),
+    EdgeKind.NC_TILDE_ARC: (("arc", 0),),
+    EdgeKind.NC_EDGE: (("out", 0), ("in", 1), ("loop", 2)),
+    EdgeKind.NC_ARC: (("arc", 0), ("loop", 1)),
+}
+
+
+def _weight_count(kind: EdgeKind) -> int:
+    """The number of weights the attachment shape kind takes."""
+    return 1 + max(i for _, i in _SHAPE_ARCS[kind])
 
 
 class WeightedDigraph:
@@ -174,40 +194,17 @@ class WeightedDigraph:
         if not (0 <= at < self.n):
             raise VertexOutOfRange(f"vertex {at} not in 0..{self.n - 1}")
         ws = vector(weights)
-        need = {
-            EdgeKind.SIMPLE_EDGE: 1,
-            EdgeKind.NC_TILDE_EDGE: 2,
-            EdgeKind.NC_TILDE_ARC: 1,
-            EdgeKind.NC_EDGE: 3,
-            EdgeKind.NC_ARC: 2,
-        }[kind]
+        need = _weight_count(kind)
         if len(ws) != need:
             raise ZeroWeight(f"{kind.value} takes {need} weights, got {len(ws)}")
         if any(w == 0 for w in ws):
             raise ZeroWeight(f"{kind.value} weights must be nonzero")
         u = self.n
+        ends = {"out": (u, at), "in": (at, u), "loop": (u, u)}
+        ends["arc"] = ends["in"] if toward_new else ends["out"]
         arcs = dict(self._arcs)
-        if kind is EdgeKind.SIMPLE_EDGE:
-            arcs[(u, at)] = ws[0]
-            arcs[(at, u)] = ws[0]
-        elif kind is EdgeKind.NC_TILDE_EDGE:
-            arcs[(u, at)] = ws[0]
-            arcs[(at, u)] = ws[1]
-        elif kind is EdgeKind.NC_TILDE_ARC:
-            if toward_new:
-                arcs[(at, u)] = ws[0]
-            else:
-                arcs[(u, at)] = ws[0]
-        elif kind is EdgeKind.NC_EDGE:
-            arcs[(u, at)] = ws[0]
-            arcs[(at, u)] = ws[1]
-            arcs[(u, u)] = ws[2]
-        else:  # NC_ARC
-            if toward_new:
-                arcs[(at, u)] = ws[0]
-            else:
-                arcs[(u, at)] = ws[0]
-            arcs[(u, u)] = ws[1]
+        for end, i in _SHAPE_ARCS[kind]:
+            arcs[ends[end]] = ws[i]
         return WeightedDigraph(self.n + 1, arcs)
 
     # -- underlying simple graph ----------------------------------------

@@ -61,10 +61,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blocks import BlockDecomposition, breve, block_subdigraph, decompose
-from .classify import CutSplit, CutVertexCase, classify_cut, make_split
+from .classify import Classification, CutSplit, CutVertexCase, classify_cut, make_split
 from .digraph import EdgeKind, WeightedDigraph, build
 from .errors import (
     InconsistentClassification,
@@ -229,10 +229,7 @@ def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
     """Every cut-vertex has at least one incident r2-block (vacuous if none)."""
     if d is None:
         d = decompose(G)
-    r2 = [is_r2_block(G, d, i) for i in range(d.block_count)]
-    return all(
-        any(r2[i] for i in d.membership[v]) for v in d.cut_vertices
-    )
+    return _r2_holds(G.out_rows(), d, {}, d.cut_vertices)
 
 
 def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
@@ -245,29 +242,48 @@ def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
     """All blocks, or all but one, are r0-blocks."""
     if d is None:
         d = decompose(G)
-    return _r0_but_one(not is_r0_block(G, d, b) for b in range(d.block_count))
+    return _r0_holds(G.out_rows(), d, {}, range(d.block_count))
 
 
-def _r0_but_one(fails: Iterator[bool]) -> bool:
-    """At most one block fails the r0 test; reads fails up to the second."""
-    return len(list(islice(filter(None, fails), 2))) <= 1
+def _r2_holds(W, d: BlockDecomposition, peels: dict, cuts) -> bool:
+    """Every cut-vertex in cuts lies in an r2-block of d, its blocks
+    tried smallest first: a pendant edge settles it with a 1x1 peel."""
+    return all(any(_r2_block(W, d, peels, b) for b in _by_size(d, d.membership[v])) for v in cuts)
+
+
+def _r0_holds(W, d: BlockDecomposition, peels: dict, blocks) -> bool:
+    """At most one of blocks fails the r0-block test; they are tested
+    smallest first, up to the second failure."""
+    fails = (b for b in _by_size(d, blocks) if not _r0_block(W, d, peels, b))
+    return len(list(islice(fails, 2))) <= 1
 
 
 # -- sum formulas ------------------------------------------------------------
 
 
-def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
-    """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
+def _r2_decomposition(
+    G: WeightedDigraph, who: str, at: Iterable[int] = (), d: BlockDecomposition | None = None
+) -> BlockDecomposition:
+    """decompose(G) (or d) when G is a connected r2-digraph and every vertex
+    in at is one of its cut-vertices, else PreconditionViolated."""
     if d is None:
         d = decompose(G)
     if not G.is_connected():
-        raise PreconditionViolated("rank_r2_digraph expects a connected digraph")
+        raise PreconditionViolated(f"{who} expects a connected digraph")
     if not is_r2_digraph(G, d):
         raise PreconditionViolated("not an r2-digraph: some cut-vertex has no r2-block")
-    total = 2 * len(d.cut_vertices)
-    for i in range(d.block_count):
-        total += oracle_rank(breve(G, d, i))
-    return total
+    for v in at:
+        if v not in d.cut_vertices:
+            raise PreconditionViolated(f"attachment point {v} is not a cut-vertex of the base")
+    return d
+
+
+def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
+    """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
+    d = _r2_decomposition(G, "rank_r2_digraph", d=d)
+    return 2 * len(d.cut_vertices) + sum(
+        oracle_rank(breve(G, d, i)) for i in range(d.block_count)
+    )
 
 
 def rank_mdt(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
@@ -336,24 +352,10 @@ def rank_genr2(
     Preconditions: G is a connected r2-digraph and every attachment lands
     on one of its cut-vertices.
     """
-    d = decompose(G)
-    if not G.is_connected():
-        raise PreconditionViolated("rank_genr2 expects a connected base digraph")
-    if not is_r2_digraph(G, d):
-        raise PreconditionViolated("base digraph is not an r2-digraph")
-    for att in attachments:
-        if att.at not in d.cut_vertices:
-            raise PreconditionViolated(
-                f"attachment point {att.at} is not a cut-vertex of the base"
-            )
-        if att.W.n == 0:
-            raise PreconditionViolated("attached digraph is empty")
-    total = 2 * len(d.cut_vertices)
-    for i in range(d.block_count):
-        total += oracle_rank(breve(G, d, i))
-    for att in attachments:
-        total += oracle_rank(att.W)
-    return total
+    d = _r2_decomposition(G, "rank_genr2", [att.at for att in attachments])
+    if any(att.W.n == 0 for att in attachments):
+        raise PreconditionViolated("attached digraph is empty")
+    return rank_r2_digraph(G, d) + sum(oracle_rank(att.W) for att in attachments)
 
 
 @dataclass(frozen=True)
@@ -381,16 +383,7 @@ def rank_delta_cr2(G: WeightedDigraph, additions: Sequence[EdgeAddition]) -> int
     Loop-carrying attachments (NC_EDGE, NC_ARC) contribute 1 apiece;
     the loop-free shapes contribute 0.
     """
-    d = decompose(G)
-    if not G.is_connected():
-        raise PreconditionViolated("rank_delta_cr2 expects a connected digraph")
-    if not is_r2_digraph(G, d):
-        raise PreconditionViolated("base digraph is not an r2-digraph")
-    for add in additions:
-        if add.at not in d.cut_vertices:
-            raise PreconditionViolated(
-                f"attachment point {add.at} is not a cut-vertex of the base"
-            )
+    _r2_decomposition(G, "rank_delta_cr2", [add.at for add in additions])
     return sum(1 for a in additions if a.kind in (EdgeKind.NC_EDGE, EdgeKind.NC_ARC))
 
 
@@ -432,14 +425,11 @@ def check_lemma_2rin(
     rg = oracle_rank(G)
     main = rg == oracle_rank(G.delete_vertices(vs)) + 2 * len(vs)
     if all_subsets:
-        every = True
-        for k in range(len(vs) + 1):
-            for S in combinations(vs, k):
-                if rg != oracle_rank(G.delete_vertices(S)) + 2 * len(S):
-                    every = False
-                    break
-            if not every:
-                break
+        every = all(
+            rg == oracle_rank(G.delete_vertices(S)) + 2 * len(S)
+            for k in range(len(vs) + 1)
+            for S in combinations(vs, k)
+        )
         if every != main:
             raise InternalMismatch(
                 f"full-set removal says {main} but all-subsets says {every} "
@@ -467,20 +457,23 @@ def rank_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> 
 # -- single-split peel formulas ----------------------------------------------
 
 
-def _split_pieces(G: WeightedDigraph, split: CutSplit):
+def _case_pieces(
+    G: WeightedDigraph, split: CutSplit, case: CutVertexCase
+) -> tuple[Classification, int, list[int], list[int]]:
+    """(classification, v, H - v, G - H) for the split H of G at v, which
+    must be of the given case, else PreconditionViolated."""
+    split = make_split(G, split.v, split.side)
+    cls = classify_cut(G, split)
+    if cls.case is not case:
+        raise PreconditionViolated(f"split is case {cls.label}, not {case.label}")
     v = split.v
-    inner = sorted(split.side - {v})
     rest = sorted(u for u in range(G.n) if u not in split.side)
-    return v, inner, rest
+    return cls, v, sorted(split.side - {v}), rest
 
 
 def rank_case1_peel(G: WeightedDigraph, split: CutSplit) -> int:
     """r(G) = r(H - v) + r(G - H) + 2 when the border at v adds 2."""
-    split = make_split(G, split.v, split.side)
-    cls = classify_cut(G, split)
-    if cls.case is not CutVertexCase.RANK_PLUS_2:
-        raise PreconditionViolated(f"split is case {cls.label}, not I")
-    v, inner, rest = _split_pieces(G, split)
+    _, v, inner, rest = _case_pieces(G, split, CutVertexCase.RANK_PLUS_2)
     return oracle_rank(G.induced_subdigraph(inner)) + oracle_rank(
         G.induced_subdigraph(rest)
     ) + 2
@@ -489,11 +482,7 @@ def rank_case1_peel(G: WeightedDigraph, split: CutSplit) -> int:
 def rank_case2_peel(G: WeightedDigraph, split: CutSplit) -> int:
     """r(G) = r(H - v) + r(G - (H - v)) when the border adds 0, provided
     v's loop is absent or its outside neighbourhood misses a membership."""
-    split = make_split(G, split.v, split.side)
-    cls = classify_cut(G, split)
-    if cls.case is not CutVertexCase.RANK_PLUS_0:
-        raise PreconditionViolated(f"split is case {cls.label}, not II")
-    v, inner, rest = _split_pieces(G, split)
+    _, v, inner, rest = _case_pieces(G, split, CutVertexCase.RANK_PLUS_0)
     if G.has_loop(v):
         outside = _cut_peel(_block_rows(G, rest + [v]), rest, rest, v)
         if outside.x_in and outside.y_in:
@@ -508,11 +497,7 @@ def rank_case2_peel(G: WeightedDigraph, split: CutSplit) -> int:
 def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
     """Case III formulas: one inside membership gives a 0/1-corrected peel,
     both inside memberships give the loop-residue reduction."""
-    split = make_split(G, split.v, split.side)
-    cls = classify_cut(G, split)
-    if cls.case is not CutVertexCase.RANK_PLUS_1:
-        raise PreconditionViolated(f"split is case {cls.label}, not III")
-    v, inner, rest = _split_pieces(G, split)
+    cls, v, inner, rest = _case_pieces(G, split, CutVertexCase.RANK_PLUS_1)
     m1, m2 = cls.memberships[0], cls.memberships[1]
     r_inner = oracle_rank(G.induced_subdigraph(inner))
     if m1 and m2:  # v's loop becomes its residue alpha - x.d over H - v
@@ -745,7 +730,7 @@ def _component_rule(
 
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
-        if all(any(_r2_block(W, d, peels, b) for b in _by_size(d, d.membership[v])) for v in cuts):
+        if _r2_holds(W, d, peels, cuts):
             # The summands make up the component minus its cuts: one copy, each
             # of whose components lies in the one block of any of its vertices.
             labels = sorted(u for b in blocks for u in d.blocks[b] if u not in cuts)
@@ -759,8 +744,7 @@ def _component_rule(
             )
             m = len(cuts)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
-        fails = (not _r0_block(W, d, peels, b) for b in _by_size(d, blocks))
-        if not any(G.has_loop(v) for v in cuts) and _r0_but_one(fails):
+        if not any(G.has_loop(v) for v in cuts) and _r0_holds(W, d, peels, blocks):
             # The test peeled every block at its first cut, with loop 0, which
             # is that cut's loop here: r(B_i) = rank + delta of that peel.
             children = []

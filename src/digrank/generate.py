@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .blocks import decompose
-from .digraph import EdgeKind, WeightedDigraph, build
+from .digraph import EdgeKind, WeightedDigraph, _weight_count, build
 from .engine import (
     _complete_blocks,
     is_r0_biblock_graph,
@@ -195,8 +196,7 @@ def _r2_tree(n, rng, pool, extras) -> WeightedDigraph:
             break
         at = rng.choice(internal)
         kind = rng.choice(kinds)
-        need = {EdgeKind.NC_TILDE_ARC: 1, EdgeKind.NC_ARC: 2, EdgeKind.NC_EDGE: 3}[kind]
-        ws = tuple(rng.choice(pool) for _ in range(need))
+        ws = tuple(rng.choice(pool) for _ in range(_weight_count(kind)))
         G = G.attach_edge(at, kind, ws, toward_new=rng.random() < 0.5)
     return G
 
@@ -258,6 +258,25 @@ class _Growth:
                 self.home[v] = bid
         return bid
 
+    def eligible(self, rng, min_noncut: int, side_of: dict | None = None) -> int:
+        """A vertex a new block may be glued to: a cut-vertex, or a non-cut
+        vertex whose group keeps at least min_noncut - 1 non-cut vertices
+        after losing it.  The group is its home block, and its side there
+        when side_of is given."""
+        side_of = side_of or {}
+        group = {v: (b, side_of.get(v)) for v, b in self.home.items()}
+        size = Counter(group.values())
+        options = sorted(self.cut) + sorted(v for v, k in group.items() if size[k] >= min_noncut)
+        if not options:
+            raise InvalidSpec("no eligible attachment vertex; sizes too small")
+        return rng.choice(options)
+
+    def pendant_edges(self) -> None:
+        """Hang one new leaf on each cut-vertex, in vertex order."""
+        for v in sorted(self.cut):
+            (leaf,) = self.fresh(1)
+            self.add_edge(v, leaf)
+
     def graph(self) -> WeightedDigraph:
         return build(self.n, self.arcs)
 
@@ -288,15 +307,13 @@ def _block_graph(n, rng, sizes, min_size, managed) -> WeightedDigraph:
         g.add_edge(a, b)
     g.new_block(first, None)
     for s in plan[1:]:
-        at = _eligible_vertex(g, rng, managed, min_noncut=3)
+        at = g.eligible(rng, 3) if managed else rng.randrange(g.n)
         members = [at] + g.fresh(s - 1)
         for a, b in _pairs(members):
             g.add_edge(a, b)
         g.new_block(members, at)
     if managed:
-        for v in sorted(g.cut):
-            (leaf,) = g.fresh(1)
-            g.add_edge(v, leaf)
+        g.pendant_edges()
     return g.graph()
 
 
@@ -304,26 +321,6 @@ def _pairs(vs):
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             yield vs[i], vs[j]
-
-
-def _eligible_vertex(g: _Growth, rng, managed: bool, min_noncut: int) -> int:
-    """A vertex a new block may be glued to.
-
-    Unmanaged growth allows any vertex.  Managed growth allows existing
-    cut-vertices, or non-cut vertices whose home block keeps enough non-cut
-    vertices after losing this one.
-    """
-    if not managed:
-        return rng.randrange(g.n)
-    noncut_per_block: dict[int, int] = {}
-    for v, b in g.home.items():
-        noncut_per_block[b] = noncut_per_block.get(b, 0) + 1
-    options = sorted(g.cut) + sorted(
-        v for v, b in g.home.items() if noncut_per_block[b] >= min_noncut
-    )
-    if not options:
-        raise InvalidSpec("no eligible attachment vertex; sizes too small")
-    return rng.choice(options)
 
 
 def _biblock_graph(n, rng, sizes, pendants) -> WeightedDigraph:
@@ -359,29 +356,14 @@ def _biblock_graph(n, rng, sizes, pendants) -> WeightedDigraph:
     a0, b0 = plan[0]
     add_block(g.fresh(a0), g.fresh(b0), None)
     for (a, b) in plan[1:]:
-        at = _biblock_eligible(g, rng, side_of)
+        at = g.eligible(rng, 2, side_of)
         if rng.random() < 0.5:
             add_block([at] + g.fresh(a - 1), g.fresh(b), at)
         else:
             add_block(g.fresh(a), [at] + g.fresh(b - 1), at)
     if pendants:
-        for v in sorted(g.cut):
-            (leaf,) = g.fresh(1)
-            g.add_edge(v, leaf)
+        g.pendant_edges()
     return g.graph()
-
-
-def _biblock_eligible(g: _Growth, rng, side_of) -> int:
-    noncut_side: dict[tuple[int, int], int] = {}
-    for v, b in g.home.items():
-        key = (b, side_of[v])
-        noncut_side[key] = noncut_side.get(key, 0) + 1
-    options = sorted(g.cut) + sorted(
-        v for v, b in g.home.items() if noncut_side[(b, side_of[v])] >= 2
-    )
-    if not options:
-        raise InvalidSpec("no eligible biblock attachment vertex")
-    return rng.choice(options)
 
 
 # -- r2 extension -------------------------------------------------------------

@@ -327,7 +327,7 @@ def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
     full = min(len(rows), len(pos))
     if residues is not None and _rank_mod_p(residues) == full:
         return full
-    return int_rank([_scaled_int_row([row.get(t, _ZERO) for t in cols])[0] for row in rows])
+    return int_rank([_int_row(row, cols)[0] for row in rows])
 
 
 def int_rank(a: list[list[int]]) -> int:

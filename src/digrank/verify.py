@@ -6,7 +6,14 @@ A SuiteReport records how many instances ran, every disagreement found
 (with the offending digraph serialized so it can be replayed), and the
 wall time.  Suites are deterministic in (name, seed, count, max_n).
 
-Suite names are the stable CLI tokens; see SUITE_DEFAULTS for the list.
+SUITE_DEFAULTS is the suite table: name (the stable CLI token), suite
+function, default count and default max-n.  Most results have a suite
+function of their own; two factories build the rest.  `_family_suite`
+draws graphs of one generator family and checks a closed-form rank
+(thm-tt, cor-r2tree, cor-blockgraph, cor-biblock-r2, cor-biblock-r0), and
+`_planted_suite` plants a split of one cut-vertex case and checks its peel
+formula (thm-2.2, thm-r0).  thm-genr2 and cor-cr2 share one draw of a
+connected r2 base with cut-vertices (`_r2_cut_base`).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .classify import (
     make_split,
     side_components,
 )
-from .digraph import EdgeKind, WeightedDigraph, build, format_digraph
+from .digraph import EdgeKind, WeightedDigraph, _weight_count, build, format_digraph
 from .engine import (
     DigraphAttachment,
     EdgeAddition,
@@ -134,27 +141,21 @@ def _suite_thm_hy(count, max_n, rng):
     return count, failures, {}
 
 
-def _cut_instances(rng, max_n, want, budget):
-    """Yield up to `want` (G, v, side) triples where v is a cut-vertex."""
-    made = 0
-    for _ in range(budget):
-        if made >= want:
-            return
+def _suite_obs1(count, max_n, rng):
+    """classify_cut's two routes agree and the increment is 0, 1 or 2, at a
+    random cut-vertex and side of each draw that has one (up to count of
+    count * 60 draws)."""
+    failures: list[dict] = []
+    instances = 0
+    for _ in range(count * 60):
+        if instances >= count:
+            break
         G = random_digraph(rng.randint(3, max_n), rng)
         d = decompose(G)
         if not d.cut_vertices:
             continue
         v = rng.choice(sorted(d.cut_vertices))
         side = rng.choice(side_components(G, v))
-        made += 1
-        yield G, v, side
-
-
-def _suite_obs1(count, max_n, rng):
-    """classify_cut's two routes agree and the increment is 0, 1 or 2."""
-    failures: list[dict] = []
-    instances = 0
-    for G, v, side in _cut_instances(rng, max_n, count, budget=count * 60):
         instances += 1
         try:
             cls = classify_cut(G, make_split(G, v, side))
@@ -182,21 +183,11 @@ def _plant_case1(rng, max_n):
     return G, v, frozenset(side)
 
 
-def _suite_thm22(count, max_n, rng):
-    """Case I peel: r(G) = r(H - v) + r(G - H) + 2."""
-    failures: list[dict] = []
-    for i in range(count):
-        G, v, side = _plant_case1(rng, max_n)
-        split = make_split(G, v, side)
-        cls = classify_cut(G, split)
-        if cls.case is not CutVertexCase.RANK_PLUS_2:
-            _fail(failures, f"planted split classified {cls.label}, wanted I", G)
-            continue
-        got = rank_case1_peel(G, split)
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"peel said {got}, oracle {want}", G)
-    return count, failures, {}
+def _r2_base(rng, max_n):
+    """A random digraph of 3..max_n vertices extended to an r2-digraph; it
+    may be disconnected or have no cut-vertex."""
+    base = random_digraph(rng.randint(3, max_n), rng)
+    return extend_to_r2(base, seed=rng.randrange(10**6))
 
 
 def _suite_lemma_2rin(count, max_n, rng):
@@ -210,8 +201,7 @@ def _suite_lemma_2rin(count, max_n, rng):
     for _ in range(count * 40):
         if made >= half:
             break
-        base = random_digraph(rng.randint(3, max_n), rng)
-        G = extend_to_r2(base, seed=rng.randrange(10**6))
+        G = _r2_base(rng, max_n)
         cuts = sorted(decompose(G).cut_vertices)
         if not 1 <= len(cuts) <= 4:
             continue
@@ -288,13 +278,15 @@ def _suite_thm_mdt(count, max_n, rng):
     return instances, failures, {}
 
 
-def _r2_base(rng, max_n, need_cuts=False):
+def _r2_cut_base(rng, max_n):
+    """The first of up to 200 r2 bases with cut-vertices, with its sorted
+    cut-vertices, when it is connected; else None."""
     for _ in range(200):
-        base = random_digraph(rng.randint(3, max_n), rng)
-        G = extend_to_r2(base, seed=rng.randrange(10**6))
-        if not need_cuts or decompose(G).cut_vertices:
-            return G
-    raise InternalMismatch("could not build an r2 base with cut-vertices")
+        G = _r2_base(rng, max_n)
+        cuts = decompose(G).cut_vertices
+        if cuts:
+            return (G, sorted(cuts)) if G.is_connected() else None
+    return None
 
 
 def _suite_thm_pen(count, max_n, rng):
@@ -302,12 +294,7 @@ def _suite_thm_pen(count, max_n, rng):
     failures: list[dict] = []
     for _ in range(count):
         G = _r2_base(rng, max_n)
-        got = rank_r2_digraph(G) if G.is_connected() else None
-        if got is None:
-            got = sum(
-                rank_r2_digraph(G.induced_subdigraph(c))
-                for c in G.connected_components()
-            )
+        got = sum(rank_r2_digraph(G.induced_subdigraph(c)) for c in G.connected_components())
         want = oracle_rank(G)
         if got != want:
             _fail(failures, f"r2 sum said {got}, oracle {want}", G)
@@ -329,25 +316,16 @@ def _suite_thm_genr2(count, max_n, rng):
     failures: list[dict] = []
     instances = 0
     for _ in range(count):
-        try:
-            G = _r2_base(rng, max_n, need_cuts=True)
-        except InternalMismatch:
+        base = _r2_cut_base(rng, max_n)
+        if base is None:
             continue
-        if not G.is_connected():
-            continue
-        cuts = sorted(decompose(G).cut_vertices)
+        G, cuts = base
         atts = []
         for _ in range(rng.randint(1, 3)):
             W = random_digraph(rng.randint(1, 3), rng)
-            atts.append(
-                DigraphAttachment(
-                    W=W,
-                    w_vertex=rng.randrange(W.n),
-                    at=rng.choice(cuts),
-                    into_w=rng.choice(DEFAULT_POOL),
-                    out_of_w=rng.choice(DEFAULT_POOL),
-                )
-            )
+            w_vertex, at = rng.randrange(W.n), rng.choice(cuts)
+            weights = rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL)
+            atts.append(DigraphAttachment(W, w_vertex, at, *weights))
         instances += 1
         got = rank_genr2(G, atts)
         want = oracle_rank(build_genr2(G, atts))
@@ -360,28 +338,17 @@ def _suite_cor_cr2(count, max_n, rng):
     """Rank delta of single-vertex attachments = number carrying loops."""
     failures: list[dict] = []
     instances = 0
-    kinds = (
-        EdgeKind.SIMPLE_EDGE,
-        EdgeKind.NC_TILDE_EDGE,
-        EdgeKind.NC_TILDE_ARC,
-        EdgeKind.NC_EDGE,
-        EdgeKind.NC_ARC,
-    )
-    need = {k: {"simple-edge": 1, "nc-tilde-edge": 2, "nc-tilde-arc": 1,
-                "nc-edge": 3, "nc-arc": 2}[k.value] for k in kinds}
+    kinds = tuple(EdgeKind)
     for _ in range(count):
-        try:
-            G = _r2_base(rng, max_n, need_cuts=True)
-        except InternalMismatch:
+        base = _r2_cut_base(rng, max_n)
+        if base is None:
             continue
-        if not G.is_connected():
-            continue
-        cuts = sorted(decompose(G).cut_vertices)
+        G, cuts = base
         adds = [
             EdgeAddition(
                 at=rng.choice(cuts),
                 kind=(k := rng.choice(kinds)),
-                weights=tuple(rng.choice(DEFAULT_POOL) for _ in range(need[k])),
+                weights=tuple(rng.choice(DEFAULT_POOL) for _ in range(_weight_count(k))),
                 toward_new=rng.random() < 0.5,
             )
             for _ in range(rng.randint(1, 4))
@@ -392,74 +359,6 @@ def _suite_cor_cr2(count, max_n, rng):
         if got != want:
             _fail(failures, f"delta said {got}, oracle delta {want}", G)
     return instances, failures, {}
-
-
-def _suite_thm_tt(count, max_n, rng):
-    """Loopless bi-arc trees: rank = twice the matching number."""
-    failures: list[dict] = []
-    for i in range(count):
-        G = gen(
-            GenSpec(
-                "loopless-biarc-tree",
-                n=rng.randint(1, max_n),
-                seed=rng.randrange(10**9),
-            )
-        )
-        got = rank_tree(G)
-        want = oracle_rank(G)
-        if got != want or got != 2 * max_matching(G).size:
-            _fail(failures, f"2q said {got}, oracle {want}", G)
-    return count, failures, {}
-
-
-def _suite_cor_r2tree(count, max_n, rng):
-    """r2-trees: rank = 2q + (number of looped leaves)."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = gen(
-            GenSpec("r2-tree", n=rng.randint(2, max_n), seed=rng.randrange(10**9))
-        )
-        got = rank_r2_tree(G)
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"2q+s said {got}, oracle {want}", G)
-    return count, failures, {}
-
-
-def _suite_cor_blockgraph(count, max_n, rng):
-    """Qualifying block graphs are nonsingular: rank = n."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = gen(
-            GenSpec(
-                "r2-block-graph",
-                n=rng.randint(3, max(3, max_n)),
-                seed=rng.randrange(10**9),
-            )
-        )
-        cert = rank_r2_block_graph(G)
-        want = oracle_rank(G)
-        if cert.rank != want or cert.rank != G.n:
-            _fail(failures, f"family formula said {cert.rank}, oracle {want}", G)
-    return count, failures, {}
-
-
-def _suite_cor_biblock_r2(count, max_n, rng):
-    """Qualifying pendant-edge biblock graphs: rank = 2 * block count."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = gen(
-            GenSpec(
-                "r2-biblock-graph",
-                n=rng.randint(4, max(4, max_n)),
-                seed=rng.randrange(10**9),
-            )
-        )
-        cert = rank_r2_biblock_graph(G)
-        want = oracle_rank(G)
-        if cert.rank != want:
-            _fail(failures, f"2k said {cert.rank}, oracle {want}", G)
-    return count, failures, {}
 
 
 def _plant_case2(rng, max_n):
@@ -491,45 +390,15 @@ def _plant_case2(rng, max_n):
     return G, v, frozenset({v, a})
 
 
-def _suite_thm_r0(count, max_n, rng):
-    """Case II peel keeps the cut-vertex with the outside part."""
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(count):
-        G, v, side = _plant_case2(rng, max_n)
-        split = make_split(G, v, side)
-        cls = classify_cut(G, split)
-        if cls.case is not CutVertexCase.RANK_PLUS_0:
-            _fail(failures, f"planted split classified {cls.label}, wanted II", G)
-            continue
-        try:
-            got = rank_case2_peel(G, split)
-        except PreconditionViolated:
-            # loop present and the outside holds both memberships: the
-            # formula is not claimed there, skip without counting.
-            continue
-        instances += 1
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"case II peel said {got}, oracle {want}", G)
-    return instances, failures, {}
-
-
 def _scaled_biblock(rng, max_n):
     G = gen(
         GenSpec("biblock-graph", n=rng.randint(4, max_n), seed=rng.randrange(10**9))
     )
     d = decompose(G)
-    block_of = {}
-    for i, blk in enumerate(d.blocks):
-        s = set(blk)
-        for (u, w) in G.underlying_edges():
-            if u in s and w in s:
-                block_of[(u, w)] = i
     scales = [rng.choice(DEFAULT_POOL) for _ in d.blocks]
     arcs = []
     for (u, w, t) in G.arcs():
-        i = block_of[(min(u, w), max(u, w))]
+        (i,) = set(d.membership[u]) & set(d.membership[w])  # the block of u -> w
         arcs.append((u, w, t * scales[i]))
     return build(G.n, arcs)
 
@@ -559,22 +428,6 @@ def _suite_thm_r0f(count, max_n, rng):
         if got != want:
             _fail(failures, f"block sum said {got}, oracle {want}", G)
     return instances, failures, {}
-
-
-def _suite_cor_biblock_r0(count, max_n, rng):
-    """Biblock graphs with spare vertices on both sides: rank = 2k."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = gen(
-            GenSpec(
-                "biblock-graph", n=rng.randint(4, max_n), seed=rng.randrange(10**9)
-            )
-        )
-        cert = rank_r0_biblock_graph(G)
-        want = oracle_rank(G)
-        if cert.rank != want:
-            _fail(failures, f"2k said {cert.rank}, oracle {want}", G)
-    return count, failures, {}
 
 
 def _case3_block_graph(rng, max_n):
@@ -673,23 +526,101 @@ def _suite_case3(count, max_n, rng):
     return count, failures, extra
 
 
+def _family_suite(family, lo, formula, what, closed=None):
+    """The suite drawing `family` graphs of lo..max_n vertices on which
+    formula(G), and closed(G) when given, must equal the oracle rank."""
+
+    def suite(count, max_n, rng):
+        failures: list[dict] = []
+        for _ in range(count):
+            G = gen(GenSpec(family, n=rng.randint(lo, max_n), seed=rng.randrange(10**9)))
+            got = formula(G)
+            want = oracle_rank(G)
+            if got != want or (closed is not None and got != closed(G)):
+                _fail(failures, f"{what} said {got}, oracle {want}", G)
+        return count, failures, {}
+
+    return suite
+
+
+def _planted_suite(plant, case, formula, what):
+    """The suite on plant(rng, max_n) = (G, v, side) splits, which must be
+    of the given case, where formula(G, split) must equal the oracle rank;
+    a draw the formula does not claim (PreconditionViolated) is skipped
+    uncounted."""
+
+    def suite(count, max_n, rng):
+        failures: list[dict] = []
+        instances = 0
+        for _ in range(count):
+            G, v, side = plant(rng, max_n)
+            split = make_split(G, v, side)
+            cls = classify_cut(G, split)
+            try:
+                got = formula(G, split) if cls.case is case else None
+            except PreconditionViolated:
+                continue
+            instances += 1
+            if got is None:
+                _fail(failures, f"planted split classified {cls.label}, wanted {case.label}", G)
+            elif got != (want := oracle_rank(G)):
+                _fail(failures, f"{what} said {got}, oracle {want}", G)
+        return instances, failures, {}
+
+    return suite
+
+
 SUITE_DEFAULTS: dict[str, tuple] = {
     "thm-hy": (_suite_thm_hy, 400, 6),
     "obs-1": (_suite_obs1, 300, 8),
-    "thm-2.2": (_suite_thm22, 300, 8),
+    # Case I peel: r(G) = r(H - v) + r(G - H) + 2.
+    "thm-2.2": (
+        _planted_suite(_plant_case1, CutVertexCase.RANK_PLUS_2, rank_case1_peel, "peel"), 300, 8
+    ),
     "lemma-2rin": (_suite_lemma_2rin, 150, 7),
     "thm-mdt": (_suite_thm_mdt, 120, 8),
     "thm-pen": (_suite_thm_pen, 200, 8),
     "cor-loops": (_suite_cor_loops, 120, 8),
     "thm-genr2": (_suite_thm_genr2, 150, 7),
     "cor-cr2": (_suite_cor_cr2, 150, 7),
-    "thm-tt": (_suite_thm_tt, 400, 12),
-    "cor-r2tree": (_suite_cor_r2tree, 300, 10),
-    "cor-blockgraph": (_suite_cor_blockgraph, 150, 10),
-    "cor-biblock-r2": (_suite_cor_biblock_r2, 150, 10),
-    "thm-r0": (_suite_thm_r0, 200, 8),
+    # Loopless bi-arc trees: rank = twice the matching number.
+    "thm-tt": (
+        _family_suite(
+            "loopless-biarc-tree", 1, rank_tree, "2q", lambda G: 2 * max_matching(G).size
+        ),
+        400,
+        12,
+    ),
+    # r2-trees: rank = 2q + (number of looped leaves).
+    "cor-r2tree": (_family_suite("r2-tree", 2, rank_r2_tree, "2q+s"), 300, 10),
+    # Qualifying block graphs are nonsingular: rank = n.
+    "cor-blockgraph": (
+        _family_suite(
+            "r2-block-graph", 3, lambda G: rank_r2_block_graph(G).rank, "family formula",
+            lambda G: G.n,
+        ),
+        150,
+        10,
+    ),
+    # Qualifying pendant-edge biblock graphs: rank = 2 * block count.
+    "cor-biblock-r2": (
+        _family_suite("r2-biblock-graph", 4, lambda G: rank_r2_biblock_graph(G).rank, "2k"),
+        150,
+        10,
+    ),
+    # Case II peel keeps the cut-vertex with the outside part.
+    "thm-r0": (
+        _planted_suite(_plant_case2, CutVertexCase.RANK_PLUS_0, rank_case2_peel, "case II peel"),
+        200,
+        8,
+    ),
     "thm-r0f": (_suite_thm_r0f, 200, 10),
-    "cor-biblock-r0": (_suite_cor_biblock_r0, 150, 10),
+    # Biblock graphs with spare vertices on both sides: rank = 2k.
+    "cor-biblock-r0": (
+        _family_suite("biblock-graph", 4, lambda G: rank_r0_biblock_graph(G).rank, "2k"),
+        150,
+        10,
+    ),
     "case3": (_suite_case3, 300, 8),
 }
 

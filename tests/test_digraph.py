@@ -198,6 +198,31 @@ def test_attach_nc_edge_and_arc_carry_loops():
     assert H.loop_weight(2) == -1
 
 
+def _added(toward):
+    """Per shape: the weights it takes and the arcs it adds at 0 of
+    _base(), in insertion order (the order `trees` walks them in)."""
+    there, back = (0, 2), (2, 0)
+    arc = there if toward else back
+    return {
+        EdgeKind.SIMPLE_EDGE: ((3,), [(back, 3), (there, 3)]),
+        EdgeKind.NC_TILDE_EDGE: ((3, 5), [(back, 3), (there, 5)]),
+        EdgeKind.NC_TILDE_ARC: ((3,), [(arc, 3)]),
+        EdgeKind.NC_EDGE: ((3, 5, 7), [(back, 3), (there, 5), ((2, 2), 7)]),
+        EdgeKind.NC_ARC: ((3, 7), [(arc, 3), ((2, 2), 7)]),
+    }
+
+
+@pytest.mark.parametrize("toward", [True, False])
+@pytest.mark.parametrize("kind", list(EdgeKind))
+def test_attach_adds_its_arcs_in_order_and_takes_its_weight_count(kind, toward):
+    weights, arcs = _added(toward)[kind]
+    G = _base().attach_edge(0, kind, weights, toward_new=toward)
+    assert list(G._arcs.items())[2:] == arcs
+    for wrong in (weights[:-1], weights + (1,)):
+        with pytest.raises(ZeroWeight):
+            _base().attach_edge(0, kind, wrong, toward_new=toward)
+
+
 def test_attach_validates():
     with pytest.raises(VertexOutOfRange):
         _base().attach_edge(9, EdgeKind.SIMPLE_EDGE, (1,))
