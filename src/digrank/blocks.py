@@ -130,3 +130,27 @@ def breve(G: WeightedDigraph, d: BlockDecomposition, i: int) -> WeightedDigraph:
         raise IndexOutOfRange(f"block index {i} not in 0..{len(d.blocks) - 1}")
     keep = [v for v in d.blocks[i] if v not in d.cut_vertices]
     return G.induced_subdigraph(keep)
+
+
+def _block_pieces(
+    G: WeightedDigraph, d: BlockDecomposition, breves: bool
+) -> list[WeightedDigraph]:
+    """Every block's sub-digraph (its breve when breves is True), in block
+    order and in the vertex ids `block_subdigraph` / `breve` give, cut from
+    one pass over G's arcs.  An arc between two vertices lies in exactly
+    one block, the one holding both, which is looked for among the blocks
+    of the end in fewer of them; a loop goes to every piece holding its
+    vertex, so to no breve when the vertex is a cut-vertex."""
+    cuts = d.cut_vertices if breves else frozenset()
+    pos = [{v: i for i, v in enumerate(u for u in blk if u not in cuts)} for blk in d.blocks]
+    pieces: list[dict] = [{} for _ in d.blocks]
+    member = d.membership
+    for (u, v), w in G._arcs.items():
+        a, z = (u, v) if len(member[u]) <= len(member[v]) else (v, u)
+        for b in member[a]:
+            p = pos[b]
+            if a in p and z in p:
+                pieces[b][p[u], p[v]] = w
+                if u != v:
+                    break
+    return [WeightedDigraph(len(p), arcs) for p, arcs in zip(pos, pieces)]

@@ -44,11 +44,11 @@ class EdgeKind(Enum):
     - NC_EDGE: arcs both ways with independent weights, plus a loop at u
     - NC_ARC: one arc (either direction), plus a loop at u
 
-    `_SHAPE_ARCS` lists the arcs each shape adds, in the order
-    `WeightedDigraph.attach_edge` inserts them, as (end, index of the weight
-    it takes): "out" is u->v, "in" is v->u, "loop" is u->u, and "arc" is
-    v->u or u->v as `toward_new` picks.  A shape takes one more weight than
-    its largest index (`_weight_count`).
+    `_SHAPE_ARCS` lists the arcs each shape adds, in the order `_attach`
+    inserts them (`WeightedDigraph.attach_edge` is its one-attachment
+    case), as (end, index of the weight it takes): "out" is u->v, "in" is
+    v->u, "loop" is u->u, and "arc" is v->u or u->v as `toward_new` picks.
+    A shape takes one more weight than its largest index (`_weight_count`).
     """
 
     SIMPLE_EDGE = "simple-edge"
@@ -191,21 +191,7 @@ class WeightedDigraph:
         - NC_EDGE: (w_uv, w_vu, loop)
         - NC_ARC: (w, loop); `toward_new` picks at->u
         """
-        if not (0 <= at < self.n):
-            raise VertexOutOfRange(f"vertex {at} not in 0..{self.n - 1}")
-        ws = vector(weights)
-        need = _weight_count(kind)
-        if len(ws) != need:
-            raise ZeroWeight(f"{kind.value} takes {need} weights, got {len(ws)}")
-        if any(w == 0 for w in ws):
-            raise ZeroWeight(f"{kind.value} weights must be nonzero")
-        u = self.n
-        ends = {"out": (u, at), "in": (at, u), "loop": (u, u)}
-        ends["arc"] = ends["in"] if toward_new else ends["out"]
-        arcs = dict(self._arcs)
-        for end, i in _SHAPE_ARCS[kind]:
-            arcs[ends[end]] = ws[i]
-        return WeightedDigraph(self.n + 1, arcs)
+        return _attach(self, [(at, kind, weights, toward_new)])
 
     # -- underlying simple graph ----------------------------------------
 
@@ -261,6 +247,31 @@ class WeightedDigraph:
 
     def __repr__(self) -> str:
         return f"WeightedDigraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph:
+    """G with one fresh vertex per (at, kind, weights, toward_new), in order,
+    as `attach_edge` would attach them one at a time: the i-th gets id
+    G.n + i and may attach to any vertex before it.  G's arcs are copied
+    once, and each shape's arcs follow in `_SHAPE_ARCS` order, so the arc
+    order is that of the one-at-a-time chain too."""
+    arcs = dict(G._arcs)
+    n = G.n
+    for at, kind, weights, toward_new in attachments:
+        if not (0 <= at < n):
+            raise VertexOutOfRange(f"vertex {at} not in 0..{n - 1}")
+        ws = vector(weights)
+        need = _weight_count(kind)
+        if len(ws) != need:
+            raise ZeroWeight(f"{kind.value} takes {need} weights, got {len(ws)}")
+        if any(w == 0 for w in ws):
+            raise ZeroWeight(f"{kind.value} weights must be nonzero")
+        ends = {"out": (n, at), "in": (at, n), "loop": (n, n)}
+        ends["arc"] = ends["in"] if toward_new else ends["out"]
+        for end, i in _SHAPE_ARCS[kind]:
+            arcs[ends[end]] = ws[i]
+        n += 1
+    return WeightedDigraph(n, arcs)
 
 
 def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:

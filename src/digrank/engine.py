@@ -63,9 +63,9 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
-from .blocks import BlockDecomposition, breve, block_subdigraph, decompose
+from .blocks import BlockDecomposition, _block_pieces, decompose
 from .classify import Classification, CutSplit, CutVertexCase, classify_cut, make_split
-from .digraph import EdgeKind, WeightedDigraph, build
+from .digraph import EdgeKind, WeightedDigraph, _attach, build
 from .errors import (
     InconsistentClassification,
     InternalMismatch,
@@ -281,9 +281,7 @@ def _r2_decomposition(
 def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
     d = _r2_decomposition(G, "rank_r2_digraph", d=d)
-    return 2 * len(d.cut_vertices) + sum(
-        oracle_rank(breve(G, d, i)) for i in range(d.block_count)
-    )
+    return 2 * len(d.cut_vertices) + sum(map(oracle_rank, _block_pieces(G, d, breves=True)))
 
 
 def rank_mdt(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
@@ -294,12 +292,12 @@ def rank_mdt(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     if not G.is_connected():
         raise PreconditionViolated("rank_mdt expects a connected digraph")
     total = 2 * len(d.cut_vertices)
-    for i in range(d.block_count):
+    blocks, breves = _block_pieces(G, d, breves=False), _block_pieces(G, d, breves=True)
+    for i, (blk, br) in enumerate(zip(blocks, breves)):
         mi = len(d.cuts_in_block(i))
-        br = breve(G, d, i)
         if br.n == 0:
             raise PreconditionViolated(f"block {i} is all cut-vertices")
-        rb = oracle_rank(block_subdigraph(G, d, i))
+        rb = oracle_rank(blk)
         rbr = oracle_rank(br)
         if rb != rbr + 2 * mi:
             raise PreconditionViolated(
@@ -371,10 +369,8 @@ class EdgeAddition:
 def apply_additions(
     G: WeightedDigraph, additions: Sequence[EdgeAddition]
 ) -> WeightedDigraph:
-    out = G
-    for add in additions:
-        out = out.attach_edge(add.at, add.kind, add.weights, add.toward_new)
-    return out
+    """G with the additions attached in order, from one copy of its arcs."""
+    return _attach(G, ((a.at, a.kind, a.weights, a.toward_new) for a in additions))
 
 
 def rank_delta_cr2(G: WeightedDigraph, additions: Sequence[EdgeAddition]) -> int:
@@ -449,9 +445,7 @@ def rank_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> 
     looped = [v for v in sorted(d.cut_vertices) if G.has_loop(v)]
     if looped:
         raise PreconditionViolated(f"cut-vertices {looped} carry loops")
-    return sum(
-        oracle_rank(block_subdigraph(G, d, i)) for i in range(d.block_count)
-    )
+    return sum(map(oracle_rank, _block_pieces(G, d, breves=False)))
 
 
 # -- single-split peel formulas ----------------------------------------------
@@ -524,16 +518,28 @@ def _simple_shape(
 ) -> tuple[BlockDecomposition, list[set[int]]] | None:
     """(decompose(G), neighbour sets) when G is a nonempty connected unit
     simple graph (every arc has weight 1 and its reverse, no loops), else
-    None.  The family recognisers read G through this once; every block
+    None.  The family recognisers read G through this once: one pass over
+    its arcs checks them and builds the neighbour sets, a walk over the
+    sets checks connectivity, and only then is G decomposed; every block
     test below works from its result."""
     if G.n == 0:
         return None
-    for (u, v, w) in G.arcs():
-        if u == v or w != 1 or not G.has_arc(v, u):
+    arcs = G._arcs
+    adj: list[set[int]] = [set() for _ in range(G.n)]
+    for (u, v), w in arcs.items():
+        if u == v or w != 1 or (v, u) not in arcs:
             return None
-    if not G.is_connected():
+        adj[u].add(v)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != G.n:
         return None
-    return decompose(G), G.underlying_adjacency()
+    return decompose(G), adj
 
 
 def _block_sides(adj: list[set[int]], blk: Sequence[int]) -> set[frozenset[int]] | None:

@@ -5,24 +5,33 @@ GenSpec pins the output byte-for-byte (the text serialization of the result
 is deterministic).  Each generator re-validates its own output against the
 matching recognizer predicate and raises InternalMismatch if it ever breaks
 its own promise - that is a bug canary, not an expected failure.
+
+Every generator runs in time linear in its output, give or take a sorted
+insertion.  The block-graph families grow one block at a time in `_Growth`,
+which keeps its attachment options as two sorted lists (the cut-vertices,
+then the non-cut vertices whose group can still spare one) updated as each
+block is added, so a draw reads them without a scan.  Leaves hung on an
+existing graph (the r2-tree's plain leaves and extras, `extend_to_r2`) are
+collected first and attached with one copy of the arcs (`_attach`), in the
+order and with the arc order that attaching them one at a time gives.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .blocks import decompose
-from .digraph import EdgeKind, WeightedDigraph, _weight_count, build
+from .digraph import EdgeKind, WeightedDigraph, _attach, _weight_count, build
 from .engine import (
     _complete_blocks,
+    _r2_block,
     is_r0_biblock_graph,
     is_r2_biblock_graph,
-    is_r2_block,
     is_r2_block_graph,
     is_r2_digraph,
 )
@@ -35,6 +44,7 @@ DEFAULT_POOL: tuple[Fraction, ...] = (
     Fraction(2),
     Fraction(1, 2),
 )
+_ONE = Fraction(1)
 
 FAMILIES = (
     "loopless-biarc-tree",
@@ -178,15 +188,18 @@ def _r2_tree(n, rng, pool, extras) -> WeightedDigraph:
     edges = G.underlying_edges()
     internal = sorted(_internal_vertices(G.n, edges))
     # Every cut-vertex needs a plain leaf: loop-free, joined both ways.
+    # The leaves attached here touch no arc among G's vertices, so every
+    # test reads G itself, and all attachments go on in one copy.
     adj = G.underlying_adjacency()
+    leaves = []
     for c in internal:
         plain = any(
             len(adj[u]) == 1 and not G.has_loop(u) and G.has_arc(c, u) and G.has_arc(u, c)
             for u in adj[c]
         )
         if not plain:
-            G = G.attach_edge(
-                c, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool))
+            leaves.append(
+                (c, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool)), True)
             )
     if extras is None:
         extras = rng.randint(1, 3) if internal else 0
@@ -197,8 +210,8 @@ def _r2_tree(n, rng, pool, extras) -> WeightedDigraph:
         at = rng.choice(internal)
         kind = rng.choice(kinds)
         ws = tuple(rng.choice(pool) for _ in range(_weight_count(kind)))
-        G = G.attach_edge(at, kind, ws, toward_new=rng.random() < 0.5)
-    return G
+        leaves.append((at, kind, ws, rng.random() < 0.5))
+    return _attach(G, leaves)
 
 
 # -- random digraphs ---------------------------------------------------------
@@ -229,14 +242,25 @@ def random_digraph(
 
 
 class _Growth:
-    """Incremental unit-weight simple graph with per-block bookkeeping."""
+    """Incremental unit-weight simple graph with per-block bookkeeping.
 
-    def __init__(self):
+    A vertex's group is its home block (the one it was created in), and
+    its side there for biblock graphs; a vertex leaves its group when it
+    becomes a cut-vertex.  Two sorted lists are kept up to date as blocks
+    are added: `cuts`, the cut-vertices, and `open`, the non-cut vertices
+    whose group holds at least `min_noncut` of them.  A new block may be
+    glued at any of `cuts + open`, so `eligible` draws from them with no
+    scan.  Each new block costs O(its size) plus one sorted-list insertion
+    or deletion per vertex that joins or leaves the lists.
+    """
+
+    def __init__(self, min_noncut: int):
         self.n = 0
-        self.arcs: list[tuple[int, int, int]] = []
-        self.cut: set[int] = set()
-        self.home: dict[int, int] = {}  # non-cut vertex -> its block id
-        self.blocks: list[list[int]] = []
+        self.arcs: list[tuple[int, int, Fraction]] = []
+        self.min_noncut = min_noncut
+        self.cuts: list[int] = []
+        self.open: list[int] = []
+        self.group_of: dict[int, list[int]] = {}  # non-cut vertex -> its group
 
     def fresh(self, k: int) -> list[int]:
         vs = list(range(self.n, self.n + k))
@@ -244,36 +268,44 @@ class _Growth:
         return vs
 
     def add_edge(self, u: int, v: int) -> None:
-        self.arcs.append((u, v, 1))
-        self.arcs.append((v, u, 1))
+        self.arcs.append((u, v, _ONE))
+        self.arcs.append((v, u, _ONE))
 
-    def new_block(self, members: list[int], attach: int | None) -> int:
-        bid = len(self.blocks)
-        self.blocks.append(members)
-        if attach is not None:
-            self.cut.add(attach)
-            self.home.pop(attach, None)
-        for v in members:
-            if v != attach:
-                self.home[v] = bid
-        return bid
+    def new_block(self, groups: Sequence[list[int]], attach: int | None) -> None:
+        """Record a block made of groups (its sides, or one group for a
+        complete block), glued at attach unless it is None; attach lies
+        in one of the groups and becomes a cut-vertex."""
+        group = self.group_of.pop(attach, None)
+        if group is not None:
+            if len(group) >= self.min_noncut:
+                gone = group if len(group) - 1 < self.min_noncut else [attach]
+                for v in gone:
+                    del self.open[bisect_left(self.open, v)]
+            group.remove(attach)
+            insort(self.cuts, attach)
+        for members in groups:
+            group = [v for v in members if v != attach]
+            for v in group:
+                self.group_of[v] = group
+            if len(group) >= self.min_noncut:
+                for v in group:
+                    insort(self.open, v)
 
-    def eligible(self, rng, min_noncut: int, side_of: dict | None = None) -> int:
+    def eligible(self, rng) -> int:
         """A vertex a new block may be glued to: a cut-vertex, or a non-cut
         vertex whose group keeps at least min_noncut - 1 non-cut vertices
-        after losing it.  The group is its home block, and its side there
-        when side_of is given."""
-        side_of = side_of or {}
-        group = {v: (b, side_of.get(v)) for v, b in self.home.items()}
-        size = Counter(group.values())
-        options = sorted(self.cut) + sorted(v for v, k in group.items() if size[k] >= min_noncut)
-        if not options:
+        after losing it.  `rng.randrange(k)` is the draw `rng.choice` makes
+        from a k-long list, so this returns `rng.choice(self.cuts +
+        self.open)` without building that list."""
+        k = len(self.cuts) + len(self.open)
+        if not k:
             raise InvalidSpec("no eligible attachment vertex; sizes too small")
-        return rng.choice(options)
+        i = rng.randrange(k)
+        return self.cuts[i] if i < len(self.cuts) else self.open[i - len(self.cuts)]
 
     def pendant_edges(self) -> None:
         """Hang one new leaf on each cut-vertex, in vertex order."""
-        for v in sorted(self.cut):
+        for v in self.cuts:
             (leaf,) = self.fresh(1)
             self.add_edge(v, leaf)
 
@@ -301,17 +333,17 @@ def _block_graph(n, rng, sizes, min_size, managed) -> WeightedDigraph:
     every non-pendant block holding >= 2 non-cut vertices and finishes by
     hanging exactly one pendant edge on each cut-vertex."""
     plan = _block_sizes(n, rng, sizes, min_size)
-    g = _Growth()
+    g = _Growth(3)
     first = g.fresh(plan[0])
     for a, b in _pairs(first):
         g.add_edge(a, b)
-    g.new_block(first, None)
+    g.new_block([first], None)
     for s in plan[1:]:
-        at = g.eligible(rng, 3) if managed else rng.randrange(g.n)
+        at = g.eligible(rng) if managed else rng.randrange(g.n)
         members = [at] + g.fresh(s - 1)
         for a, b in _pairs(members):
             g.add_edge(a, b)
-        g.new_block(members, at)
+        g.new_block([members], at)
     if managed:
         g.pendant_edges()
     return g.graph()
@@ -338,25 +370,18 @@ def _biblock_graph(n, rng, sizes, pendants) -> WeightedDigraph:
             a, b = rng.randint(2, 3), rng.randint(2, 3)
             plan.append((a, b))
             total += a + b - 1
-    g = _Growth()
-    side_of: dict[int, int] = {}  # non-cut vertex -> 0/1 within its home block
+    g = _Growth(2)
 
     def add_block(a_side: list[int], b_side: list[int], attach: int | None) -> None:
         for x in a_side:
             for y in b_side:
                 g.add_edge(x, y)
-        g.new_block(a_side + b_side, attach)
-        for v in a_side:
-            side_of[v] = 0
-        for v in b_side:
-            side_of[v] = 1
-        if attach is not None:
-            side_of.pop(attach, None)
+        g.new_block([a_side, b_side], attach)
 
     a0, b0 = plan[0]
     add_block(g.fresh(a0), g.fresh(b0), None)
     for (a, b) in plan[1:]:
-        at = g.eligible(rng, 2, side_of)
+        at = g.eligible(rng)
         if rng.random() < 0.5:
             add_block([at] + g.fresh(a - 1), g.fresh(b), at)
         else:
@@ -382,13 +407,13 @@ def extend_to_r2(
         raise InvalidSpec("weight pool must be nonempty and zero-free")
     d = decompose(G)
     rng = random.Random(f"extend:{seed}")
-    out = G
-    for v in sorted(d.cut_vertices):
-        if any(is_r2_block(G, d, i) for i in d.membership[v]):
-            continue
-        out = out.attach_edge(
-            v, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool))
-        )
+    W, peels = G.out_rows(), {}
+    leaves = [
+        (v, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool)), True)
+        for v in sorted(d.cut_vertices)
+        if not any(_r2_block(W, d, peels, i) for i in d.membership[v])
+    ]
+    out = _attach(G, leaves)
     if not is_r2_digraph(out):
         raise InternalMismatch("extension failed to produce an r2-digraph")
     return out

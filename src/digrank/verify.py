@@ -279,13 +279,13 @@ def _suite_thm_mdt(count, max_n, rng):
 
 
 def _r2_cut_base(rng, max_n):
-    """The first of up to 200 r2 bases with cut-vertices, with its sorted
-    cut-vertices, when it is connected; else None."""
+    """The first of up to 200 r2 bases that is connected and has
+    cut-vertices, with its sorted cut-vertices; else None."""
     for _ in range(200):
         G = _r2_base(rng, max_n)
         cuts = decompose(G).cut_vertices
-        if cuts:
-            return (G, sorted(cuts)) if G.is_connected() else None
+        if cuts and G.is_connected():
+            return G, sorted(cuts)
     return None
 
 

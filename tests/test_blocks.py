@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digrank import block_subdigraph, breve, build, decompose
+from digrank.blocks import _block_pieces
 from digrank.errors import IndexOutOfRange
 from oracles import blocks_by_networkx, cut_vertices_by_removal, cuts_by_networkx
 
@@ -158,3 +159,21 @@ def test_breve_may_be_empty():
     dh = decompose(H)
     assert dh.blocks == ((0, 1), (1, 2), (2, 3))
     assert breve(H, dh, 1).n == 0
+
+
+def test_block_pieces_equal_each_block_cut_alone():
+    """`_block_pieces` cuts every block (or breve) from one pass over the
+    arcs; each piece equals what `block_subdigraph` (or `breve`) cuts for
+    that block alone.  The graphs have one-way arcs and loops, cut-vertex
+    loops included, which go to every block of their vertex."""
+    looped_cuts = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        H = random_graph(rng, rng.randint(1, 30), 0.12)
+        G = build(H.n, [a for a in H.arcs() if a[0] == a[1] or rng.random() < 0.8])
+        d = decompose(G)
+        looped_cuts += sum(G.has_loop(v) for v in d.cut_vertices)
+        blocks = range(d.block_count)
+        assert _block_pieces(G, d, breves=False) == [block_subdigraph(G, d, i) for i in blocks]
+        assert _block_pieces(G, d, breves=True) == [breve(G, d, i) for i in blocks]
+    assert looped_cuts >= 20

@@ -22,8 +22,10 @@ from digrank import (
     is_r2_biblock_graph,
     is_r2_block_graph,
     rank_r0_biblock_graph,
+    rank_r0_digraph,
     rank_r2_biblock_graph,
     rank_r2_block_graph,
+    rank_r2_digraph,
 )
 from digrank import engine, trees
 from digrank.generate import FAMILIES
@@ -159,3 +161,23 @@ def test_tree_closed_forms_read_the_graph_once(monkeypatch, family, rule):
         assert dict(calls) == once
         monkeypatch.undo()
         assert cert.root.rule is rule and cert.rank == 2 * q + s
+
+
+CLOSED_FORMS = [
+    ("r2-block-graph", lambda G, d: G.n, rank_r2_digraph),
+    ("r2-biblock-graph", lambda G, d: 2 * d.block_count, rank_r2_digraph),
+    ("biblock-graph", lambda G, d: 2 * d.block_count, rank_r0_digraph),
+]
+
+
+@pytest.mark.parametrize("family, formula, sum_rule", CLOSED_FORMS, ids=[f for f, *_ in CLOSED_FORMS])
+def test_closed_forms_are_exact_oracles_at_a_thousand_vertices(family, formula, sum_rule):
+    """The paper's structural ranks (n for an r2-block graph, 2k for an r2-
+    or r0-biblock graph with k blocks) eliminate nothing, so they check the
+    engine far past the dense oracle's reach; the standalone sum rule,
+    which ranks each block or breve by dense elimination, is a third route."""
+    G = gen(GenSpec(family, n=1000, seed=0))
+    assert G.n >= 1000
+    r = engine.rank_recursive(G).rank
+    assert r == formula(G, decompose(G))
+    assert sum_rule(G) == r

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import digrank
-from digrank import build, format_digraph, gen, GenSpec, trees
+from digrank import build, format_digraph, gen, GenSpec, parse_digraph, trees
 from digrank.engine import oracle_rank, rank_recursive
 from digrank.trees import TreeKind, classify_tree, is_r2_tree_digraph
 from digrank.cli import main
@@ -125,6 +125,14 @@ def test_cli_gen_matches_library(capsys):
     assert main(["gen", "--family", "r2-tree", "--n", "9", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out == format_digraph(gen(GenSpec("r2-tree", n=9, seed=3)))
+
+
+@pytest.mark.parametrize("family", ["r2-block-graph", "biblock-graph", "r2-biblock-graph", "r2-tree"])
+def test_cli_gen_at_twenty_thousand_vertices_round_trips(capsys, family):
+    assert main(["gen", "--family", family, "--n", "20000"]) == 0
+    G = parse_digraph(capsys.readouterr().out)
+    assert G.n >= 20000
+    assert G == gen(GenSpec(family, n=20000))
 
 
 def test_cli_gen_extension_needs_base(tmp_path, capsys, r2_tree_10):

@@ -33,10 +33,10 @@ GOLDEN = {
     ("thm-pen", 1): ("07628962b30ad50b", "1795276e8b9c7571"),
     ("cor-loops", 0): ("8697cdb3e062eb94", "7b84592b6a944d66"),
     ("cor-loops", 1): ("8697cdb3e062eb94", "afa8fa64db3977a2"),
-    ("thm-genr2", 0): ("9479646830700c8d", "77ed1bfa3a741f98"),
-    ("thm-genr2", 1): ("ebfd654ee49e84e3", "928b852dc773ea2f"),
-    ("cor-cr2", 0): ("65ecbe62c50ab72d", "488816bffdb20862"),
-    ("cor-cr2", 1): ("a692dd2a4bc7c403", "0815357ac10d3093"),
+    ("thm-genr2", 0): ("61f0c3199b603217", "685319f74e935218"),
+    ("thm-genr2", 1): ("61f0c3199b603217", "4d69101cdcc28e89"),
+    ("cor-cr2", 0): ("08518e9395881f57", "16565e0b69848583"),
+    ("cor-cr2", 1): ("08518e9395881f57", "1b09805c979128f6"),
     ("thm-tt", 0): ("bd8b00cf474488d3", "3f196185ebd334c2"),
     ("thm-tt", 1): ("bd8b00cf474488d3", "60715bb00233910f"),
     ("cor-r2tree", 0): ("b1d087dd608b46a2", "06d5f99f786ae781"),
