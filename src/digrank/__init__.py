@@ -10,6 +10,7 @@ The engine emits a certificate recording every rule application.
 """
 
 from .blocks import BlockDecomposition, block_subdigraph, breve, decompose
+from .certificate import CertNode, RankCertificate, RuleTag, render_certificate
 from .classify import (
     Classification,
     CutSplit,
@@ -24,40 +25,10 @@ from .digraph import (
     WeightedDigraph,
     build,
     format_digraph,
+    oracle_rank,
     parse_digraph,
 )
-from .engine import (
-    CertNode,
-    DigraphAttachment,
-    EdgeAddition,
-    RankCertificate,
-    RuleTag,
-    apply_additions,
-    build_genr2,
-    check_lemma_2rin,
-    is_r0_biblock_graph,
-    is_r0_block,
-    is_r0_digraph,
-    is_r2_biblock_graph,
-    is_r2_block,
-    is_r2_block_graph,
-    is_r2_digraph,
-    loop_invariance_check,
-    oracle_rank,
-    rank_case1_peel,
-    rank_case2_peel,
-    rank_case3_peel,
-    rank_delta_cr2,
-    rank_genr2,
-    rank_mdt,
-    rank_r0_biblock_graph,
-    rank_r0_digraph,
-    rank_r2_biblock_graph,
-    rank_r2_block_graph,
-    rank_r2_digraph,
-    rank_recursive,
-    render_certificate,
-)
+from .engine import is_r0_block, is_r0_digraph, is_r2_block, is_r2_digraph, rank_recursive
 from .errors import (
     DigraphError,
     DimensionMismatch,
@@ -91,6 +62,28 @@ from .linalg import (
     in_row_space,
     rank,
     vector,
+)
+from .theorems import (
+    DigraphAttachment,
+    EdgeAddition,
+    apply_additions,
+    build_genr2,
+    check_lemma_2rin,
+    is_r0_biblock_graph,
+    is_r2_biblock_graph,
+    is_r2_block_graph,
+    loop_invariance_check,
+    rank_case1_peel,
+    rank_case2_peel,
+    rank_case3_peel,
+    rank_delta_cr2,
+    rank_genr2,
+    rank_mdt,
+    rank_r0_biblock_graph,
+    rank_r0_digraph,
+    rank_r2_biblock_graph,
+    rank_r2_block_graph,
+    rank_r2_digraph,
 )
 from .trees import (
     MatchingResult,

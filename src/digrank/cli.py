@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .blocks import decompose
+from .certificate import render_certificate
 from .classify import classify_cut, make_split, side_components
 from .digraph import WeightedDigraph, format_digraph, parse_digraph
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     InvalidSpec,
     ParseError,
 )
-from .engine import rank_recursive, render_certificate
+from .engine import rank_recursive
 from .generate import FAMILIES, GenSpec, gen
 from .trees import TreeKind, is_r2_tree_digraph, tree_summary
 from .verify import run_suite, suite_names

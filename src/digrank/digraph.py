@@ -30,7 +30,7 @@ from .errors import (
     VertexOutOfRange,
     ZeroWeight,
 )
-from .linalg import RationalMatrix, Vector, vector
+from .linalg import RationalMatrix, Vector, rank, vector
 
 
 class EdgeKind(Enum):
@@ -247,6 +247,11 @@ class WeightedDigraph:
 
     def __repr__(self) -> str:
         return f"WeightedDigraph(n={self.n}, arcs={self.arc_count})"
+
+
+def oracle_rank(G: WeightedDigraph) -> int:
+    """Rank of the adjacency matrix by dense exact elimination."""
+    return rank(G.adjacency_matrix()).rank
 
 
 def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph:

@@ -27,15 +27,9 @@ from typing import Sequence
 
 from .blocks import decompose
 from .digraph import EdgeKind, WeightedDigraph, _attach, _weight_count, build
-from .engine import (
-    _complete_blocks,
-    _r2_block,
-    is_r0_biblock_graph,
-    is_r2_biblock_graph,
-    is_r2_block_graph,
-    is_r2_digraph,
-)
+from .engine import _r2_block, is_r2_digraph
 from .errors import InternalMismatch, InvalidSpec
+from .theorems import _complete_blocks, is_r0_biblock_graph, is_r2_biblock_graph, is_r2_block_graph
 from .trees import TreeKind, classify_tree, is_r2_tree_digraph
 
 DEFAULT_POOL: tuple[Fraction, ...] = (

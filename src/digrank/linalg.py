@@ -62,23 +62,12 @@ class RationalMatrix:
         self.rows = len(rows)
         self.cols = width
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._data[i][j]
 
     def row(self, i: int) -> Vector:
         return self._data[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._data)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._data]
@@ -87,17 +76,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
-        )
-
-    def with_row_appended(self, v: Sequence) -> "RationalMatrix":
-        v = vector(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"row of length {len(v)} vs {self.cols} columns")
-        return RationalMatrix(list(self._data) + [v], cols=self.cols)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._data[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
         )
 
     def __eq__(self, other) -> bool:

@@ -31,16 +31,24 @@ from .classify import (
     make_split,
     side_components,
 )
-from .digraph import EdgeKind, WeightedDigraph, _weight_count, build, format_digraph
-from .engine import (
+from .certificate import RuleTag
+from .digraph import EdgeKind, WeightedDigraph, _weight_count, build, format_digraph, oracle_rank
+from .engine import rank_recursive
+from .errors import (
+    DigraphError,
+    InternalMismatch,
+    PreconditionViolated,
+    UnknownSuite,
+)
+from .generate import DEFAULT_POOL, GenSpec, extend_to_r2, gen, random_digraph
+from .linalg import RationalMatrix, bordered, rank, schur_peel
+from .theorems import (
     DigraphAttachment,
     EdgeAddition,
-    RuleTag,
     apply_additions,
     build_genr2,
     check_lemma_2rin,
     loop_invariance_check,
-    oracle_rank,
     rank_case1_peel,
     rank_case2_peel,
     rank_case3_peel,
@@ -52,16 +60,7 @@ from .engine import (
     rank_r2_biblock_graph,
     rank_r2_block_graph,
     rank_r2_digraph,
-    rank_recursive,
 )
-from .errors import (
-    DigraphError,
-    InternalMismatch,
-    PreconditionViolated,
-    UnknownSuite,
-)
-from .generate import DEFAULT_POOL, GenSpec, extend_to_r2, gen, random_digraph
-from .linalg import RationalMatrix, bordered, rank, schur_peel
 from .trees import max_matching, rank_r2_tree, rank_tree
 
 

@@ -27,7 +27,7 @@ from digrank import (
     rank_r2_block_graph,
     rank_r2_digraph,
 )
-from digrank import engine, trees
+from digrank import engine, theorems, trees
 from digrank.generate import FAMILIES
 from digrank.trees import (
     classify_tree,
@@ -105,7 +105,8 @@ def _count_reads(monkeypatch):
         monkeypatch.setattr(
             WeightedDigraph, name, counting(name, getattr(WeightedDigraph, name))
         )
-    monkeypatch.setattr(engine, "decompose", counting("decompose", engine.decompose))
+    for module in (engine, theorems):
+        monkeypatch.setattr(module, "decompose", counting("decompose", module.decompose))
     monkeypatch.setattr(trees, "_walk", counting("walk", trees._walk))
     return calls
 
