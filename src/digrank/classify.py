@@ -150,6 +150,11 @@ def side_components(G: WeightedDigraph, v: int) -> list[frozenset[int]]:
 
 def classify_cut(G: WeightedDigraph, split: CutSplit) -> Classification:
     """Classify v with respect to its side H, double-checked both routes."""
+    return _classify_cut(G, split)[0]
+
+
+def _classify_cut(G: WeightedDigraph, split: CutSplit) -> tuple[Classification, int]:
+    """`classify_cut`, and r(H - v) as its literal route ranked it."""
     split = make_split(G, split.v, split.side)  # revalidate defensively
     v = split.v
     rest = sorted(split.side - {v})
@@ -161,11 +166,12 @@ def classify_cut(G: WeightedDigraph, split: CutSplit) -> Classification:
 
     # Independent route: the literal rank difference r(H) - r(H \ v).
     H = G.induced_subdigraph(split.side)
-    delta = rank(H.adjacency_matrix()).rank - rank(B).rank
+    r_inner = rank(B).rank
+    delta = rank(H.adjacency_matrix()).rank - r_inner
     expected = _BY_DELTA.get(delta)
     if expected is not cls.case:
         raise InconsistentClassification(
             f"membership route says case {cls.label} but rank difference is {delta} "
             f"(v={v}, side={sorted(split.side)})"
         )
-    return cls
+    return cls, r_inner

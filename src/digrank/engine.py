@@ -50,9 +50,31 @@ _MOD_P_MIN_ORDER = 16
 def _cut_peel(W, rows: list, cols: list, v: int) -> SchurPeel:
     """schur_peel(0, x, y, B) for B the matrix on rows x cols and x, y v's
     row and column there, read from W (W[u][t] the weight of u -> t): loop
-    0, so its residue is -x.d, and v's loop is added by the caller.  The
-    rows [B | y] and [x, 0] are scaled integers read by one lookup per
-    label of the peel (`_int_row`): arcs into other blocks cost nothing."""
+    0, so its residue is -x.d, and v's loop is added by the caller.
+
+    A 1x1 B = [b] (rows == cols == [u]: a bridge or a pendant edge) is
+    read in closed form from b, x = W[v][u] and y = W[u][v], an absent
+    weight and a stored 0 alike being zero.  b != 0: rank 1, both
+    memberships hold and the residue is -x.y/b, so delta is 1 exactly when
+    x.y != 0.  b = 0: rank 0, x and y lie in the zero spaces only when
+    they are 0, and delta and residue are `_peel_rows`'s.  Larger B goes
+    to `_peel_rows` on the rows [B | y] and [x, 0] as scaled integers,
+    read by one lookup per label of the peel (`_int_row`): arcs into other
+    blocks cost nothing."""
+    if len(rows) == 1 and rows == cols:
+        u = rows[0]
+        b, x, y = W[u].get(u), W[v].get(u), W[u].get(v)
+        if b:
+            if x and y:
+                bn, bd = b.as_integer_ratio()
+                xn, xd = x.as_integer_ratio()
+                yn, yd = y.as_integer_ratio()
+                return SchurPeel(1, True, True, Fraction(-xn * yn * bd, xd * yd * bn), 1)
+            return SchurPeel(1, True, True, _ZERO, 0)
+        x_in = not x
+        if y:
+            return SchurPeel(0, x_in, False, None, 2 - x_in)
+        return SchurPeel(0, x_in, True, _ZERO, 1 - x_in)
     border, scale = _int_row(W[v], cols)
     border.append(0)
     ext = cols + [v]
@@ -89,7 +111,7 @@ def _r0_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
     row and column lie in the spaces of b - v and its residue is 0."""
     for v in d.cuts_in_block(b):
         peel = _shared_peel(W, d, peels, b, v)
-        if not (peel.x_in and peel.y_in and W[v].get(v, _ZERO) + peel.residue == 0):
+        if not (peel.x_in and peel.y_in and peel.residue == -W[v].get(v, _ZERO)):
             return False
     return True
 
@@ -330,7 +352,8 @@ def _peel_pass(
             no_col.add(v)
         residue = _ZERO
         if has_row and has_col and peel.x_in and peel.y_in:
-            W[v][v] = residue = W[v].get(v, _ZERO) + peel.residue
+            alpha = W[v].get(v)
+            W[v][v] = residue = alpha + peel.residue if alpha else peel.residue
         if row_out and col_out:
             tag, note = RuleTag.CASE_I_PEEL, ""
         elif row_out or col_out:
@@ -340,11 +363,11 @@ def _peel_pass(
             tag, note = RuleTag.CASE_III_LT, f"loop residue {residue}"
         else:
             tag, note = RuleTag.R0_PEEL, ""
+        r = peel.rank + row_out + col_out
         if labels is None:
-            where = dict(block_index=b, block_vertices=blk, cut_vertex=v)
+            nodes.append(CertNode(tag, r, (), b, blk, v, note))
         else:
-            where = dict(block_vertices=tuple(labels[u] for u in blk), cut_vertex=labels[v])
-        nodes.append(CertNode(tag, peel.rank + row_out + col_out, note=note, **where))
+            nodes.append(CertNode(tag, r, (), None, tuple(labels[u] for u in blk), labels[v], note))
     return _sum_node(nodes)
 
 

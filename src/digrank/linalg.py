@@ -119,8 +119,30 @@ def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _int_row(out: dict, labels: Sequence) -> tuple[list[int], int]:
-    """`_scaled_int_row` of [out.get(t, 0) for t in labels], one lookup each."""
-    return _scaled([out[t].as_integer_ratio() if t in out else (0, 1) for t in labels])
+    """`_scaled_int_row` of [out.get(t, 0) for t in labels], in one pass of
+    one lookup and one `as_integer_ratio()` per entry.  The lcm is taken
+    only over denominators other than 1, and only the entries with such a
+    denominator are divided again, so a row of integers is its numerators
+    as they stand."""
+    nums: list[int] = []
+    fracs: list[tuple[int, int]] = []
+    scale = 1
+    for t in labels:
+        x = out.get(t)
+        if x is None:
+            nums.append(0)
+        else:
+            n, d = x.as_integer_ratio()
+            if d != 1:
+                scale = lcm(scale, d)
+                fracs.append((len(nums), d))
+            nums.append(n)
+    if scale == 1:
+        return nums, 1
+    nums = [n * scale for n in nums]
+    for j, d in fracs:
+        nums[j] //= d
+    return nums, scale
 
 
 def _scaled_int_rows(M: RationalMatrix) -> list[list[int]]:

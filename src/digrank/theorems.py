@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .blocks import BlockDecomposition, _block_pieces, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
-from .classify import Classification, CutSplit, CutVertexCase, classify_cut
+from .classify import Classification, CutSplit, CutVertexCase, _classify_cut
 from .digraph import EdgeKind, WeightedDigraph, _attach, build, oracle_rank
 from .engine import _block_rows, _cut_peel, is_r0_digraph, is_r2_digraph
 from .errors import (
@@ -57,7 +57,11 @@ def _r2_decomposition(
 
 def rank_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> int:
     """r(G) = sum of r(breve B_i) over all blocks + 2 * (number of cut-vertices)."""
-    d = _r2_decomposition(G, "rank_r2_digraph", d=d)
+    return _r2_sum(G, _r2_decomposition(G, "rank_r2_digraph", d=d))
+
+
+def _r2_sum(G: WeightedDigraph, d: BlockDecomposition) -> int:
+    """The r2 sum formula on G, decomposed as d, without its precondition."""
     return 2 * len(d.cut_vertices) + sum(map(oracle_rank, _block_pieces(G, d, breves=True)))
 
 
@@ -127,7 +131,7 @@ def rank_genr2(
     d = _r2_decomposition(G, "rank_genr2", [att.at for att in attachments])
     if any(att.W.n == 0 for att in attachments):
         raise PreconditionViolated("attached digraph is empty")
-    return rank_r2_digraph(G, d) + sum(oracle_rank(att.W) for att in attachments)
+    return _r2_sum(G, d) + sum(oracle_rank(att.W) for att in attachments)
 
 
 @dataclass(frozen=True)
@@ -223,14 +227,15 @@ def _case_pieces(
     G: WeightedDigraph, split: CutSplit, case: CutVertexCase
 ) -> tuple[Classification, int, list[int], list[int], int]:
     """(classification, v, H - v, G - H, r(H - v)) for the split H of G at
-    v, which must be of the given case, else PreconditionViolated."""
-    cls = classify_cut(G, split)
+    v, which must be of the given case, else PreconditionViolated;
+    r(H - v) is the rank `classify_cut`'s literal route took."""
+    cls, r_inner = _classify_cut(G, split)
     if cls.case is not case:
         raise PreconditionViolated(f"split is case {cls.label}, not {case.label}")
     v = split.v
     inner = sorted(split.side - {v})
     rest = sorted(u for u in range(G.n) if u not in split.side)
-    return cls, v, inner, rest, oracle_rank(G.induced_subdigraph(inner))
+    return cls, v, inner, rest, r_inner
 
 
 def _peel_at(G: WeightedDigraph, v: int, S: list[int]) -> SchurPeel:

@@ -57,7 +57,7 @@ from digrank import (
     render_certificate,
     side_components,
 )
-from digrank import engine, linalg
+from digrank import engine, linalg, theorems
 from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
@@ -152,6 +152,27 @@ def test_case1_peel_formula():
     assert rank_case1_peel(G, split) == rank_of_digraph(G)
     with pytest.raises(PreconditionViolated):
         rank_case2_peel(G, split)
+
+
+def test_case_peel_ranks_the_inside_once_more_than_classify_cut(monkeypatch):
+    """r(H - v) comes from classify_cut's literal route: on the case I split
+    above, the six eliminations of classify_cut (four memberships, r(H),
+    r(H - v)) and one of G - H."""
+    G = biarc_path(4).with_loop(2, Fraction(2))
+    split = make_split(G, 1, {0, 1})
+    sizes = []
+    real = linalg._bareiss
+
+    def counted(a, prows, pcols):
+        sizes.append((prows, pcols))
+        return real(a, prows, pcols)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    classify_cut(G, split)
+    assert len(sizes) == 6
+    sizes.clear()
+    assert rank_case1_peel(G, split) == rank_of_digraph(G)
+    assert len(sizes) == 7 and sizes.count((1, 1)) == 2
 
 
 def test_case2_peel_formula():
@@ -325,6 +346,22 @@ def test_rank_genr2_matches_oracle():
     glued = build_genr2(G, atts)
     assert glued.n == G.n + 4
     assert rank_genr2(G, atts) == rank_of_digraph(glued)
+
+
+def test_rank_genr2_tests_its_r2_precondition_once(monkeypatch):
+    G = _r2_base()
+    cuts = sorted(decompose(G).cut_vertices)
+    atts = [DigraphAttachment(build(1, []), 0, cuts[0], Fraction(1), Fraction(2))]
+    calls = []
+    real = theorems.is_r2_digraph
+
+    def counted(G, d=None):
+        calls.append(G)
+        return real(G, d)
+
+    monkeypatch.setattr(theorems, "is_r2_digraph", counted)
+    assert rank_genr2(G, atts) == rank_of_digraph(build_genr2(G, atts))
+    assert len(calls) == 1
 
 
 def test_rank_genr2_preconditions():
@@ -1197,6 +1234,45 @@ def test_cut_peel_never_walks_the_cut_vertex_row():
     W = {v: hub, 1: {2: Fraction(1), 0: Fraction(1)}, 2: {3: Fraction(1)}, 3: {1: Fraction(1)}}
     W = {u: UnwalkedRow(row) for u, row in W.items()}
     assert engine._cut_peel(W, rest, rest, v) == dense_schur_peel(W, rest, rest, v)
+
+
+def general_peel(W, rows, cols, v):
+    """`_cut_peel`'s route for B of any size: `_peel_rows` on the integer
+    rows [B | y] and [x, 0]."""
+    border, scale = linalg._int_row(W[v], cols)
+    border.append(0)
+    ext = cols + [v]
+    return linalg._peel_rows([linalg._int_row(W[u], ext)[0] for u in rows], border, scale)
+
+
+def no_bareiss(a, prows, pcols):
+    raise AssertionError("the 1x1 peel eliminated")
+
+
+@pytest.mark.parametrize("b", [0, Fraction(-3, 2)])
+@pytest.mark.parametrize("x", [0, Fraction(2)])
+@pytest.mark.parametrize("y", [0, Fraction(5, 7)])
+@pytest.mark.parametrize("stored_zero", [False, True])
+@pytest.mark.parametrize("loop", [None, Fraction(4)])
+def test_one_by_one_peel_is_the_general_peel(monkeypatch, b, x, y, stored_zero, loop):
+    """B = [b] on u, bordered by v's x = W[v][u] and y = W[u][v]: every zero
+    pattern, each zero absent or stored as the Fraction(0) a peel writes,
+    with and without a loop on v, which the peel (loop 0) must not read.
+    All five fields and their types agree with the general route and with
+    schur_peel on the dense matrices, and no elimination runs."""
+    v, u = 0, 1
+    W = {v: {9: Fraction(1)}, u: {}}
+    for row, t, w in ((u, u, b), (v, u, x), (u, v, y)):
+        if w or stored_zero:
+            W[row][t] = Fraction(w)
+    if loop is not None:
+        W[v][v] = loop
+    expect = general_peel(W, [u], [u], v)
+    assert expect == dense_schur_peel(W, [u], [u], v)
+    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    peel = engine._cut_peel(W, [u], [u], v)
+    assert peel == expect
+    assert list(map(type, peel)) == list(map(type, expect))
 
 
 @pytest.mark.parametrize("seed", range(3))

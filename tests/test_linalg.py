@@ -356,6 +356,22 @@ def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
     assert calls == []
 
 
+@given(
+    st.dictionaries(
+        st.integers(0, 12),
+        st.fractions(max_denominator=12) | st.sampled_from([Fraction(0), Fraction(5, 32749)]),
+    ),
+    st.lists(st.integers(0, 15), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_int_row_is_the_scaled_dense_row(out, labels):
+    """The weight-store row reader: absent labels are 0, stored zeros stay
+    0, and the scale is the lcm of the denominators it reads."""
+    assert linalg._int_row(out, labels) == linalg._scaled_int_row(
+        [out.get(t, Fraction(0)) for t in labels]
+    )
+
+
 def test_leaf_rank_reads_only_its_columns():
     """Rows as a weight store holds them, out-dicts over vertex labels with
     entries at labels the leaf does not have: the leaf is the matrix on
