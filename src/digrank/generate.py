@@ -62,7 +62,6 @@ class GenSpec:
     seed: int = 0
     weight_pool: tuple[Fraction, ...] = DEFAULT_POOL
     sizes: tuple | None = None
-    extras: int | None = None
     base: WeightedDigraph | None = None
 
 
@@ -85,7 +84,7 @@ def gen(spec: GenSpec) -> WeightedDigraph:
             kind in (TreeKind.CUT_LOOP_BI_ARC, TreeKind.LOOPLESS_BI_ARC), spec
         )
     elif spec.family == "r2-tree":
-        G = _r2_tree(spec.n, rng, pool, spec.extras)
+        G = _r2_tree(spec.n, rng, pool)
         _require(is_r2_tree_digraph(G), spec)
     elif spec.family == "block-graph":
         G = _block_graph(spec.n, rng, spec.sizes, min_size=2, managed=False)
@@ -177,7 +176,7 @@ def _cutloop_tree(n: int, rng: random.Random, pool) -> WeightedDigraph:
     return build(n, arcs)
 
 
-def _r2_tree(n, rng, pool, extras) -> WeightedDigraph:
+def _r2_tree(n, rng, pool) -> WeightedDigraph:
     G = _cutloop_tree(n, rng, pool)
     edges = G.underlying_edges()
     internal = sorted(_internal_vertices(G.n, edges))
@@ -195,12 +194,8 @@ def _r2_tree(n, rng, pool, extras) -> WeightedDigraph:
             leaves.append(
                 (c, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool)), True)
             )
-    if extras is None:
-        extras = rng.randint(1, 3) if internal else 0
     kinds = (EdgeKind.NC_TILDE_ARC, EdgeKind.NC_ARC, EdgeKind.NC_EDGE)
-    for _ in range(extras):
-        if not internal:
-            break
+    for _ in range(rng.randint(1, 3) if internal else 0):
         at = rng.choice(internal)
         kind = rng.choice(kinds)
         ws = tuple(rng.choice(pool) for _ in range(_weight_count(kind)))
@@ -216,7 +211,6 @@ def random_digraph(
     rng: random.Random,
     pool: Sequence = DEFAULT_POOL,
     p: float | None = None,
-    loop_p: float = 0.15,
 ) -> WeightedDigraph:
     """One random digraph drawn from the given rng (a stream-friendly form)."""
     if p is None:
@@ -225,7 +219,7 @@ def random_digraph(
     for u in range(n):
         for v in range(n):
             if u == v:
-                if rng.random() < loop_p:
+                if rng.random() < 0.15:
                     arcs.append((u, u, rng.choice(pool)))
             elif rng.random() < p:
                 arcs.append((u, v, rng.choice(pool)))

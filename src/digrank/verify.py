@@ -3,24 +3,32 @@
 Each suite draws seeded instances from the generators, applies one of the
 structural rank results, and compares against the exact dense oracle.
 A SuiteReport records how many instances ran, every disagreement found
-(with the offending digraph serialized so it can be replayed), and the
+(with the offending instance serialized so it can be replayed), and the
 wall time.  Suites are deterministic in (name, seed, count, max_n).
 
-SUITE_DEFAULTS is the suite table: name (the stable CLI token), suite
-function, default count and default max-n.  Most results have a suite
-function of their own; two factories build the rest.  `_family_suite`
-draws graphs of one generator family and checks a closed-form rank
-(thm-tt, cor-r2tree, cor-blockgraph, cor-biblock-r2, cor-biblock-r0), and
-`_planted_suite` plants a split of one cut-vertex case and checks its peel
-formula (thm-2.2, thm-r0).  thm-genr2 and cor-cr2 share one draw of a
-connected r2 base with cut-vertices (`_r2_cut_base`).
+One driver, `_drive`, runs every suite but case3; a suite supplies only a
+check, `check(rng, max_n)`, that draws once and returns None for a draw
+that is not an instance, or else the instance's failure entries (empty
+when it passes).  The driver stops at `count` instances or at its draw
+limit (`count` draws, count * 60 for obs-1), and a draw that records a
+failure is always an instance.
+
+SUITE_DEFAULTS is the suite table: name (the stable CLI token), suite,
+default count and default max-n.  `_family_suite` checks a closed-form
+rank on graphs of one generator family (thm-tt, cor-r2tree,
+cor-blockgraph, cor-biblock-r2, cor-biblock-r0), and `_planted_suite` a
+peel formula on a planted split of one cut-vertex case (thm-2.2, thm-r0).
+lemma-2rin runs the driver once per half, and case3 keeps a loop of its
+own to count the certificates that quote its rules.  thm-genr2 and
+cor-cr2 share one draw of a connected r2 base with cut-vertices
+(`_r2_cut_base`).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .blocks import decompose
@@ -77,26 +85,46 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "failures": self.failures,
-            "wall_time_s": self.wall_time_s,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
-def _fail(failures: list[dict], detail: str, G: WeightedDigraph | None = None, **kw):
-    entry = {"detail": detail}
-    if G is not None:
-        entry["instance"] = format_digraph(G)
-    entry.update(kw)
-    failures.append(entry)
+def _failure(detail: str, instance: WeightedDigraph | str | None = None) -> dict:
+    """One failure entry: what went wrong and, when known, the instance it
+    went wrong on, a digraph serialized or a replayable repr."""
+    if instance is None:
+        return {"detail": detail}
+    if isinstance(instance, WeightedDigraph):
+        instance = format_digraph(instance)
+    return {"detail": detail, "instance": instance}
 
 
-_ENTRY_POOL = tuple(
-    Fraction(x) for x in (0, 0, 1, -1, 2, Fraction(1, 2), -3)
-)
+def _compare(what: str, G: WeightedDigraph, got, want) -> list[dict]:
+    """No entry when got == want, else one entry that records G."""
+    return [] if got == want else [_failure(f"{what} said {got}, oracle {want}", G)]
+
+
+def _drive(check, count, max_n, rng, draws):
+    """Run check(rng, max_n) for at most `draws` draws, stopping once
+    `count` of them were instances (the check returned a list), and
+    collect the failure entries of all of them."""
+    instances = 0
+    failures: list[dict] = []
+    for _ in range(draws):
+        if instances >= count:
+            break
+        found = check(rng, max_n)
+        if found is not None:
+            instances += 1
+            failures += found
+    return instances, failures, {}
+
+
+def _suite(check, per=1):
+    """The suite that drives `check` for up to `per` draws per instance."""
+    return lambda count, max_n, rng: _drive(check, count, max_n, rng, count * per)
+
+
+_ENTRY_POOL = tuple(Fraction(x) for x in (0, 0, 1, -1, 2, Fraction(1, 2), -3))
 
 
 def _rand_vec(rng, k):
@@ -110,60 +138,45 @@ def _rand_square(rng, k) -> RationalMatrix:
 # -- individual suites ---------------------------------------------------------
 
 
-def _suite_thm_hy(count, max_n, rng):
-    """Membership trichotomy and schur_peel == literal rank increment, on
-    random borders."""
-    failures: list[dict] = []
-    for i in range(count):
-        k = rng.randint(0, max_n - 1)
-        B = _rand_square(rng, k)
-        x = _rand_vec(rng, k)
-        y = _rand_vec(rng, k)
-        alpha = rng.choice(_ENTRY_POOL)
-        cls = classify_bordered(alpha, x, y, B)
-        delta = rank(bordered(alpha, x, y, B)).rank - rank(B).rank
-        peel = schur_peel(alpha, x, y, B)
-        if cls.delta != delta or peel.delta != delta:
-            _fail(
-                failures,
-                f"case {cls.label} (delta {cls.delta}), schur_peel delta "
-                f"{peel.delta}, vs rank increment {delta}",
-                instance=repr((alpha, x, y, B)),
-            )
-        m1, m2, m3, m4 = cls.memberships
-        if (not m1 and not m2) and (m3 and m4):
-            _fail(
-                failures,
-                "case I and case II conditions held at once",
-                instance=repr((alpha, x, y, B)),
-            )
-    return count, failures, {}
+def _check_thm_hy(rng, max_n):
+    """Membership trichotomy and schur_peel == literal rank increment, on a
+    random border."""
+    k = rng.randint(0, max_n - 1)
+    B = _rand_square(rng, k)
+    x = _rand_vec(rng, k)
+    y = _rand_vec(rng, k)
+    alpha = rng.choice(_ENTRY_POOL)
+    cls = classify_bordered(alpha, x, y, B)
+    delta = rank(bordered(alpha, x, y, B)).rank - rank(B).rank
+    peel = schur_peel(alpha, x, y, B)
+    details = []
+    if cls.delta != delta or peel.delta != delta:
+        details.append(
+            f"case {cls.label} (delta {cls.delta}), schur_peel delta "
+            f"{peel.delta}, vs rank increment {delta}"
+        )
+    m1, m2, m3, m4 = cls.memberships
+    if (not m1 and not m2) and (m3 and m4):
+        details.append("case I and case II conditions held at once")
+    return [_failure(detail, repr((alpha, x, y, B))) for detail in details]
 
 
-def _suite_obs1(count, max_n, rng):
+def _check_obs1(rng, max_n):
     """classify_cut's two routes agree and the increment is 0, 1 or 2, at a
-    random cut-vertex and side of each draw that has one (up to count of
-    count * 60 draws)."""
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(count * 60):
-        if instances >= count:
-            break
-        G = random_digraph(rng.randint(3, max_n), rng)
-        d = decompose(G)
-        if not d.cut_vertices:
-            continue
-        v = rng.choice(sorted(d.cut_vertices))
-        side = rng.choice(side_components(G, v))
-        instances += 1
-        try:
-            cls = classify_cut(G, make_split(G, v, side))
-        except DigraphError as e:
-            _fail(failures, f"classification blew up at v={v}: {e}", G)
-            continue
-        if cls.delta not in (0, 1, 2):
-            _fail(failures, f"impossible increment {cls.delta}", G)
-    return instances, failures, {}
+    random cut-vertex and side of a draw that has one."""
+    G = random_digraph(rng.randint(3, max_n), rng)
+    d = decompose(G)
+    if not d.cut_vertices:
+        return None
+    v = rng.choice(sorted(d.cut_vertices))
+    side = rng.choice(side_components(G, v))
+    try:
+        cls = classify_cut(G, make_split(G, v, side))
+    except DigraphError as e:
+        return [_failure(f"classification blew up at v={v}: {e}", G)]
+    if cls.delta not in (0, 1, 2):
+        return [_failure(f"impossible increment {cls.delta}", G)]
+    return []
 
 
 def _plant_case1(rng, max_n):
@@ -189,40 +202,41 @@ def _r2_base(rng, max_n):
     return extend_to_r2(base, seed=rng.randrange(10**6))
 
 
+def _check_2rin_cuts(rng, max_n):
+    """An r2 extension with 1-4 cut-vertices and that set: the sum formula
+    makes the full-set equation hold."""
+    G = _r2_base(rng, max_n)
+    cuts = sorted(decompose(G).cut_vertices)
+    if not 1 <= len(cuts) <= 4:
+        return None
+    try:
+        if not check_lemma_2rin(G, cuts, all_subsets=True):
+            return [_failure(f"full-set equation failed for cuts {cuts}", G)]
+    except InternalMismatch as e:
+        return [_failure(str(e), G)]
+    return []
+
+
+def _check_2rin_any(rng, max_n):
+    """An arbitrary digraph and subset: only the equivalence is claimed,
+    whichever way it comes out."""
+    G = random_digraph(rng.randint(2, max_n), rng)
+    m = rng.randint(1, min(4, G.n))
+    vs = rng.sample(range(G.n), m)
+    try:
+        check_lemma_2rin(G, vs, all_subsets=True)
+    except InternalMismatch as e:
+        return [_failure(str(e), G)]
+    return []
+
+
 def _suite_lemma_2rin(count, max_n, rng):
-    """Full-set +2-per-vertex removal is equivalent to all-subsets removal."""
-    failures: list[dict] = []
-    instances = 0
-    half = count // 2
-    # Positive half: r2 extensions with their cut-vertex set (the sum
-    # formula makes the full-set equation hold).
-    made = 0
-    for _ in range(count * 40):
-        if made >= half:
-            break
-        G = _r2_base(rng, max_n)
-        cuts = sorted(decompose(G).cut_vertices)
-        if not 1 <= len(cuts) <= 4:
-            continue
-        made += 1
-        instances += 1
-        try:
-            if not check_lemma_2rin(G, cuts, all_subsets=True):
-                _fail(failures, f"full-set equation failed for cuts {cuts}", G)
-        except InternalMismatch as e:
-            _fail(failures, str(e), G)
-    # Mixed half: arbitrary digraphs and subsets; only the equivalence is
-    # claimed, whichever way it comes out.
-    for _ in range(count - made):
-        instances += 1
-        G = random_digraph(rng.randint(2, max_n), rng)
-        m = rng.randint(1, min(4, G.n))
-        vs = rng.sample(range(G.n), m)
-        try:
-            check_lemma_2rin(G, vs, all_subsets=True)
-        except InternalMismatch as e:
-            _fail(failures, str(e), G)
-    return instances, failures, {}
+    """Full-set +2-per-vertex removal is equivalent to all-subsets removal:
+    half the instances from `_check_2rin_cuts` (within count * 40 draws),
+    the rest from `_check_2rin_any`."""
+    made, failures, _ = _drive(_check_2rin_cuts, count // 2, max_n, rng, count * 40)
+    mixed, more, _ = _drive(_check_2rin_any, count - made, max_n, rng, count - made)
+    return made + mixed, failures + more, {}
 
 
 def _mdt_instance(rng):
@@ -261,20 +275,12 @@ def _mdt_instance(rng):
     return None, None
 
 
-def _suite_thm_mdt(count, max_n, rng):
+def _check_thm_mdt(rng, max_n):
     """Per-block sum formula on digraphs satisfying the per-block drop."""
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(count):
-        G, got = _mdt_instance(rng)
-        if G is None:
-            _fail(failures, "could not build a qualifying instance in 60 tries")
-            continue
-        instances += 1
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"per-block sum said {got}, oracle {want}", G)
-    return instances, failures, {}
+    G, got = _mdt_instance(rng)
+    if G is None:
+        return [_failure("could not build a qualifying instance in 60 tries")]
+    return _compare("per-block sum", G, got, oracle_rank(G))
 
 
 def _r2_cut_base(rng, max_n):
@@ -288,76 +294,54 @@ def _r2_cut_base(rng, max_n):
     return None
 
 
-def _suite_thm_pen(count, max_n, rng):
+def _check_thm_pen(rng, max_n):
     """Whole-graph r2 sum: rank = sum of block cores + 2 * cuts."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = _r2_base(rng, max_n)
-        got = sum(rank_r2_digraph(G.induced_subdigraph(c)) for c in G.connected_components())
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"r2 sum said {got}, oracle {want}", G)
-    return count, failures, {}
+    G = _r2_base(rng, max_n)
+    got = sum(rank_r2_digraph(G.induced_subdigraph(c)) for c in G.connected_components())
+    return _compare("r2 sum", G, got, oracle_rank(G))
 
 
-def _suite_cor_loops(count, max_n, rng):
+def _check_cor_loops(rng, max_n):
     """Loops at cut-vertices of an r2-digraph never move the rank."""
-    failures: list[dict] = []
-    for _ in range(count):
-        G = _r2_base(rng, max_n)
-        if not loop_invariance_check(G, trials=5, seed=rng.randrange(10**6)):
-            _fail(failures, "a cut-vertex loop rewrite changed the rank", G)
-    return count, failures, {}
+    G = _r2_base(rng, max_n)
+    if not loop_invariance_check(G, trials=5, seed=rng.randrange(10**6)):
+        return [_failure("a cut-vertex loop rewrite changed the rank", G)]
+    return []
 
 
-def _suite_thm_genr2(count, max_n, rng):
-    """Gluing digraphs onto cut-vertices by bi-arc bridges: additive rank."""
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(count):
-        base = _r2_cut_base(rng, max_n)
-        if base is None:
-            continue
-        G, cuts = base
-        atts = []
-        for _ in range(rng.randint(1, 3)):
-            W = random_digraph(rng.randint(1, 3), rng)
-            w_vertex, at = rng.randrange(W.n), rng.choice(cuts)
-            weights = rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL)
-            atts.append(DigraphAttachment(W, w_vertex, at, *weights))
-        instances += 1
-        got = rank_genr2(G, atts)
-        want = oracle_rank(build_genr2(G, atts))
-        if got != want:
-            _fail(failures, f"glued sum said {got}, oracle {want}", G)
-    return instances, failures, {}
+def _check_thm_genr2(rng, max_n):
+    """Gluing digraphs onto cut-vertices by bi-arc bridges: additive rank.
+    A failure records the base, not the glued digraph."""
+    base = _r2_cut_base(rng, max_n)
+    if base is None:
+        return None
+    G, cuts = base
+    atts = []
+    for _ in range(rng.randint(1, 3)):
+        W = random_digraph(rng.randint(1, 3), rng)
+        w_vertex, at = rng.randrange(W.n), rng.choice(cuts)
+        weights = rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL)
+        atts.append(DigraphAttachment(W, w_vertex, at, *weights))
+    return _compare("glued sum", G, rank_genr2(G, atts), oracle_rank(build_genr2(G, atts)))
 
 
-def _suite_cor_cr2(count, max_n, rng):
+def _check_cor_cr2(rng, max_n):
     """Rank delta of single-vertex attachments = number carrying loops."""
-    failures: list[dict] = []
-    instances = 0
-    kinds = tuple(EdgeKind)
-    for _ in range(count):
-        base = _r2_cut_base(rng, max_n)
-        if base is None:
-            continue
-        G, cuts = base
-        adds = [
-            EdgeAddition(
-                at=rng.choice(cuts),
-                kind=(k := rng.choice(kinds)),
-                weights=tuple(rng.choice(DEFAULT_POOL) for _ in range(_weight_count(k))),
-                toward_new=rng.random() < 0.5,
-            )
-            for _ in range(rng.randint(1, 4))
-        ]
-        instances += 1
-        got = rank_delta_cr2(G, adds)
-        want = oracle_rank(apply_additions(G, adds)) - oracle_rank(G)
-        if got != want:
-            _fail(failures, f"delta said {got}, oracle delta {want}", G)
-    return instances, failures, {}
+    base = _r2_cut_base(rng, max_n)
+    if base is None:
+        return None
+    G, cuts = base
+    adds = [
+        EdgeAddition(
+            at=rng.choice(cuts),
+            kind=(k := rng.choice(tuple(EdgeKind))),
+            weights=tuple(rng.choice(DEFAULT_POOL) for _ in range(_weight_count(k))),
+            toward_new=rng.random() < 0.5,
+        )
+        for _ in range(rng.randint(1, 4))
+    ]
+    want = oracle_rank(apply_additions(G, adds)) - oracle_rank(G)
+    return _compare("rank delta", G, rank_delta_cr2(G, adds), want)
 
 
 def _plant_case2(rng, max_n):
@@ -402,31 +386,23 @@ def _scaled_biblock(rng, max_n):
     return build(G.n, arcs)
 
 
-def _suite_thm_r0f(count, max_n, rng):
+def _check_thm_r0f(rng, max_n):
     """r0-digraphs without cut loops: rank = plain sum of block ranks."""
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(count):
-        G = _scaled_biblock(rng, max_n)
-        if rng.random() < 0.4:
-            # one non-r0 block is allowed: hang a triangle somewhere
-            u = rng.randrange(G.n)
-            arcs = [(a, b, w) for (a, b, w) in G.arcs()]
-            p, q = G.n, G.n + 1
-            for (s, t) in ((u, p), (p, q), (q, u)):
-                arcs.append((s, t, Fraction(1)))
-                arcs.append((t, s, Fraction(1)))
-            G = build(G.n + 2, arcs)
-        try:
-            got = rank_r0_digraph(G)
-        except PreconditionViolated as e:
-            _fail(failures, f"expected a qualifying r0-digraph: {e}", G)
-            continue
-        instances += 1
-        want = oracle_rank(G)
-        if got != want:
-            _fail(failures, f"block sum said {got}, oracle {want}", G)
-    return instances, failures, {}
+    G = _scaled_biblock(rng, max_n)
+    if rng.random() < 0.4:
+        # one non-r0 block is allowed: hang a triangle somewhere
+        u = rng.randrange(G.n)
+        arcs = [(a, b, w) for (a, b, w) in G.arcs()]
+        p, q = G.n, G.n + 1
+        for (s, t) in ((u, p), (p, q), (q, u)):
+            arcs.append((s, t, Fraction(1)))
+            arcs.append((t, s, Fraction(1)))
+        G = build(G.n + 2, arcs)
+    try:
+        got = rank_r0_digraph(G)
+    except PreconditionViolated as e:
+        return [_failure(f"expected a qualifying r0-digraph: {e}", G)]
+    return _compare("block sum", G, got, oracle_rank(G))
 
 
 def _case3_block_graph(rng, max_n):
@@ -504,18 +480,12 @@ def _suite_case3(count, max_n, rng):
             G, sides = _case3_arc_pendant(rng, max_n)
         cert = rank_recursive(G)
         want = oracle_rank(G)
-        if cert.rank != want:
-            _fail(failures, f"engine said {cert.rank}, oracle {want}", G)
+        failures += _compare("engine", G, cert.rank, want)
         for (v, side) in sides:
             split = make_split(G, v, side)
             if classify_cut(G, split).case is CutVertexCase.RANK_PLUS_1:
                 got = rank_case3_peel(G, split)
-                if got != want:
-                    _fail(
-                        failures,
-                        f"standalone case III peel at v={v} said {got}, oracle {want}",
-                        G,
-                    )
+                failures += _compare(f"standalone case III peel at v={v}", G, got, want)
         rules = cert.rules_used()
         if RuleTag.CASE_III_PEEL in rules or RuleTag.CASE_III_LT in rules:
             with_case3 += 1
@@ -526,100 +496,76 @@ def _suite_case3(count, max_n, rng):
 
 
 def _family_suite(family, lo, formula, what, closed=None):
-    """The suite drawing `family` graphs of lo..max_n vertices on which
-    formula(G), and closed(G) when given, must equal the oracle rank."""
+    """The suite checking `family` graphs of lo..max_n vertices: formula(G),
+    and then closed(G) when given, must equal the oracle rank."""
 
-    def suite(count, max_n, rng):
-        failures: list[dict] = []
-        for _ in range(count):
-            G = gen(GenSpec(family, n=rng.randint(lo, max_n), seed=rng.randrange(10**9)))
-            got = formula(G)
-            want = oracle_rank(G)
-            if got != want or (closed is not None and got != closed(G)):
-                _fail(failures, f"{what} said {got}, oracle {want}", G)
-        return count, failures, {}
+    def check(rng, max_n):
+        G = gen(GenSpec(family, n=rng.randint(lo, max_n), seed=rng.randrange(10**9)))
+        found = _compare(what, G, formula(G), want := oracle_rank(G))
+        if closed is None or found:
+            return found
+        return _compare("closed form", G, closed(G), want)
 
-    return suite
+    return _suite(check)
 
 
 def _planted_suite(plant, case, formula, what):
-    """The suite on plant(rng, max_n) = (G, v, side) splits, which must be
-    of the given case, where formula(G, split) must equal the oracle rank;
-    a draw the formula does not claim (PreconditionViolated) is skipped
-    uncounted."""
+    """The suite checking plant(rng, max_n) = (G, v, side) splits, which
+    must be of the given case, where formula(G, split) must equal the
+    oracle rank; a draw the formula does not claim (PreconditionViolated)
+    is no instance."""
 
-    def suite(count, max_n, rng):
-        failures: list[dict] = []
-        instances = 0
-        for _ in range(count):
-            G, v, side = plant(rng, max_n)
-            split = make_split(G, v, side)
-            cls = classify_cut(G, split)
-            try:
-                got = formula(G, split) if cls.case is case else None
-            except PreconditionViolated:
-                continue
-            instances += 1
-            if got is None:
-                _fail(failures, f"planted split classified {cls.label}, wanted {case.label}", G)
-            elif got != (want := oracle_rank(G)):
-                _fail(failures, f"{what} said {got}, oracle {want}", G)
-        return instances, failures, {}
+    def check(rng, max_n):
+        G, v, side = plant(rng, max_n)
+        split = make_split(G, v, side)
+        cls = classify_cut(G, split)
+        if cls.case is not case:
+            return [_failure(f"planted split classified {cls.label}, wanted {case.label}", G)]
+        try:
+            got = formula(G, split)
+        except PreconditionViolated:
+            return None
+        return _compare(what, G, got, oracle_rank(G))
 
-    return suite
+    return _suite(check)
 
 
 SUITE_DEFAULTS: dict[str, tuple] = {
-    "thm-hy": (_suite_thm_hy, 400, 6),
-    "obs-1": (_suite_obs1, 300, 8),
+    "thm-hy": (_suite(_check_thm_hy), 400, 6),
+    "obs-1": (_suite(_check_obs1, per=60), 300, 8),
     # Case I peel: r(G) = r(H - v) + r(G - H) + 2.
-    "thm-2.2": (
-        _planted_suite(_plant_case1, CutVertexCase.RANK_PLUS_2, rank_case1_peel, "peel"), 300, 8
-    ),
+    "thm-2.2": (_planted_suite(
+        _plant_case1, CutVertexCase.RANK_PLUS_2, rank_case1_peel, "peel"
+    ), 300, 8),
     "lemma-2rin": (_suite_lemma_2rin, 150, 7),
-    "thm-mdt": (_suite_thm_mdt, 120, 8),
-    "thm-pen": (_suite_thm_pen, 200, 8),
-    "cor-loops": (_suite_cor_loops, 120, 8),
-    "thm-genr2": (_suite_thm_genr2, 150, 7),
-    "cor-cr2": (_suite_cor_cr2, 150, 7),
+    "thm-mdt": (_suite(_check_thm_mdt), 120, 8),
+    "thm-pen": (_suite(_check_thm_pen), 200, 8),
+    "cor-loops": (_suite(_check_cor_loops), 120, 8),
+    "thm-genr2": (_suite(_check_thm_genr2), 150, 7),
+    "cor-cr2": (_suite(_check_cor_cr2), 150, 7),
     # Loopless bi-arc trees: rank = twice the matching number.
-    "thm-tt": (
-        _family_suite(
-            "loopless-biarc-tree", 1, rank_tree, "2q", lambda G: 2 * max_matching(G).size
-        ),
-        400,
-        12,
-    ),
+    "thm-tt": (_family_suite(
+        "loopless-biarc-tree", 1, rank_tree, "2q", lambda G: 2 * max_matching(G).size
+    ), 400, 12),
     # r2-trees: rank = 2q + (number of looped leaves).
     "cor-r2tree": (_family_suite("r2-tree", 2, rank_r2_tree, "2q+s"), 300, 10),
     # Qualifying block graphs are nonsingular: rank = n.
-    "cor-blockgraph": (
-        _family_suite(
-            "r2-block-graph", 3, lambda G: rank_r2_block_graph(G).rank, "family formula",
-            lambda G: G.n,
-        ),
-        150,
-        10,
-    ),
+    "cor-blockgraph": (_family_suite(
+        "r2-block-graph", 3, lambda G: rank_r2_block_graph(G).rank, "family formula", lambda G: G.n
+    ), 150, 10),
     # Qualifying pendant-edge biblock graphs: rank = 2 * block count.
-    "cor-biblock-r2": (
-        _family_suite("r2-biblock-graph", 4, lambda G: rank_r2_biblock_graph(G).rank, "2k"),
-        150,
-        10,
-    ),
+    "cor-biblock-r2": (_family_suite(
+        "r2-biblock-graph", 4, lambda G: rank_r2_biblock_graph(G).rank, "2k"
+    ), 150, 10),
     # Case II peel keeps the cut-vertex with the outside part.
-    "thm-r0": (
-        _planted_suite(_plant_case2, CutVertexCase.RANK_PLUS_0, rank_case2_peel, "case II peel"),
-        200,
-        8,
-    ),
-    "thm-r0f": (_suite_thm_r0f, 200, 10),
+    "thm-r0": (_planted_suite(
+        _plant_case2, CutVertexCase.RANK_PLUS_0, rank_case2_peel, "case II peel"
+    ), 200, 8),
+    "thm-r0f": (_suite(_check_thm_r0f), 200, 10),
     # Biblock graphs with spare vertices on both sides: rank = 2k.
-    "cor-biblock-r0": (
-        _family_suite("biblock-graph", 4, lambda G: rank_r0_biblock_graph(G).rank, "2k"),
-        150,
-        10,
-    ),
+    "cor-biblock-r0": (_family_suite(
+        "biblock-graph", 4, lambda G: rank_r0_biblock_graph(G).rank, "2k"
+    ), 150, 10),
     "case3": (_suite_case3, 300, 8),
 }
 
@@ -636,9 +582,7 @@ def run_suite(
 ) -> SuiteReport:
     """Run one named suite; deterministic in all four arguments."""
     if name not in SUITE_DEFAULTS:
-        raise UnknownSuite(
-            f"unknown suite {name!r}; known: {', '.join(SUITE_DEFAULTS)}"
-        )
+        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_DEFAULTS)}")
     fn, default_count, default_max_n = SUITE_DEFAULTS[name]
     count = default_count if count is None else count
     max_n = default_max_n if max_n is None else max_n

@@ -14,7 +14,8 @@ from digrank import build, format_digraph, gen, GenSpec, parse_digraph, trees
 from digrank.engine import oracle_rank, rank_recursive
 from digrank.trees import TreeKind, classify_tree, is_r2_tree_digraph
 from digrank.cli import main
-from digrank.errors import UnknownSuite
+from digrank import verify
+from digrank.errors import DigraphError, InternalMismatch, UnknownSuite
 from digrank.verify import SUITE_DEFAULTS, run_suite, suite_names
 
 
@@ -209,3 +210,65 @@ def test_cli_verify_reports_failures(monkeypatch, capsys):
     assert main(["verify", "--suite", "thm-hy"]) == 3
     out = capsys.readouterr().out
     assert "1 FAILURES" in out and "planted failure" in out
+
+
+def _wrong_by_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _raise(exc):
+    def raiser(*args, **kw):
+        raise exc("planted fault")
+
+    return raiser
+
+
+# One name on `verify` per suite whose patch makes the checked result wrong;
+# every other suite compares against `oracle_rank`.
+_FAULTS = {
+    "obs-1": ("classify_cut", lambda real: _raise(DigraphError)),
+    "lemma-2rin": ("check_lemma_2rin", lambda real: _raise(InternalMismatch)),
+    "cor-loops": ("loop_invariance_check", lambda real: lambda *a, **kw: False),
+    "cor-cr2": ("rank_delta_cr2", _wrong_by_one),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DEFAULTS))
+def test_each_suite_reports_a_planted_fault(monkeypatch, suite):
+    borders: list[str] = []
+    if suite == "thm-hy":
+        real = verify.schur_peel
+
+        def wrong_peel(alpha, x, y, B):
+            borders.append(repr((alpha, x, y, B)))
+            return real(alpha, x, y, B)._replace(delta=-1)
+
+        monkeypatch.setattr(verify, "schur_peel", wrong_peel)
+    else:
+        name, fault = _FAULTS.get(suite, ("oracle_rank", _wrong_by_one))
+        monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    rep = run_suite(suite, count=5)
+    assert not rep.ok
+    for failure in rep.failures:
+        if suite == "thm-hy":
+            assert failure["instance"] in borders
+        else:
+            assert parse_digraph(failure["instance"]).n >= 1
+
+
+def test_every_suite_passes_with_asserts_stripped(tmp_path):
+    """`python -O` strips asserts; every suite must still run and pass."""
+    out_json = tmp_path / "report.json"
+    src = str(Path(digrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "digrank.cli", "verify", "--suite", "all",
+         "--count", "2", "--json", str(out_json)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    reports = json.loads(out_json.read_text(encoding="utf-8"))
+    assert [r["suite"] for r in reports] == list(SUITE_DEFAULTS)
+    assert all(r["failures"] == [] and r["instances"] >= 1 for r in reports)
