@@ -1,9 +1,11 @@
 """Rank certificates: the tree of rule applications behind a rank.
 
 Each CertNode names the rule that fired (RuleTag), where, and the rank it
-contributed; a RankCertificate's rank is the sum over its tree.  This
-module imports nothing from the package, so code that checks a
-certificate need not import what computed it.
+contributed; a RankCertificate's rank is the sum over its tree.  A
+CertNode is a named tuple (so a tuple subclass), immutable and cheap to
+build, as the engine builds one per peel, leaf and sum.  This module
+imports nothing from the package, so code that checks a certificate need
+not import what computed it.
 
 Rule vocabulary (RuleTag).  The four peel tags are the outcomes of one
 peel of block b at its parent cut-vertex v, with B the current matrix on
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class RuleTag(Enum):
@@ -55,9 +57,12 @@ class RuleTag(Enum):
     COMPONENT_SUM = "ComponentSum"
 
 
-@dataclass(frozen=True)
-class CertNode:
-    """One rule application.  Vertex ids are the original graph's ids."""
+class CertNode(NamedTuple):
+    """One rule application.  Vertex ids are the original graph's ids.
+
+    A named tuple, so also a tuple: it equals a plain tuple of the same
+    seven values, and it can be indexed, unpacked and measured with len.
+    """
 
     rule: RuleTag
     contributed: int

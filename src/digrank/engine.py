@@ -30,15 +30,20 @@ from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
 
-# DIRECT_RANK leaves of this order and up go to `leaf_rank` (mod p, Bareiss
-# when that cannot prove full rank), those below it from order 2 to `rank`
-# (Bareiss).  On full-rank random digraph matrices (weights 1, -1, 2, 1/2,
-# arc density 0.3) leaf_rank took 0.76-0.81x the time of `rank` at order 8,
-# 0.41-0.43x at 16 and 0.13x at 40 (three runs, best of 5 over 400 or 100
-# matrices each, CPython 3.11, 2-core VM).  But small leaves are often
+# DIRECT_RANK leaves of order k = min(rows, cols) go by k (`_peel_pass`):
+# k <= 1 and the 2 x 2 leaf are read in closed form; from this order up a
+# leaf goes to `leaf_rank` (mod p, the engine's Bareiss when that cannot
+# prove full rank); the rest, order 2 (not 2 x 2) to 15, to `rank` (the
+# oracle's Bareiss), whose calls perfbench's tracer counts: 318, 2,196 and
+# 622 of them in seed-1 passes of perfbench's closed-forms, small-mixed and
+# glued-blocks.
+# On full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density
+# 0.3) leaf_rank took 0.76-0.81x the time of `rank` at order 8, 0.41-0.43x
+# at 16 and 0.13x at 40 (three runs, best of 5 over 400 or 100 matrices
+# each, CPython 3.11, 2-core VM).  But small leaves are often
 # rank-deficient and pay for both: 1,769 of the 3,957 leaves (order 2-10)
-# of a seed-1 pass of perfbench's small-mixed, 186 of the 1,369 (order 2-5)
-# of closed-forms.  Sent to leaf_rank, these workloads' small leaves took
+# of a seed-1 pass of small-mixed, 186 of the 1,369 (order 2-5) of
+# closed-forms.  Sent to leaf_rank, these workloads' small leaves took
 # 2.4-2.6x as long (measured while leaves of order <= 1 and R0 summands
 # still went to `rank` too).
 _MOD_P_MIN_ORDER = 16
@@ -108,10 +113,11 @@ def _r2_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
 
 def _r0_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
     """Removing any one cut-vertex v of d from block b keeps its rank: v's
-    row and column lie in the spaces of b - v and its residue is 0."""
+    row and column lie in the spaces of b - v and its residue -x.d cancels
+    v's loop alpha (a missing or zero loop: the residue is 0)."""
     for v in d.cuts_in_block(b):
-        peel = _shared_peel(W, d, peels, b, v)
-        if not (peel.x_in and peel.y_in and peel.residue == -W[v].get(v, _ZERO)):
+        peel, loop = _shared_peel(W, d, peels, b, v), W[v].get(v)
+        if not (peel.x_in and peel.y_in) or (peel.residue != -loop if loop else peel.residue):
             return False
     return True
 
@@ -315,11 +321,12 @@ def _peel_pass(
     operation that touches only v's row, column and loop, so the original
     block-cut tree stays a separator tree throughout.  What is left of each
     root block is ranked directly from W: with at most one row or column by
-    whether an entry is nonzero, from order _MOD_P_MIN_ORDER up by
-    `leaf_rank` on the rows' out-dicts themselves and the leaf's columns,
-    else by Bareiss on a dense copy.  Peel nodes name block b of d; when
-    labels is given, d decomposes a `_copy` whose vertex u is labels[u] of
-    the graph, and they carry no block_index.
+    whether an entry is nonzero, with two rows and two columns by whether
+    the determinant is nonzero (`_rank_2x2`), from order _MOD_P_MIN_ORDER
+    up by `leaf_rank` on the rows' out-dicts themselves and the leaf's
+    columns, else by `rank` on a dense copy.  Peel nodes name block b of
+    d; when labels is given, d decomposes a `_copy` whose vertex u is
+    labels[u] of the graph, and they carry no block_index.
     """
     no_row: set[int] = set()
     no_col: set[int] = set()
@@ -332,6 +339,9 @@ def _peel_pass(
             k = min(len(rows), len(cols))
             if k <= 1:  # rank 1 exactly when an entry is nonzero
                 r = int(any(W[u].get(t) for u in rows for t in cols))
+            elif len(rows) == len(cols) == 2:
+                (s, t), ru, rw = cols, W[rows[0]], W[rows[1]]
+                r = _rank_2x2(ru.get(s), ru.get(t), rw.get(s), rw.get(t))
             elif k >= _MOD_P_MIN_ORDER:
                 r = leaf_rank([W[u] for u in rows], cols)
             else:
@@ -369,6 +379,20 @@ def _peel_pass(
         else:
             nodes.append(CertNode(tag, r, (), None, tuple(labels[u] for u in blk), labels[v], note))
     return _sum_node(nodes)
+
+
+def _rank_2x2(a, b, c, e) -> int:
+    """Rank of [[a, b], [c, e]], each entry a Fraction or None for zero: 2
+    when ae != bc, else 1 when an entry is nonzero, else 0.  The products
+    are compared as cross-multiplied integers, and only when all four
+    entries are nonzero."""
+    ae, bc = bool(a and e), bool(b and c)
+    if ae and bc:
+        ae = a.numerator * e.numerator * b.denominator * c.denominator
+        bc = b.numerator * c.numerator * a.denominator * e.denominator
+    if ae != bc:
+        return 2
+    return 1 if a or b or c or e else 0
 
 
 def _leaves_first(d: BlockDecomposition) -> list[list[tuple[int, int | None]]]:

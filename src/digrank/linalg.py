@@ -1,11 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices of `fractions.Fraction` entries.  Every exact elimination is
-one fraction-free Bareiss loop on integers (each row is scaled by its
+a fraction-free Bareiss loop on integers (each row is scaled by its
 denominator lcm first, which changes neither rank nor pivot columns), so
-arbitrarily large intermediate values stay exact.  Rank, row/column-space
-membership with witness coefficients, and `schur_peel` -- what a bordering
-row and column add to a matrix's rank -- are all read off that one loop.
+arbitrarily large intermediate values stay exact.  There are two such
+loops with one contract.  `_bareiss` is the oracle's: `rank`, `int_rank`
+and row/column-space membership with witness coefficients are read off
+it, and through `rank` so is `digraph.oracle_rank`.  `_engine_bareiss` is
+the engine's: `schur_peel` -- what a bordering row and column add to a
+matrix's rank -- and `leaf_rank`'s fallback are read off it.  It skips the
+division by the previous pivot while that pivot is 1, which the
+unit-weight families make common.  Two loops keep the oracle apart from
+the engine it checks: a fault in one cannot hide in both, and a change to
+the engine's loop cannot move the oracle's timings.  (The engine's leaves
+of order 2 to 15, other than 2 x 2, still go to `rank`.)
+
 `leaf_rank` maps each entry a/b of sparse rows (a weight store's
 out-dicts) to a * b^-1 modulo a small prime p, in one walk.  Such entries
 lie in Z_(p), the rationals whose denominator p does not divide, and
@@ -195,6 +204,57 @@ def _bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
     return pivots
 
 
+def _engine_bareiss(a: list[list[int]], prows: int, pcols: int) -> list[int]:
+    """`_bareiss` for the engine's peels and leaves: the same pivots and
+    the same final matrix, but no division while the previous pivot is 1.
+
+    Bareiss divides each update piv * a[i][j] - m * a[r][j] by the
+    previous pivot, which is 1 at the first pivot and after every unit
+    pivot; there the update is taken as it stands, and a row with m = 0 is
+    only multiplied by piv (or left alone when piv is 1).  Every other
+    division keeps its exactness check.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = 0
+    prev = 1
+    pivots: list[int] = []
+    for c in range(pcols):
+        if r == prows:
+            break
+        for p in range(r, prows):
+            if a[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            a[p], a[r] = a[r], a[p]
+        row_r = a[r]
+        piv = row_r[c]
+        pivots.append(c)
+        tail = range(c + 1, ncols)
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            m = row_i[c]
+            if prev != 1:
+                for j in tail:
+                    q, rem = divmod(piv * row_i[j] - m * row_r[j], prev)
+                    if rem:
+                        raise InternalMismatch("Bareiss division must be exact")
+                    row_i[j] = q
+                row_i[c] = 0
+            elif m:
+                for j in tail:
+                    row_i[j] = piv * row_i[j] - m * row_r[j]
+                row_i[c] = 0
+            elif piv != 1:
+                for j in tail:
+                    row_i[j] *= piv
+        prev = piv
+        r += 1
+    return pivots
+
+
 # The largest prime below 2**15.  2**15 = _P + _FOLD, so a field f of a
 # packed row is (f >> 15) * _FOLD + (f & 0x7FFF) mod _P (`_fold`).
 _P = 32749
@@ -316,8 +376,8 @@ def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
     elimination on the residues a * b^-1 mod _P (`_rank_mod_p`: packed
     rows, each pivot row folded in place so an update adds below
     _P * 2**16 to a field) prove rank >= r, which is the rank when
-    r = min(rows, cols).  Every other matrix goes to `_bareiss` on its rows
-    made dense and scaled by their denominator lcm, as soon as the
+    r = min(rows, cols).  Every other matrix goes to `_engine_bareiss` on
+    its rows made dense and scaled by their denominator lcm, as soon as the
     elimination has too many pivot-less columns for full rank, or at once
     when _P divides a denominator; so a prime that divides some minor costs
     time, never a wrong rank.
@@ -327,7 +387,7 @@ def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
     full = min(len(rows), len(pos))
     if residues is not None and _rank_mod_p(residues) == full:
         return full
-    return int_rank([_int_row(row, cols)[0] for row in rows])
+    return len(_engine_bareiss([_int_row(row, cols)[0] for row in rows], len(rows), len(cols)))
 
 
 def int_rank(a: list[list[int]]) -> int:
@@ -396,24 +456,26 @@ def _peel_rows(a: list[list[int]], border: list[int], scale: int) -> SchurPeel:
     """`schur_peel` on integer rows: a holds the rows of [B | y], each
     times any nonzero factor, and border is [x, alpha] times scale.
 
-    `_bareiss` eliminates all of them, border appended to a, with pivots in
-    B only.  x lies in B's row space when the border's B part ends up zero,
-    y in its column space when the rows of B past its rank end up with zero
-    y entries.  The border's last entry is the pivot minor bordered by x
-    and y (Sylvester's identity); over the last pivot and scale it is
-    alpha - x.d, d the witness of `in_column_space(y, B)`, so it is zero
-    exactly when the residue is.
+    `_engine_bareiss` eliminates all of them, border appended to a, with
+    pivots in B only.  x lies in B's row space when the border's B part
+    ends up zero, y in its column space when the rows of B past its rank
+    end up with zero y entries.  The border's last entry is the pivot minor
+    bordered by x and y (Sylvester's identity); over the last pivot and
+    scale it is alpha - x.d, d the witness of `in_column_space(y, B)`, so
+    it is zero exactly when the residue is, which is then the shared
+    Fraction(0).
     """
     n = len(border) - 1
     a.append(border)
-    pivots = _bareiss(a, len(a) - 1, n)
+    pivots = _engine_bareiss(a, len(a) - 1, n)
     r = len(pivots)
     x_in = not any(border[:n])
     if any(row[n] for row in a[r:-1]):
         return SchurPeel(r, x_in, False, None, 2 - x_in)
     prev = a[r - 1][pivots[-1]] if r else 1
     delta = int(border[n] != 0) if x_in else 1
-    return SchurPeel(r, x_in, True, Fraction(border[n], prev * scale), delta)
+    residue = Fraction(border[n], prev * scale) if border[n] else _ZERO
+    return SchurPeel(r, x_in, True, residue, delta)
 
 
 def bordered(alpha, x: Sequence, y: Sequence, B: RationalMatrix) -> RationalMatrix:

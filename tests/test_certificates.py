@@ -18,8 +18,11 @@ import random
 import pytest
 
 from digrank import (
+    CertNode,
     EdgeKind,
     GenSpec,
+    RankCertificate,
+    RuleTag,
     build,
     decompose,
     gen,
@@ -220,3 +223,40 @@ def test_certificate_text_of_the_corpus_is_frozen():
     for G in digest_corpus():
         h.update(render_certificate(rank_recursive(G)).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+HAND_BUILT = """\
+R0Digraph contributes=0
+  DirectRank block=0 contributes=3 [0,1,2] (n=3)
+  CaseIIILt block=1 v=2 contributes=1 [2,3] (loop residue -1/2)
+"""
+
+
+def test_cert_node_is_immutable_with_its_defaults():
+    """Keyword and positional construction, the defaults, `total`, `walk`,
+    and the rendering of a hand-built tree; a field cannot be assigned."""
+    leaf = CertNode(RuleTag.DIRECT_RANK, 3, block_index=0, block_vertices=(0, 1, 2), note="n=3")
+    peel = CertNode(RuleTag.CASE_III_LT, 1, (), 1, (2, 3), 2, "loop residue -1/2")
+    root = CertNode(rule=RuleTag.R0_DIGRAPH, contributed=0, children=(leaf, peel))
+    bare = CertNode(RuleTag.COMPONENT_SUM, 0)
+    assert bare.children == () and bare.note == ""
+    assert bare.block_index is bare.block_vertices is bare.cut_vertex is None
+    assert root.total == 4 and list(root.walk()) == [root, leaf, peel]
+    assert render_certificate(RankCertificate(root.total, root)) == HAND_BUILT
+    for field in ("rule", "contributed", "children", "note"):
+        with pytest.raises(AttributeError):
+            setattr(root, field, None)
+
+
+def test_cert_node_is_a_tuple_of_its_seven_fields():
+    """CertNode is a named tuple: it equals the plain tuple of its fields in
+    declaration order, has len 7, indexes and unpacks like that tuple, and
+    hashes as it does; two nodes with equal fields are equal."""
+    node = CertNode(RuleTag.CASE_I_PEEL, 2, (), 4, (4, 5), 4, "note")
+    fields = (RuleTag.CASE_I_PEEL, 2, (), 4, (4, 5), 4, "note")
+    assert isinstance(node, tuple) and len(node) == 7
+    assert node == fields and hash(node) == hash(fields)
+    assert node[0] is RuleTag.CASE_I_PEEL and node[-1] == "note"
+    rule, contributed, *_ = node
+    assert (rule, contributed) == (RuleTag.CASE_I_PEEL, 2)
+    assert node == CertNode(*fields) and node != CertNode(RuleTag.CASE_I_PEEL, 1)

@@ -61,7 +61,7 @@ from digrank import engine, linalg, theorems
 from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
-from digrank.linalg import RationalMatrix, schur_peel
+from digrank.linalg import RationalMatrix, rank, schur_peel
 from oracles import naive_rank, rank_of_digraph
 
 
@@ -779,8 +779,8 @@ def test_nonsingular_dense_block_needs_no_bareiss(monkeypatch):
     """Its DIRECT_RANK leaf is proved full by the mod-p pass alone."""
     G = dense_block()
     calls = []
-    real = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real(*a))
+    real = linalg._engine_bareiss
+    monkeypatch.setattr(linalg, "_engine_bareiss", lambda *a: calls.append(1) or real(*a))
     cert = rank_recursive(G)
     assert cert.root.rule is RuleTag.DIRECT_RANK and cert.rank == 40
     assert calls == []
@@ -901,7 +901,7 @@ def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
     assert decompose(G).blocks == (tuple(range(20)), (19, 20))
     assert any(G.has_arc(u, 19) for u in range(19))
     calls, leaves = [], []
-    real_bareiss, real_leaf = linalg._bareiss, engine.leaf_rank
+    real_bareiss, real_leaf = linalg._engine_bareiss, engine.leaf_rank
 
     def counted_leaf(rows, cols):
         before = len(calls)
@@ -909,7 +909,7 @@ def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
         leaves.append((len(rows), len(cols), r, len(calls) - before))
         return r
 
-    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real_bareiss(*a))
+    monkeypatch.setattr(linalg, "_engine_bareiss", lambda *a: calls.append(1) or real_bareiss(*a))
     monkeypatch.setattr(engine, "leaf_rank", counted_leaf)
     cert = rank_recursive(G)
     shape = (19, 20) if arc[0] == 19 else (20, 19)
@@ -999,6 +999,53 @@ def test_leaves_with_at_most_one_row_or_column_need_no_elimination(monkeypatch, 
     assert all(p.rule is RuleTag.CASE_III_PEEL and p.note == note for p in peels)
     assert root.rule is RuleTag.DIRECT_RANK and root.contributed == leaf
     assert cert.rank == oracle_rank(G) == len(peels) + leaf
+
+
+def two_by_two_rank(entries, stored_zero):
+    """`_rank_2x2` read as `_peel_pass` reads it: rows u = 0 and w = 1,
+    columns s = 2 and t = 3 of a store whose zero entries are absent or
+    stored as Fraction(0)."""
+    (a, b), (c, e) = entries
+    W = {0: {}, 1: {}}
+    for row, t, x in ((0, 2, a), (0, 3, b), (1, 2, c), (1, 3, e)):
+        if x or stored_zero:
+            W[row][t] = Fraction(x)
+    return engine._rank_2x2(W[0].get(2), W[0].get(3), W[1].get(2), W[1].get(3))
+
+
+@pytest.mark.parametrize("stored_zero", [False, True])
+@pytest.mark.parametrize("pattern", range(16))
+@pytest.mark.parametrize("values", [(1, 2, 3, 6), (Fraction(-1, 2), 3, Fraction(5, 7), 4)])
+def test_two_by_two_leaf_is_rank(pattern, values, stored_zero):
+    """Each of the 16 zero patterns, over entries whose determinant is 0
+    when all four are nonzero (1 2 / 3 6) and entries where it is not."""
+    flat = [x if pattern >> k & 1 else 0 for k, x in enumerate(values)]
+    entries = [flat[:2], flat[2:]]
+    assert two_by_two_rank(entries, stored_zero) == rank(RationalMatrix(entries)).rank
+
+
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=4, max_size=4))
+@example([Fraction(1, 3), Fraction(2, 5), Fraction(5, 6), 1])  # ae = bc = 1/3
+@settings(max_examples=300, deadline=None)
+def test_two_by_two_leaf_is_rank_on_rationals(flat):
+    entries = [flat[:2], flat[2:]]
+    for stored_zero in (False, True):
+        assert two_by_two_rank(entries, stored_zero) == rank(RationalMatrix(entries)).rank
+
+
+def test_two_by_two_root_leaf_needs_no_elimination(monkeypatch):
+    """The root block is the one-way pendant 0 -> 1, so its leaf is 2 x 2;
+    the bi-arc triangle 1-2-3 below it is peeled at 1 and leaves a loop
+    residue of -2 on 1.  The leaf [[0, 1], [0, -2]] has rank 1."""
+    G = build(4, [(0, 1, 1)] + unit_biarcs((1, 2), (2, 3), (3, 1)))
+    calls = count_eliminations(monkeypatch)
+    cert = rank_recursive(G)
+    assert calls == []
+    monkeypatch.undo()
+    peel, root = cert.root.children
+    assert peel.rule is RuleTag.CASE_III_LT and peel.note == "loop residue -2"
+    assert root.rule is RuleTag.DIRECT_RANK and root.contributed == 1
+    assert cert.rank == oracle_rank(G) == 3
 
 
 ZERO_RESIDUE_LEAF = """\
@@ -1110,13 +1157,13 @@ def test_one_big_elimination_per_rank(monkeypatch, root_in_block):
     is proved full rank mod p.  Each of them used to eliminate it anew."""
     G = big_block_with_pendant(root_in_block)
     big = []
-    real = linalg._bareiss
+    real = linalg._engine_bareiss
 
     def counted(a, prows, pcols):
         big.append(prows >= 39)
         return real(a, prows, pcols)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(linalg, "_engine_bareiss", counted)
     cert = rank_recursive(G)
     assert sum(big) == 1
     monkeypatch.undo()
@@ -1269,7 +1316,7 @@ def test_one_by_one_peel_is_the_general_peel(monkeypatch, b, x, y, stored_zero, 
         W[v][v] = loop
     expect = general_peel(W, [u], [u], v)
     assert expect == dense_schur_peel(W, [u], [u], v)
-    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    monkeypatch.setattr(linalg, "_engine_bareiss", no_bareiss)
     peel = engine._cut_peel(W, [u], [u], v)
     assert peel == expect
     assert list(map(type, peel)) == list(map(type, expect))

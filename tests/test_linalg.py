@@ -112,6 +112,41 @@ def test_int_rank_plain():
     assert int_rank([]) == 0
 
 
+# -- the engine's Bareiss loop against the oracle's ----------------------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """An integer matrix, with some columns made zero, and pivot bounds at
+    or below its dimensions.  Entries 1 and -1 make unit pivots common,
+    so the skipped divisions and the real ones both run."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    ints = st.sampled_from([0, 0, 0, 1, 1, -1, 2, -3, 5, 7, 2**40 + 1])
+    a = [[draw(ints) for _ in range(ncols)] for _ in range(nrows)]
+    for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in a:
+            if j < ncols:
+                row[j] = 0
+    return a, draw(st.integers(0, nrows)), draw(st.integers(0, ncols))
+
+
+@given(kernel_inputs())
+@example(([[1, 1, 1], [1, 2, 3], [1, 3, 6]], 3, 3))  # unit pivots throughout
+@example(([[2, 1, 1], [4, 3, 3], [6, 5, 8]], 3, 3))  # a pivot 2, then divisions
+@example(([[0, 1, 2], [0, 3, 4], [0, 5, 7]], 2, 3))  # a zero column, a row below prows
+@example(([[1, 2], [2, 4], [3, 7]], 3, 1))  # pcols below the columns
+@example(([], 0, 0))
+@settings(max_examples=400, deadline=None)
+def test_engine_bareiss_is_the_oracle_bareiss(case):
+    """`_engine_bareiss` returns the pivots `_bareiss` returns and leaves
+    the matrix `_bareiss` leaves, whatever the pivots and bounds."""
+    a, prows, pcols = case
+    b = [row[:] for row in a]
+    assert linalg._engine_bareiss(b, prows, pcols) == linalg._bareiss(a, prows, pcols)
+    assert b == a
+
+
 # -- membership and witnesses ------------------------------------------------
 
 
@@ -289,10 +324,11 @@ def sparse_matrices(draw):
     return M, rows
 
 
-def _counting_bareiss(monkeypatch):
+def _counting_engine_bareiss(monkeypatch):
+    """A list that gets one entry per call of `leaf_rank`'s fallback."""
     calls = []
-    real = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda *a: calls.append(1) or real(*a))
+    real = linalg._engine_bareiss
+    monkeypatch.setattr(linalg, "_engine_bareiss", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -319,7 +355,7 @@ def test_leaf_rank_matches_rank(case):
     when the rank is not full or P divides a denominator."""
     M, rows = case
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_bareiss(mp)
+        calls = _counting_engine_bareiss(mp)
         got = leaf_rank(rows, range(M.cols))
     expected = rank(M).rank
     assert got == expected
@@ -342,13 +378,13 @@ FALLBACK = [
 @pytest.mark.parametrize("rows, expected", FALLBACK)
 def test_leaf_rank_falls_back_when_p_divides_a_minor(monkeypatch, rows, expected):
     assert naive_rank(rows) == expected
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_engine_bareiss(monkeypatch)
     assert leaf_rank(*sparse(rows)) == expected
     assert calls == [1]
 
 
 def test_leaf_rank_of_full_rank_needs_no_bareiss(monkeypatch):
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_engine_bareiss(monkeypatch)
     assert leaf_rank(*sparse([[1, 2], [3, 4]])) == 2
     assert leaf_rank(*sparse([[1, 2, Fraction(1, 3)]])) == 1
     assert leaf_rank(*sparse([[2], [Fraction(1, 2)]])) == 1
@@ -595,6 +631,6 @@ def test_rank_deficient_leaf_gets_its_exact_rank_from_bareiss(monkeypatch):
     rows[5] = [2 * x for x in rows[0]]
     expected = naive_rank(rows)
     assert expected < 24
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_engine_bareiss(monkeypatch)
     assert leaf_rank(*sparse(rows)) == expected
     assert calls == [1]

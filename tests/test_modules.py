@@ -3,11 +3,15 @@
 `certificate` holds the certificate types and imports only the standard
 library, so a checker can read a certificate without importing what made
 it.  `engine` is below `theorems`, `verify` and `generate`: it imports
-none of them.  The names `digrank` exports are pinned, so moving code
-between modules cannot drop or add one unnoticed.
+none of them.  The engine's peels and leaves eliminate with
+`linalg._engine_bareiss` and the dense oracle with `linalg._bareiss`, so
+that a fault in one loop cannot hide in both.  The names `digrank`
+exports are pinned, so moving code between modules cannot drop or add one
+unnoticed.
 """
 
 import ast
+import random
 import sys
 import types
 from pathlib import Path
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import digrank
+from digrank import build, engine, linalg, oracle_rank, random_digraph, rank_recursive
 
 PACKAGE = Path(digrank.__file__).parent
 
@@ -59,6 +64,44 @@ def test_certificate_imports_only_the_standard_library():
 @pytest.mark.parametrize("above", ["theorems", "verify", "generate"])
 def test_engine_imports_nothing_above_it(above):
     assert f"digrank.{above}" not in imported_modules("engine")
+
+
+@pytest.mark.parametrize("name", ["_bareiss", "_scaled_int_row", "_scaled_int_rows", "int_rank"])
+def test_engine_binds_none_of_the_oracle_kernel(name):
+    assert not hasattr(engine, name)
+
+
+def count_kernels(monkeypatch):
+    """A list that gets "oracle" per `_bareiss` call and "engine" per
+    `_engine_bareiss` call."""
+    calls = []
+
+    def counting(real, tag):
+        return lambda *a: calls.append(tag) or real(*a)
+
+    for name, tag in (("_bareiss", "oracle"), ("_engine_bareiss", "engine")):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), tag))
+    return calls
+
+
+def test_the_oracle_never_calls_the_engine_kernel(monkeypatch):
+    G = random_digraph(12, random.Random("oracle-kernel"), p=0.3)
+    calls = count_kernels(monkeypatch)
+    oracle_rank(G)
+    assert calls and set(calls) == {"oracle"}
+
+
+def test_the_engine_never_calls_the_oracle_kernel(monkeypatch):
+    """A one-way pendant 0 -> 1 as the root block, with a bi-arc triangle
+    1-2-3 below it: the triangle's peel at 1 eliminates a 2 x 2 B, and the
+    root leaf is 2 x 2, so no leaf of order 3-15 sends the engine to `rank`."""
+    triangle = [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1), (3, 1, 1), (1, 3, 1)]
+    G = build(4, [(0, 1, 1)] + triangle)
+    calls = count_kernels(monkeypatch)
+    cert = rank_recursive(G)
+    assert calls and set(calls) == {"engine"}
+    monkeypatch.undo()
+    assert cert.rank == oracle_rank(G) == 3
 
 
 # The sorted public names of `digrank` that are not modules.
