@@ -5,8 +5,10 @@ records each rule it applies in a certificate (`certificate` defines the
 rules); the block tests are the ones its sum rules read.  Each rule is
 explained where the engine applies it: the sum rules in `_component_rule`,
 the peels and leaves in `_peel_pass`, the mod-p leaf rank in
-`linalg.leaf_rank`.  The paper's standalone formulas, which the engine
-never calls, are in `theorems`.
+`linalg.leaf_rank`.  A digraph that is one block, with no cut-vertex for
+any rule to use, is ranked straight from its arcs (`linalg.arc_rank`)
+once it has _MOD_P_MIN_ORDER vertices.  The paper's standalone formulas,
+which the engine never calls, are in `theorems`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .blocks import BlockDecomposition, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
 from .digraph import WeightedDigraph, oracle_rank
 from .errors import InternalMismatch
-from .linalg import RationalMatrix, SchurPeel, _int_row, _peel_rows, leaf_rank, rank
+from .linalg import RationalMatrix, SchurPeel, _int_row, _peel_rows, arc_rank, leaf_rank, rank
 from .trees import TreeKind, tree_summary
 
 # Bound here, though the engine does not call them, because perfbench's
@@ -36,7 +38,12 @@ _ZERO = Fraction(0)
 # prove full rank); the rest, order 2 (not 2 x 2) to 15, to `rank` (the
 # oracle's Bareiss), whose calls perfbench's tracer counts: 318, 2,196 and
 # 622 of them in seed-1 passes of perfbench's closed-forms, small-mixed and
-# glued-blocks.
+# glued-blocks.  A G that is one block of this order or more is that leaf
+# with n = G.n, and `rank_recursive` hands its arcs to `arc_rank` (the
+# same mod-p pass and fallback) with no store and no peel pass: all 300
+# graphs of perfbench's dense-random, none of the other workloads' (seed 1
+# and the held-out seed).  A smaller one-block G keeps the peel pass, so
+# its leaf still goes to `rank`.
 # On full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density
 # 0.3) leaf_rank took 0.76-0.81x the time of `rank` at order 8, 0.41-0.43x
 # at 16 and 0.13x at 40 (three runs, best of 5 over 400 or 100 matrices
@@ -180,8 +187,11 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     rule, whose summands are blocks of G, each ranked by the peel its test
     made; otherwise one peel pass over the component's block-cut tree
     (`_peel_pass`), which ends in a direct rank of what is left of the root
-    block.  There is then one weight store per rank, W = G.out_rows(),
-    which peels write loop residues into.  The only copies are cut from it
+    block.  A G that is one block of order _MOD_P_MIN_ORDER or more has no
+    cut-vertex, so no rule but that direct rank applies: it is ranked from
+    its arcs by `arc_rank` and gets no weight store.  Every other
+    decomposed G gets one weight store, W = G.out_rows(), which peels
+    write loop residues into.  The only copies are cut from it
     by `_copy`: a tree component of a disconnected G, and an r2 component
     minus its cut-vertices, which is decomposed once for all its summands.
     The peel of a block of G at a cut-vertex is computed once, with loop 0,
@@ -195,9 +205,12 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     root = _tree_node(G)
     if root is None:
         d = decompose(G)
-        W = G.out_rows()
-        peels: dict[tuple[int, int], SchurPeel] = {}
-        root = _sum_node([_component_rule(G, d, o, W, peels) for o in _leaves_first(d)])
+        if d.block_count == 1 and G.n >= _MOD_P_MIN_ORDER:
+            root = CertNode(RuleTag.DIRECT_RANK, arc_rank(G._arcs, G.n), note=f"n={G.n}")
+        else:
+            W = G.out_rows()
+            peels: dict[tuple[int, int], SchurPeel] = {}
+            root = _sum_node([_component_rule(G, d, o, W, peels) for o in _leaves_first(d)])
     cert = RankCertificate(root.total, root)
     if oracle_check:
         expect = oracle_rank(G)

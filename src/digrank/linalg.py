@@ -16,7 +16,9 @@ the engine's loop cannot move the oracle's timings.  (The engine's leaves
 of order 2 to 15, other than 2 x 2, still go to `rank`.)
 
 `leaf_rank` maps each entry a/b of sparse rows (a weight store's
-out-dicts) to a * b^-1 modulo a small prime p, in one walk.  Such entries
+out-dicts) to a * b^-1 modulo a small prime p, in one walk; `arc_rank`
+reads the same residues from a digraph's arc dict, in one pass over the
+arcs, for a graph the engine ranks whole.  Such entries
 lie in Z_(p), the rationals whose denominator p does not divide, and
 reduction mod p is a ring map from Z_(p) onto F_p, so a minor nonzero mod
 p is nonzero over Q.  One elimination mod p, on rows packed into one
@@ -365,6 +367,34 @@ def _residue_rows(rows: Sequence[dict], pos: dict) -> list[list[int]] | None:
     return out
 
 
+def _arc_residues(arcs: dict, n: int) -> list[list[int]] | None:
+    """`_residue_rows` for the n x n matrix of a digraph's arc dict,
+    arcs[(u, t)] at row u and column t, in one pass over the arcs: an
+    integer weight a goes in as a mod _P with no inverse lookup and no
+    multiply.  None when _P divides a denominator."""
+    p = _P
+    out = [[0] * n for _ in range(n)]
+    inverse = {}
+    for (u, t), x in arcs.items():
+        a, b = x.as_integer_ratio()
+        if b == 1:
+            out[u][t] = a % p
+            continue
+        inv = inverse.get(b)
+        if inv is None:
+            if b % p == 0:
+                return None
+            inv = inverse[b] = pow(b, -1, p)
+        out[u][t] = a * inv % p
+    return out
+
+
+def _bareiss_rank(rows: Sequence[dict], cols: Sequence) -> int:
+    """Exact rank of the sparse rows over cols by `_engine_bareiss`, each
+    row made dense and scaled by its denominator lcm (`_int_row`)."""
+    return len(_engine_bareiss([_int_row(row, cols)[0] for row in rows], len(rows), len(cols)))
+
+
 def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
     """Exact rank of the rational matrix with entry (i, j) rows[i][cols[j]]:
     rows are sparse {label: Fraction} dicts, such as a weight store's
@@ -372,22 +402,39 @@ def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
 
     Every entry a/b whose denominator _P does not divide lies in Z_(p), and
     reduction mod _P is a ring map from Z_(p) onto F_p that takes each
-    minor to the same minor of the residues.  So r pivots of one
-    elimination on the residues a * b^-1 mod _P (`_rank_mod_p`: packed
-    rows, each pivot row folded in place so an update adds below
-    _P * 2**16 to a field) prove rank >= r, which is the rank when
-    r = min(rows, cols).  Every other matrix goes to `_engine_bareiss` on
-    its rows made dense and scaled by their denominator lcm, as soon as the
-    elimination has too many pivot-less columns for full rank, or at once
-    when _P divides a denominator; so a prime that divides some minor costs
-    time, never a wrong rank.
+    minor to the same minor of the residues a * b^-1 mod _P, read here from
+    the sparse rows (`_residue_rows`) and by `arc_rank` from a digraph's
+    arc dict (`_arc_residues`).  So r pivots of one elimination on them
+    (`_rank_mod_p`: packed rows, each pivot row folded in place so an
+    update adds below _P * 2**16 to a field) prove rank >= r, which is the
+    rank when r = min(rows, cols).  Every other matrix goes to
+    `_engine_bareiss` on its rows made dense and scaled by their
+    denominator lcm (`_bareiss_rank`, which `arc_rank` shares), as soon as
+    the elimination has too many pivot-less columns for full rank, or at
+    once when _P divides a denominator; so a prime that divides some minor
+    costs time, never a wrong rank.  No matrix is eliminated mod _P twice.
     """
     pos = {t: j for j, t in enumerate(cols)}
     residues = _residue_rows(rows, pos)
     full = min(len(rows), len(pos))
     if residues is not None and _rank_mod_p(residues) == full:
         return full
-    return len(_engine_bareiss([_int_row(row, cols)[0] for row in rows], len(rows), len(cols)))
+    return _bareiss_rank(rows, cols)
+
+
+def arc_rank(arcs: dict, n: int) -> int:
+    """Exact rank of the n x n matrix with entry (u, t) arcs[(u, t)], a
+    digraph's arc dict, absent entries zero: `leaf_rank` with its residues
+    read from the arcs (`_arc_residues`) rather than from sparse rows.
+    Only a matrix the mod-p pass cannot prove full, or with a denominator
+    _P divides, gets rows, built from the arcs for `_bareiss_rank`."""
+    residues = _arc_residues(arcs, n)
+    if residues is not None and _rank_mod_p(residues) == n:
+        return n
+    rows: list[dict] = [{} for _ in range(n)]
+    for (u, t), x in arcs.items():
+        rows[u][t] = x
+    return _bareiss_rank(rows, range(n))
 
 
 def int_rank(a: list[list[int]]) -> int:

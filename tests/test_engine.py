@@ -637,6 +637,8 @@ ROUTES = {
     # three tree components, and an R2 component of 2 blocks
     "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 1, 0, 1),
     "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1 + 2, 0, 1),
+    # one block of order >= _MOD_P_MIN_ORDER: ranked from its arcs, no store
+    "one-block": (lambda f: dense_block(), RuleTag.DIRECT_RANK, 1, 0, 0),
 }
 
 
@@ -647,7 +649,8 @@ def test_one_decomposition_per_rank(monkeypatch, request, route):
     copy of G.  Each r2 component minus its cut-vertices is one
     copy of the rank's weight store, decomposed once for all its summands;
     a tree component of a disconnected graph is a copy of the store too, so
-    there is one store per rank, and none when nothing reads it."""
+    there is at most one store per rank, and none when nothing reads it:
+    a connected tree form, or one block ranked from its arcs."""
     make, root_rule, decomposes, copies, stores = ROUTES[route]
     G = make(request.getfixturevalue)
     cert, d_calls, c_calls, s_calls = traced_rank(monkeypatch, G)
@@ -686,21 +689,29 @@ def test_every_copy_is_cut_from_the_store(monkeypatch):
     """No rank makes an induced copy of G, and only an r2 component is
     decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions.  There
     is one weight store, and neither a store nor a decomposition when a
-    connected G takes a tree form."""
+    connected G takes a tree form.  A G that is one block of order
+    _MOD_P_MIN_ORDER or more is decomposed once and gets no store."""
     trees = (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
-    r2_ranks = r2_unions = tree_unions = storeless = 0
+    r2_ranks = r2_unions = tree_unions = storeless = one_blocks = 0
     for G in copy_guard_corpus():
         cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
         rules = [node.rule for node in cert.root.walk()]
         r2 = rules.count(RuleTag.R2_DIGRAPH)
-        store = not (G.is_connected() and cert.root.rule in trees)
-        assert (d_calls, c_calls, stores) == ((1 + r2) * store, 0, store), format_digraph(G)
+        decomposed = not (G.is_connected() and cert.root.rule in trees)
+        one_block = (
+            decomposed and G.n >= engine._MOD_P_MIN_ORDER and decompose(G).block_count == 1
+        )
+        store = decomposed and not one_block
+        expect = ((1 + r2) * decomposed, 0, store)
+        assert (d_calls, c_calls, stores) == expect, format_digraph(G)
         assert cert.rank == oracle_rank(G)
         r2_ranks += r2 > 0
         r2_unions += r2 > 1
         tree_unions += not G.is_connected() and any(r in trees for r in rules)
-        storeless += not store
+        storeless += not decomposed
+        one_blocks += one_block
     assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5 and storeless >= 10
+    assert one_blocks == 4
 
 
 def test_a_connected_tree_of_no_closed_form_is_summarised_once(monkeypatch):
@@ -784,6 +795,26 @@ def test_nonsingular_dense_block_needs_no_bareiss(monkeypatch):
     cert = rank_recursive(G)
     assert cert.root.rule is RuleTag.DIRECT_RANK and cert.rank == 40
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [engine._MOD_P_MIN_ORDER - 1, engine._MOD_P_MIN_ORDER])
+def test_one_block_is_ranked_from_its_arcs_from_the_mod_p_order(monkeypatch, n):
+    """A G that is one block below _MOD_P_MIN_ORDER keeps its weight store
+    and its one `rank` call, whose spans perfbench's tracer reads; from
+    that order up it is ranked from its arcs (`arc_rank`) with no store.
+    The block of order 16 is singular, so its rank comes from Bareiss."""
+    G = random_digraph(n, random.Random(0), p=0.3)
+    assert decompose(G).block_count == 1
+    calls = count_eliminations(monkeypatch)
+    real = engine.arc_rank
+    monkeypatch.setattr(engine, "arc_rank", lambda *a: calls.append("arcs") or real(*a))
+    cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
+    big = n >= engine._MOD_P_MIN_ORDER
+    assert calls == (["arcs"] if big else ["rank"])
+    assert (d_calls, c_calls, stores) == (1, 0, int(not big))
+    assert cert.root.rule is RuleTag.DIRECT_RANK and cert.root.note == f"n={n}"
+    monkeypatch.undo()
+    assert cert.rank == oracle_rank(G) == n - big
 
 
 def test_the_oracle_does_not_use_the_mod_p_pass(monkeypatch):

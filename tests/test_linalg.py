@@ -432,6 +432,36 @@ def test_leaf_rank_reads_only_its_columns():
     assert deficient >= 30
 
 
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    return RationalMatrix([[draw(mod_p_entries) for _ in range(n)] for _ in range(n)], cols=n)
+
+
+@given(square_matrices())
+@example(RationalMatrix([[Fraction(1, P), 1], [1, 0]]))
+@example(RationalMatrix([[1, 1], [1, P + 1]]))
+@example(RationalMatrix([[-P - 1, 0], [0, Fraction(P, 2)]]))
+@example(RationalMatrix([], cols=0))
+@settings(max_examples=300, deadline=None)
+def test_arc_rank_is_leaf_rank_on_the_arcs(M):
+    """`arc_rank` reads from M's nonzero entries as a digraph's arc dict
+    the residues `leaf_rank` reads from its rows, is exact, and runs
+    Bareiss at most once: exactly once when the rank is not full or P
+    divides a denominator."""
+    n = M.rows
+    arcs = {(u, t): M[u, t] for u in range(n) for t in range(n) if M[u, t]}
+    rows = [{t: x for (u, t), x in arcs.items() if u == v} for v in range(n)]
+    assert linalg._arc_residues(arcs, n) == linalg._residue_rows(rows, {t: t for t in range(n)})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_engine_bareiss(mp)
+        got = linalg.arc_rank(arcs, n)
+    assert got == rank(M).rank == leaf_rank(rows, range(n))
+    assert len(calls) <= 1
+    if got < n or any(x.denominator % P == 0 for x in arcs.values()):
+        assert calls == [1]
+
+
 # -- the packed mod-p kernel against the list-of-lists reference --------------
 
 # 0, multiples of P and residues -1 / 1 by large and negative representatives;
