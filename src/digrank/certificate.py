@@ -30,7 +30,8 @@ b - v; each node contributes r(B) plus the rows/columns of v it deleted:
   used by the dedicated family operations, never by the engine, so that
   block graphs still exercise the peeling rules.
 - DIRECT_RANK: the rank of what the peels leave of a root block (a whole
-  one-block component included), or of an R0_DIGRAPH summand.
+  one-block component included), of an R0_DIGRAPH summand, or of an
+  R2_DIGRAPH summand of at most two vertices; "empty" for no vertex.
 - COMPONENT_SUM: plumbing node summing over connected components, or over
   the flat list of nodes of one peel pass.
 """

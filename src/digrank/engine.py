@@ -4,11 +4,13 @@
 records each rule it applies in a certificate (`certificate` defines the
 rules); the block tests are the ones its sum rules read.  Each rule is
 explained where the engine applies it: the sum rules in `_component_rule`,
-the peels and leaves in `_peel_pass`, the mod-p leaf rank in
-`linalg.leaf_rank`.  A digraph that is one block, with no cut-vertex for
-any rule to use, is ranked straight from its arcs (`linalg.arc_rank`)
-once it has _MOD_P_MIN_ORDER vertices.  The paper's standalone formulas,
-which the engine never calls, are in `theorems`.
+the peels in `_peel_pass`, the leaves in `_direct_rank`, the mod-p leaf
+rank in `linalg.leaf_rank`.  Only the r2 summands of three vertices or
+more are copied, decomposed and peeled; smaller ones are read in closed
+form.  A digraph that is one block, with no cut-vertex for any rule to
+use, is ranked straight from its arcs (`linalg.arc_rank`) once it has
+_MOD_P_MIN_ORDER vertices.  The paper's standalone formulas, which the
+engine never calls, are in `theorems`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .trees import classify_tree, max_matching  # noqa: F401
 
 _ZERO = Fraction(0)
 
-# DIRECT_RANK leaves of order k = min(rows, cols) go by k (`_peel_pass`):
+# DIRECT_RANK leaves of order k = min(rows, cols) go by k (`_direct_rank`):
 # k <= 1 and the 2 x 2 leaf are read in closed form; from this order up a
 # leaf goes to `leaf_rank` (mod p, the engine's Bareiss when that cannot
 # prove full rank); the rest, order 2 (not 2 x 2) to 15, to `rank` (the
@@ -183,17 +185,20 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     decomposition in G's own vertex ids.  Each connected component
     gets the first rule that applies: the closed tree forms, when G has
     other components; the r2-digraph sum rule, whose summands (blocks
-    minus G's cut-vertices) each get one peel pass; the r0-digraph sum
-    rule, whose summands are blocks of G, each ranked by the peel its test
-    made; otherwise one peel pass over the component's block-cut tree
-    (`_peel_pass`), which ends in a direct rank of what is left of the root
-    block.  A G that is one block of order _MOD_P_MIN_ORDER or more has no
-    cut-vertex, so no rule but that direct rank applies: it is ranked from
-    its arcs by `arc_rank` and gets no weight store.  Every other
-    decomposed G gets one weight store, W = G.out_rows(), which peels
-    write loop residues into.  The only copies are cut from it
-    by `_copy`: a tree component of a disconnected G, and an r2 component
-    minus its cut-vertices, which is decomposed once for all its summands.
+    minus G's cut-vertices) are read from W in closed form when they have
+    at most two vertices, and otherwise each get one peel pass; the
+    r0-digraph sum rule, whose summands are blocks of G, each ranked by the
+    peel its test made; otherwise one peel pass over the component's
+    block-cut tree (`_peel_pass`), which ends in a direct rank of what is
+    left of the root block.  A G that is one block of order
+    _MOD_P_MIN_ORDER or more has no cut-vertex, so no rule but that direct
+    rank applies: it is ranked from its arcs by `arc_rank` and gets no
+    weight store.  Every other decomposed G gets one weight store, W =
+    G.out_rows(), which peels write loop residues into.  The only copies
+    are cut from it by `_copy`: a tree component of a disconnected G, and
+    the summands of an r2 component that have three vertices or more,
+    which make one copy, decomposed once for all of them (none when there
+    are no such summands).
     The peel of a block of G at a cut-vertex is computed once, with loop 0,
     and shared by the r2 test, the r0 test and the peel pass.  The
     certificate is at most four levels deep.  A node's block_index is the
@@ -263,16 +268,22 @@ def _component_rule(
     if len(blocks) > 1:
         # No peel of this component has written W yet: the tests read G.
         if _r2_holds(W, d, peels, cuts):
-            # The summands make up the component minus its cuts: one copy, each
-            # of whose components lies in the one block of any of its vertices.
-            labels = sorted(u for b in blocks for u in d.blocks[b] if u not in cuts)
-            sub, rows = _copy(W, labels)
-            sd = decompose(sub)
+            # The summands are the blocks minus the cuts: those of at most two
+            # vertices are read from W; the rest make one copy, decomposed once,
+            # each of whose components lies in the one block of any vertex of it.
+            breves = {b: [u for u in d.blocks[b] if u not in cuts] for b in blocks}
+            labels = sorted(u for br in breves.values() if len(br) > 2 for u in br)
             lists: dict[int, list] = {b: [] for b in blocks}
-            for comp in _leaves_first(sd):
-                lists[d.membership[labels[sd.blocks[comp[0][0]][0]]][0]] += comp
+            if labels:
+                sub, rows = _copy(W, labels)
+                sd = decompose(sub)
+                for comp in _leaves_first(sd):
+                    lists[d.membership[labels[sd.blocks[comp[0][0]][0]]][0]] += comp
             children = tuple(
-                _summand(d, b, _peel_pass(rows, sd, lists[b], {}, labels)) for b in blocks
+                _summand(d, b, _peel_pass(rows, sd, lists[b], {}, labels))
+                if len(br) > 2
+                else _small_breve(W, d, b, br)
+                for b, br in breves.items()
             )
             m = len(cuts)
             return CertNode(RuleTag.R2_DIGRAPH, 2 * m, children, note=f"m={m}")
@@ -333,13 +344,9 @@ def _peel_pass(
     into W[v][v] even when it is 0.  Each outcome is a row or column
     operation that touches only v's row, column and loop, so the original
     block-cut tree stays a separator tree throughout.  What is left of each
-    root block is ranked directly from W: with at most one row or column by
-    whether an entry is nonzero, with two rows and two columns by whether
-    the determinant is nonzero (`_rank_2x2`), from order _MOD_P_MIN_ORDER
-    up by `leaf_rank` on the rows' out-dicts themselves and the leaf's
-    columns, else by `rank` on a dense copy.  Peel nodes name block b of
-    d; when labels is given, d decomposes a `_copy` whose vertex u is
-    labels[u] of the graph, and they carry no block_index.
+    root block is ranked directly from W by `_direct_rank`.  Peel nodes
+    name block b of d; when labels is given, d decomposes a `_copy` whose
+    vertex u is labels[u] of the graph, and they carry no block_index.
     """
     no_row: set[int] = set()
     no_col: set[int] = set()
@@ -349,17 +356,7 @@ def _peel_pass(
         rows = [u for u in blk if u != v and u not in no_row]
         cols = [u for u in blk if u != v and u not in no_col]
         if v is None:
-            k = min(len(rows), len(cols))
-            if k <= 1:  # rank 1 exactly when an entry is nonzero
-                r = int(any(W[u].get(t) for u in rows for t in cols))
-            elif len(rows) == len(cols) == 2:
-                (s, t), ru, rw = cols, W[rows[0]], W[rows[1]]
-                r = _rank_2x2(ru.get(s), ru.get(t), rw.get(s), rw.get(t))
-            elif k >= _MOD_P_MIN_ORDER:
-                r = leaf_rank([W[u] for u in rows], cols)
-            else:
-                leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]
-                r = rank(RationalMatrix(leaf, cols=len(cols))).rank
+            r = _direct_rank(W, rows, cols)
             nodes.append(CertNode(RuleTag.DIRECT_RANK, r, note=f"n={len(blk)}"))
             continue
         if d.pendant[b]:
@@ -392,6 +389,38 @@ def _peel_pass(
         else:
             nodes.append(CertNode(tag, r, (), None, tuple(labels[u] for u in blk), labels[v], note))
     return _sum_node(nodes)
+
+
+def _direct_rank(W: list, rows: list, cols: list) -> int:
+    """Rank of W on rows x cols, a DIRECT_RANK leaf: with at most one row
+    or column by whether an entry is nonzero, with two rows and two
+    columns by `_rank_2x2`, from order _MOD_P_MIN_ORDER up by `leaf_rank`
+    on the rows' out-dicts themselves, else by `rank` on a dense copy."""
+    k = min(len(rows), len(cols))
+    if k <= 1:  # rank 1 exactly when an entry is nonzero
+        return int(any(W[u].get(t) for u in rows for t in cols))
+    if len(rows) == len(cols) == 2:
+        (s, t), ru, rw = cols, W[rows[0]], W[rows[1]]
+        return _rank_2x2(ru.get(s), ru.get(t), rw.get(s), rw.get(t))
+    if k >= _MOD_P_MIN_ORDER:
+        return leaf_rank([W[u] for u in rows], cols)
+    leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]
+    return rank(RationalMatrix(leaf, cols=len(cols))).rank
+
+
+def _small_breve(W: list, d: BlockDecomposition, b: int, br: list) -> CertNode:
+    """The summand of block b of d whose breve br has at most two vertices,
+    as a peel pass over br's `_copy` gives it: nothing is "empty"; a
+    vertex, or a pair with an arc either way, is one "n=" leaf; an
+    unjoined pair is the sum of two."""
+    blk = d.blocks[b]
+    if not br:
+        return CertNode(RuleTag.DIRECT_RANK, 0, (), b, blk, None, "empty")
+    if len(br) == 1 or br[1] in W[br[0]] or br[0] in W[br[1]]:
+        r = _direct_rank(W, br, br)
+        return CertNode(RuleTag.DIRECT_RANK, r, (), b, blk, None, f"n={len(br)}")
+    leaves = [CertNode(RuleTag.DIRECT_RANK, _direct_rank(W, [u], [u]), note="n=1") for u in br]
+    return CertNode(RuleTag.COMPONENT_SUM, 0, tuple(leaves), b, blk)
 
 
 def _rank_2x2(a, b, c, e) -> int:

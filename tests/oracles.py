@@ -3,7 +3,10 @@
 Everything here is deliberately naive: plain Gauss elimination over
 ``fractions.Fraction``, brute-force articulation tests by vertex removal,
 exhaustive matching search.  None of it shares code with ``digrank`` beyond
-reading the public graph API, so agreement is meaningful evidence.
+reading the public graph API, so agreement is meaningful evidence.  The one
+exception is ``breve_by_copy``, the engine's own general route for an r2
+summand, kept to check the closed forms that stand in for it on summands of
+at most two vertices.
 """
 
 from __future__ import annotations
@@ -87,6 +90,22 @@ def sympy_rank(rows) -> int:
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
     )
     return mat.rank()
+
+
+def breve_by_copy(G, d, b):
+    """The R2_DIGRAPH summand of block b of d = decompose(G), ranked the
+    general way: the breve (block b minus G's cut-vertices) cut from G's
+    weight store by ``_copy``, decomposed, and peeled in one pass over its
+    components, leaves first."""
+    from digrank import decompose
+    from digrank.engine import _copy, _leaves_first, _peel_pass
+
+    labels = [u for u in d.blocks[b] if u not in d.cut_vertices]
+    sub, rows = _copy(G.out_rows(), labels)
+    sd = decompose(sub)
+    order = [pair for comp in _leaves_first(sd) for pair in comp]
+    node = _peel_pass(rows, sd, order, {}, labels)
+    return node._replace(block_index=b, block_vertices=d.blocks[b])
 
 
 def _underlying_nx(G) -> nx.Graph:

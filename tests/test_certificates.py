@@ -9,11 +9,14 @@ is decided that moves a rank, a deleted row or column, or a loop residue
 shows up here as a text diff, as does one that moves a component's place
 or a block index.  One sha256 over the certificates of a seeded corpus of
 1,680 graphs pins the rest, so a change meant only to be faster is checked
-byte for byte on every rule.
+byte for byte on every rule; one more per benchmark workload pins the
+graphs the benchmark times.
 """
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +226,32 @@ def test_certificate_text_of_the_corpus_is_frozen():
     for G in digest_corpus():
         h.update(render_certificate(rank_recursive(G)).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# sha256 of the seed-1 graph sets of the benchmark's four workloads, each
+# certificate rendered in order, as BENCH_26.json records them
+WORKLOAD_DIGESTS = {
+    "glued-blocks": "59508bb0d7471cc29d477626fffedbabbbb263f3cde2d6f25afe31702b1ca148",
+    "dense-random": "81a5c88d1f5849000810970ab37e86f11bd73ef3c76ddf3f45c6d37f415be19b",
+    "closed-forms": "8a5a116dcc593a95f2898f6c467c95d798e51fc936a1244922648e0c20fa2c4e",
+    "small-mixed": "23e00ca78e56f40efc3dd997bc207268f7627c92d92c0932c93e640fe8589bb8",
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_DIGESTS)
+def test_certificate_text_of_the_benchmark_workloads_is_frozen(workload):
+    """The benchmark times these graphs, so a change made to be faster on
+    them is checked byte for byte on them, read from perfbench's own
+    `make_graphs`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    h = hashlib.sha256()
+    for _, G in workloads.make_graphs(workload, 1):
+        h.update(render_certificate(rank_recursive(G)).encode())
+    assert h.hexdigest() == WORKLOAD_DIGESTS[workload]
 
 
 HAND_BUILT = """\

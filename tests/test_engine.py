@@ -62,7 +62,7 @@ from digrank.cli import main
 from digrank.errors import InternalMismatch, PreconditionViolated, VertexOutOfRange
 from digrank.generate import FAMILIES, random_digraph
 from digrank.linalg import RationalMatrix, rank, schur_peel
-from oracles import naive_rank, rank_of_digraph
+from oracles import breve_by_copy, naive_rank, rank_of_digraph
 
 
 def biarc_path(n, w=1):
@@ -139,6 +139,55 @@ def test_r2_digraph_route(r2_extended_digraph_19):
     assert RuleTag.R2_DIGRAPH in cert.rules_used()
     root = next(n for n in cert.root.walk() if n.rule is RuleTag.R2_DIGRAPH)
     assert root.contributed == 2 * len(decompose(G).cut_vertices)
+
+
+def r2_summand_corpus():
+    """r2-extensions of 120 random bases of 4-14 vertices, with weights 2,
+    -3, 1/2 and 5/3 and loops, half of them at arc density 0.1 (sparse
+    bases leave the rare unjoined pairs), and the r2 families at n = 6, 12
+    and 30, with r2-extension's base a block graph."""
+    pool = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3))
+    graphs = []
+    for seed in range(120):
+        rng = random.Random(f"breve:{seed}")
+        base = random_digraph(rng.randint(4, 14), rng, pool, p=0.1 if seed % 2 else None)
+        graphs.append(gen(GenSpec("r2-extension", seed=seed, weight_pool=pool, base=base)))
+    for family in (f for f in FAMILIES if f.startswith("r2")):
+        for n in (6, 12, 30):
+            base = gen(GenSpec("block-graph", n=n)) if family == "r2-extension" else None
+            graphs.append(gen(GenSpec(family, n=n, seed=n, base=base)))
+    return graphs
+
+
+def breve_kind(G, breve):
+    """The shape of a summand that `_small_breve` tells apart, or "3+"."""
+    if len(breve) > 2:
+        return "3+"
+    if len(breve) == 2:
+        u, t = breve
+        ways = G.has_arc(u, t) + G.has_arc(t, u)
+        return ("unjoined", "one way", "both ways")[ways]
+    if len(breve) == 1:
+        return "loop" if G.has_loop(breve[0]) else "no loop"
+    return "empty"
+
+
+def test_small_summands_are_what_the_copy_gives():
+    """Every R2_DIGRAPH summand, read in closed form or peeled from the
+    shared copy, is the node the general route gives its breve alone
+    (`oracles.breve_by_copy`), and every shape of summand occurs."""
+    kinds = set()
+    for G in r2_summand_corpus():
+        cert, d = rank_recursive(G), decompose(G)
+        assert cert.rank == oracle_rank(G)
+        for node in cert.root.walk():
+            if node.rule is not RuleTag.R2_DIGRAPH:
+                continue
+            for child in node.children:
+                assert child == breve_by_copy(G, d, child.block_index), format_digraph(G)
+                breve = [u for u in child.block_vertices if u not in d.cut_vertices]
+                kinds.add(breve_kind(G, breve))
+    assert kinds == {"empty", "loop", "no loop", "unjoined", "one way", "both ways", "3+"}
 
 
 # -- planted peel instances ---------------------------------------------------
@@ -623,20 +672,35 @@ def two_r2_components():
     return build(12, arcs + [(u + 6, v + 6, w) for u, v, w in arcs])
 
 
+def r2_square(big=False):
+    """A bi-arc square 0-1-2-3 whose cuts 0 and 2 carry the bi-arc pendants
+    0-4 and 2-5, and a bi-arc triangle 2-6-7 at 2 (with big=True, a square
+    2-6-7-8): an r2 component whose summands are {1, 3} (no arc between
+    them), {4}, {5} and {6, 7}, or {6, 7, 8}."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5), (2, 6), (6, 7)]
+    edges += [(7, 8), (8, 2)] if big else [(7, 2)]
+    arcs = [(u, v, w) for a, b in edges for u, v, w in [(a, b, 1), (b, a, 2)]]
+    return build(9 if big else 8, arcs)
+
+
 # (graph, root rule, decompositions, copies, weight stores); a connected
 # tree-shaped graph that takes a tree form is read as itself, so it is
-# neither decomposed nor given a store
+# neither decomposed nor given a store.  An r2 component's summands of at
+# most two vertices are read from the store; those of three or more are
+# one copy from it, decomposed once.
 ROUTES = {
     "tree": (lambda f: biarc_path(6), RuleTag.TREE_MATCHING, 0, 0, 0),
     "r2-tree": (lambda f: f("r2_tree_10"), RuleTag.R2_TREE, 0, 0, 0),
     "peel": (lambda f: f("mixed_arc_digraph_14"), RuleTag.COMPONENT_SUM, 1, 0, 1),
     "r0": (lambda f: gen(GenSpec("biblock-graph", n=60, seed=1)), RuleTag.R0_DIGRAPH, 1, 0, 1),
-    # 12 blocks: their breves are one copy from W, decomposed once
-    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1 + 1, 0, 1),
+    # 12 blocks, every breve of at most two vertices: no copy is decomposed
+    "r2": (lambda f: f("r2_extended_digraph_19"), RuleTag.R2_DIGRAPH, 1, 0, 1),
+    "r2-small-summands": (lambda f: r2_square(), RuleTag.R2_DIGRAPH, 1, 0, 1),
+    "r2-big-summand": (lambda f: r2_square(big=True), RuleTag.R2_DIGRAPH, 1 + 1, 0, 1),
     "union": (lambda f: three_components(), RuleTag.COMPONENT_SUM, 1, 0, 1),
     # three tree components, and an R2 component of 2 blocks
-    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1 + 1, 0, 1),
-    "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1 + 2, 0, 1),
+    "every-route": (lambda f: f("every_route_union_29"), RuleTag.COMPONENT_SUM, 1, 0, 1),
+    "two-r2": (lambda f: two_r2_components(), RuleTag.COMPONENT_SUM, 1, 0, 1),
     # one block of order >= _MOD_P_MIN_ORDER: ranked from its arcs, no store
     "one-block": (lambda f: dense_block(), RuleTag.DIRECT_RANK, 1, 0, 0),
 }
@@ -686,32 +750,41 @@ def copy_guard_corpus():
 
 
 def test_every_copy_is_cut_from_the_store(monkeypatch):
-    """No rank makes an induced copy of G, and only an r2 component is
-    decomposed again, once: 1 + (R2_DIGRAPH nodes) decompositions.  There
-    is one weight store, and neither a store nor a decomposition when a
-    connected G takes a tree form.  A G that is one block of order
-    _MOD_P_MIN_ORDER or more is decomposed once and gets no store."""
+    """No rank makes an induced copy of G, and only an r2 component with a
+    summand of three vertices or more is decomposed again, once:
+    1 + (such R2_DIGRAPH nodes) decompositions.  There is one weight
+    store, and neither a store nor a decomposition when a connected G
+    takes a tree form.  A G that is one block of order _MOD_P_MIN_ORDER or
+    more is decomposed once and gets no store.  The corpus holds r2
+    components of both kinds."""
     trees = (RuleTag.TREE_MATCHING, RuleTag.R2_TREE)
     r2_ranks = r2_unions = tree_unions = storeless = one_blocks = 0
+    r2_copied = r2_uncopied = 0
     for G in copy_guard_corpus():
         cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
         rules = [node.rule for node in cert.root.walk()]
-        r2 = rules.count(RuleTag.R2_DIGRAPH)
+        d = decompose(G)
+        copied = [
+            any(len(set(c.block_vertices) - d.cut_vertices) > 2 for c in node.children)
+            for node in cert.root.walk()
+            if node.rule is RuleTag.R2_DIGRAPH
+        ]
         decomposed = not (G.is_connected() and cert.root.rule in trees)
-        one_block = (
-            decomposed and G.n >= engine._MOD_P_MIN_ORDER and decompose(G).block_count == 1
-        )
+        one_block = decomposed and G.n >= engine._MOD_P_MIN_ORDER and d.block_count == 1
         store = decomposed and not one_block
-        expect = ((1 + r2) * decomposed, 0, store)
+        expect = ((1 + sum(copied)) * decomposed, 0, store)
         assert (d_calls, c_calls, stores) == expect, format_digraph(G)
         assert cert.rank == oracle_rank(G)
-        r2_ranks += r2 > 0
-        r2_unions += r2 > 1
+        r2_ranks += len(copied) > 0
+        r2_unions += len(copied) > 1
+        r2_copied += sum(copied)
+        r2_uncopied += len(copied) - sum(copied)
         tree_unions += not G.is_connected() and any(r in trees for r in rules)
         storeless += not decomposed
         one_blocks += one_block
     assert r2_ranks >= 20 and r2_unions >= 2 and tree_unions >= 5 and storeless >= 10
     assert one_blocks == 4
+    assert r2_copied >= 5 and r2_uncopied >= 5
 
 
 def test_a_connected_tree_of_no_closed_form_is_summarised_once(monkeypatch):
