@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    DimensionMismatch,
     DuplicateArc,
     ParseError,
     VertexOutOfRange,
@@ -78,7 +79,8 @@ class WeightedDigraph:
     __slots__ = ("n", "_arcs")
 
     def __init__(self, n: int, arcs: dict[tuple[int, int], Fraction]):
-        # Internal: use build() which validates.
+        # Unchecked: outside input goes through build(), which validates;
+        # the generators write a store they have checked themselves.
         self.n = n
         self._arcs = arcs
 
@@ -268,7 +270,7 @@ def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph
         ws = vector(weights)
         need = _weight_count(kind)
         if len(ws) != need:
-            raise ZeroWeight(f"{kind.value} takes {need} weights, got {len(ws)}")
+            raise DimensionMismatch(f"{kind.value} takes {need} weights, got {len(ws)}")
         if any(w == 0 for w in ws):
             raise ZeroWeight(f"{kind.value} weights must be nonzero")
         ends = {"out": (n, at), "in": (at, n), "loop": (n, n)}
@@ -280,24 +282,27 @@ def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph
 
 
 def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
-    """Validating constructor.
+    """The validating constructor, for every graph from outside the
+    package: the parser's, a caller's.
 
     `arcs` yields (u, v, weight) triples; weight is anything Fraction
     accepts.  Rejects out-of-range endpoints, zero weights and duplicate
-    (u, v) pairs.
+    (u, v) pairs.  The generators in `generate` check their pools and
+    writes themselves and build the store directly.
     """
     if n < 0:
         raise VertexOutOfRange(f"vertex count {n} is negative")
     store: dict[tuple[int, int], Fraction] = {}
     for (u, v, w) in arcs:
-        if not (0 <= u < n) or not (0 <= v < n):
+        if not 0 <= u < n > v >= 0:
             raise VertexOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-        wf = w if type(w) is Fraction else Fraction(w)
-        if wf == 0:
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        if not w:
             raise ZeroWeight(f"arc ({u}, {v}) has zero weight")
         if (u, v) in store:
             raise DuplicateArc(f"arc ({u}, {v}) given twice")
-        store[(u, v)] = wf
+        store[u, v] = w
     return WeightedDigraph(n, store)
 
 

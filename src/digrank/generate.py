@@ -6,6 +6,17 @@ is deterministic).  Each generator re-validates its own output against the
 matching recognizer predicate and raises InternalMismatch if it ever breaks
 its own promise - that is a bug canary, not an expected failure.
 
+The generators do not go through `build`; they check what they make in
+three places instead.  Each entry point (`gen`, `random_digraph`,
+`extend_to_r2`) reads its weight pool once, where it enters: Fractions are
+kept, other entries converted once, and an empty pool, a zero entry or an
+unreadable one is rejected before anything is drawn.  Each generator then
+writes its own `{(u, v): weight}` store, whose endpoints are vertices it
+made; where an edge list or the block growth could write an arc twice, it
+compares the store's size with the writes it counted, so a rewrite raises
+InternalMismatch instead of overwriting the arc.  Last, `_require` runs the
+family's recogniser on the finished graph.
+
 Every generator runs in time linear in its output, give or take a sorted
 insertion.  The block-graph families grow one block at a time in `_Growth`,
 which keeps its attachment options as two sorted lists (the cut-vertices,
@@ -26,9 +37,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .blocks import decompose
-from .digraph import EdgeKind, WeightedDigraph, _attach, _weight_count, build
+from .digraph import EdgeKind, WeightedDigraph, _attach, _weight_count
 from .engine import _r2_block, is_r2_digraph
-from .errors import InternalMismatch, InvalidSpec
+from .errors import InternalMismatch, InvalidSpec, VertexOutOfRange, ZeroWeight
+from .linalg import vector
 from .theorems import _complete_blocks, is_r0_biblock_graph, is_r2_biblock_graph, is_r2_block_graph
 from .trees import TreeKind, classify_tree, is_r2_tree_digraph
 
@@ -70,10 +82,8 @@ def gen(spec: GenSpec) -> WeightedDigraph:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     if spec.family != "r2-extension" and spec.n < 1:
         raise InvalidSpec(f"family {spec.family!r} needs n >= 1, got {spec.n}")
-    if not spec.weight_pool or any(Fraction(w) == 0 for w in spec.weight_pool):
-        raise InvalidSpec("weight pool must be nonempty and zero-free")
+    pool = _read_pool(spec.weight_pool)
     rng = random.Random(f"{spec.family}:{spec.n}:{spec.seed}")
-    pool = tuple(Fraction(w) for w in spec.weight_pool)
     if spec.family == "loopless-biarc-tree":
         G = _biarc_tree(spec.n, rng, pool)
         _require(classify_tree(G) is TreeKind.LOOPLESS_BI_ARC, spec)
@@ -103,9 +113,26 @@ def gen(spec: GenSpec) -> WeightedDigraph:
     else:  # r2-extension
         if spec.base is None:
             raise InvalidSpec("r2-extension needs a base digraph")
-        G = extend_to_r2(spec.base, seed=spec.seed, weight_pool=pool)
+        G = _extend_to_r2(spec.base, spec.seed, pool)
         _require(is_r2_digraph(G), spec)
     return G
+
+
+def _read_pool(weights: Sequence, zero: type[Exception] = InvalidSpec) -> tuple[Fraction, ...]:
+    """The weight pool as a tuple of Fractions, read once where it enters.
+
+    Fractions are kept as they are and any other entry is converted once.
+    An unreadable entry or an empty pool raises InvalidSpec and a zero entry
+    raises `zero`, before anything is drawn from the pool."""
+    try:
+        pool = vector(weights)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise InvalidSpec(f"weight pool entry is not a rational number: {e}") from None
+    if not pool:
+        raise InvalidSpec("weight pool must be nonempty and zero-free")
+    if not all(pool):
+        raise zero("weight pool must be nonempty and zero-free")
+    return pool
 
 
 def _require(ok: bool, spec: GenSpec) -> None:
@@ -144,16 +171,21 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def _biarc_arcs(edges, rng, pool):
-    arcs = []
+def _biarc_arcs(edges, rng, pool) -> dict[tuple[int, int], Fraction]:
+    """The arc store of both arcs of every edge, in edge order, with the
+    weights drawn from pool; InternalMismatch if an arc is written twice."""
+    choice = rng.choice
+    store = {}
     for (u, v) in edges:
-        arcs.append((u, v, rng.choice(pool)))
-        arcs.append((v, u, rng.choice(pool)))
-    return arcs
+        store[u, v] = choice(pool)
+        store[v, u] = choice(pool)
+    if len(store) != 2 * len(edges):
+        raise InternalMismatch("the tree's edges write an arc twice")
+    return store
 
 
 def _biarc_tree(n: int, rng: random.Random, pool) -> WeightedDigraph:
-    return build(n, _biarc_arcs(_prufer_tree(n, rng), rng, pool))
+    return WeightedDigraph(n, _biarc_arcs(_prufer_tree(n, rng), rng, pool))
 
 
 def _internal_vertices(n: int, edges) -> set[int]:
@@ -166,14 +198,14 @@ def _internal_vertices(n: int, edges) -> set[int]:
 
 def _cutloop_tree(n: int, rng: random.Random, pool) -> WeightedDigraph:
     edges = _prufer_tree(n, rng)
-    arcs = _biarc_arcs(edges, rng, pool)
+    store = _biarc_arcs(edges, rng, pool)
     internal = sorted(_internal_vertices(n, edges))
     looped = [v for v in internal if rng.random() < 0.6]
     if internal and not looped:
         looped = [rng.choice(internal)]
-    for v in looped:
-        arcs.append((v, v, rng.choice(pool)))
-    return build(n, arcs)
+    for v in looped:  # distinct vertices, and no edge is a loop
+        store[v, v] = rng.choice(pool)
+    return WeightedDigraph(n, store)
 
 
 def _r2_tree(n, rng, pool) -> WeightedDigraph:
@@ -212,18 +244,30 @@ def random_digraph(
     pool: Sequence = DEFAULT_POOL,
     p: float | None = None,
 ) -> WeightedDigraph:
-    """One random digraph drawn from the given rng (a stream-friendly form)."""
+    """A random digraph on n vertices, drawn from rng alone: the same rng
+    state, n, pool and p give the same digraph, arc order included.
+
+    Each arc u -> v (u != v) is present with probability p (when p is None,
+    p is drawn first from 0.15, 0.25 and 0.4) and each loop with
+    probability 0.15, with its weight drawn from pool; the pairs are drawn
+    in row-major order.  A negative n raises VertexOutOfRange, and the
+    pool is checked as `gen` checks it, except that a zero entry raises
+    ZeroWeight; both before any draw."""
+    if n < 0:
+        raise VertexOutOfRange(f"vertex count {n} is negative")
+    pool = _read_pool(pool, ZeroWeight)
     if p is None:
         p = rng.choice((0.15, 0.25, 0.4))
-    arcs = []
+    draw, choice = rng.random, rng.choice
+    store = {}
     for u in range(n):
         for v in range(n):
             if u == v:
-                if rng.random() < 0.15:
-                    arcs.append((u, u, rng.choice(pool)))
-            elif rng.random() < p:
-                arcs.append((u, v, rng.choice(pool)))
-    return build(n, arcs)
+                if draw() < 0.15:
+                    store[u, u] = choice(pool)
+            elif draw() < p:
+                store[u, v] = choice(pool)
+    return WeightedDigraph(n, store)
 
 
 # -- block graphs -------------------------------------------------------------
@@ -244,7 +288,8 @@ class _Growth:
 
     def __init__(self, min_noncut: int):
         self.n = 0
-        self.arcs: list[tuple[int, int, Fraction]] = []
+        self.arcs: dict[tuple[int, int], Fraction] = {}
+        self.writes = 0  # arcs written, so that graph() sees a rewrite
         self.min_noncut = min_noncut
         self.cuts: list[int] = []
         self.open: list[int] = []
@@ -256,8 +301,9 @@ class _Growth:
         return vs
 
     def add_edge(self, u: int, v: int) -> None:
-        self.arcs.append((u, v, _ONE))
-        self.arcs.append((v, u, _ONE))
+        self.arcs[u, v] = _ONE
+        self.arcs[v, u] = _ONE
+        self.writes += 2
 
     def new_block(self, groups: Sequence[list[int]], attach: int | None) -> None:
         """Record a block made of groups (its sides, or one group for a
@@ -298,7 +344,9 @@ class _Growth:
             self.add_edge(v, leaf)
 
     def graph(self) -> WeightedDigraph:
-        return build(self.n, self.arcs)
+        if len(self.arcs) != self.writes:
+            raise InternalMismatch("block growth wrote an arc twice")
+        return WeightedDigraph(self.n, self.arcs)
 
 
 def _block_sizes(n: int, rng, sizes, min_size: int) -> list[int]:
@@ -389,10 +437,16 @@ def extend_to_r2(
 ) -> WeightedDigraph:
     """Attach a loop-free bi-arc leaf at every cut-vertex lacking an
     r2-block.  Cut-vertices already served are left alone, so the operation
-    is idempotent; a digraph without cut-vertices comes back unchanged."""
-    pool = tuple(Fraction(w) for w in weight_pool)
-    if not pool or any(w == 0 for w in pool):
-        raise InvalidSpec("weight pool must be nonempty and zero-free")
+    is idempotent; a digraph without cut-vertices comes back unchanged.
+    The pool is checked as `gen` checks it, before any draw."""
+    out = _extend_to_r2(G, seed, _read_pool(weight_pool))
+    if not is_r2_digraph(out):
+        raise InternalMismatch("extension failed to produce an r2-digraph")
+    return out
+
+
+def _extend_to_r2(G: WeightedDigraph, seed: int, pool: tuple[Fraction, ...]) -> WeightedDigraph:
+    """`extend_to_r2` on a pool already read, without its recogniser check."""
     d = decompose(G)
     rng = random.Random(f"extend:{seed}")
     W, peels = G.out_rows(), {}
@@ -401,7 +455,4 @@ def extend_to_r2(
         for v in sorted(d.cut_vertices)
         if not any(_r2_block(W, d, peels, i) for i in d.membership[v])
     ]
-    out = _attach(G, leaves)
-    if not is_r2_digraph(out):
-        raise InternalMismatch("extension failed to produce an r2-digraph")
-    return out
+    return _attach(G, leaves)

@@ -15,7 +15,7 @@ from digrank import (
     format_digraph,
     parse_digraph,
 )
-from digrank.errors import DuplicateArc, VertexOutOfRange, ZeroWeight
+from digrank.errors import DimensionMismatch, DuplicateArc, VertexOutOfRange, ZeroWeight
 
 
 @st.composite
@@ -219,14 +219,14 @@ def test_attach_adds_its_arcs_in_order_and_takes_its_weight_count(kind, toward):
     G = _base().attach_edge(0, kind, weights, toward_new=toward)
     assert list(G._arcs.items())[2:] == arcs
     for wrong in (weights[:-1], weights + (1,)):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(DimensionMismatch):
             _base().attach_edge(0, kind, wrong, toward_new=toward)
 
 
 def test_attach_validates():
     with pytest.raises(VertexOutOfRange):
         _base().attach_edge(9, EdgeKind.SIMPLE_EDGE, (1,))
-    with pytest.raises(ZeroWeight):
+    with pytest.raises(DimensionMismatch):
         _base().attach_edge(0, EdgeKind.NC_TILDE_EDGE, (1,))
     with pytest.raises(ZeroWeight):
         _base().attach_edge(0, EdgeKind.SIMPLE_EDGE, (0,))

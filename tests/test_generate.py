@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,9 @@ from digrank import (
     is_r2_tree_digraph,
     is_tree,
 )
-from digrank.errors import InvalidSpec
-from digrank.generate import _Growth, random_digraph
+from digrank import generate
+from digrank.errors import InternalMismatch, InvalidSpec, VertexOutOfRange, ZeroWeight
+from digrank.generate import DEFAULT_POOL, _Growth, random_digraph
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "r2-extension"])
@@ -196,3 +198,126 @@ def test_growth_keeps_its_options_up_to_date(min_noncut, sides, plan):
         else:
             with pytest.raises(InvalidSpec):
                 g.eligible(random.Random(pick))
+
+
+# -- what the generators check now that they write their stores directly ------
+
+# The families whose arcs all weigh 1; every other family draws from its pool.
+UNIT_FAMILIES = {"block-graph", "biblock-graph", "r2-block-graph", "r2-biblock-graph"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generated_arcs_are_in_range_and_weigh_what_the_pool_gives(family):
+    """What `build` used to check on every generated arc: both ends in
+    range(n), and a nonzero Fraction weight, here one from the pool (1 for
+    the unit-weight families; r2-extension adds pool weights to a unit
+    block graph, and 1 is in the pool)."""
+    allowed = {Fraction(1)} if family in UNIT_FAMILIES else set(DEFAULT_POOL)
+    for n, seed in GEN_GRID:
+        G = gen(_spec(family, n, seed))
+        for (u, v), w in G._arcs.items():
+            assert 0 <= u < G.n and 0 <= v < G.n, (family, n, seed, u, v)
+            assert type(w) is Fraction and w != 0 and w in allowed, (family, n, seed, w)
+
+
+def _entry_points(pool):
+    """Each entry point that takes a weight pool, called with pool."""
+    base = gen(GenSpec("block-graph", n=9, seed=2))
+    return {
+        "gen": lambda: gen(GenSpec("cutloop-biarc-tree", n=9, seed=2, weight_pool=pool)),
+        "gen-random-digraph": lambda: gen(GenSpec("random-digraph", n=9, seed=2, weight_pool=pool)),
+        "gen-r2-extension": lambda: gen(
+            GenSpec("r2-extension", seed=2, base=base, weight_pool=pool)
+        ),
+        "extend_to_r2": lambda: extend_to_r2(base, seed=2, weight_pool=pool),
+        "random_digraph": lambda: random_digraph(9, random.Random(2), pool),
+    }
+
+
+@pytest.mark.parametrize(
+    "pool,error",
+    [
+        ((), InvalidSpec),
+        ((Fraction(1), Fraction(0)), InvalidSpec),
+        ((1, "0/3"), InvalidSpec),
+        (("abc",), InvalidSpec),
+        ((1, "1/0"), InvalidSpec),
+        ((2, None), InvalidSpec),
+        ((float("inf"),), InvalidSpec),
+    ],
+    ids=["empty", "zero", "zero-string", "unreadable", "zero-denominator", "none", "inf"],
+)
+def test_bad_pools_are_rejected_before_any_draw(monkeypatch, pool, error):
+    """Every entry point reads its pool before it makes a random stream,
+    and random_digraph before it draws from the stream it is given; only
+    random_digraph reports a zero entry as ZeroWeight."""
+    calls = _entry_points(pool)
+
+    def no_stream(*args):
+        pytest.fail("a random stream was made before the pool was checked")
+
+    monkeypatch.setattr(generate, "random", SimpleNamespace(Random=no_stream))
+    for name, call in calls.items():
+        if name == "random_digraph":
+            continue
+        with pytest.raises(error):
+            call()
+    monkeypatch.undo()
+    rng = random.Random(2)
+    state = rng.getstate()
+    zero = any(w in (0, "0/3") for w in pool)
+    with pytest.raises(ZeroWeight if zero else InvalidSpec):
+        random_digraph(9, rng, pool)
+    assert rng.getstate() == state
+
+
+def test_random_digraph_rejects_a_zero_weight_it_never_draws():
+    """p = 0 and a first draw above the loop chance: nothing is drawn from
+    the pool, and the zero entry is still rejected."""
+    with pytest.raises(ZeroWeight):
+        random_digraph(1, random.Random(0), pool=(Fraction(0),), p=0.0)
+
+
+def test_random_digraph_rejects_a_negative_order():
+    with pytest.raises(VertexOutOfRange):
+        random_digraph(-1, random.Random(0))
+
+
+def test_a_pool_of_plain_numbers_and_strings_gives_the_same_graphs():
+    """A pool is converted once, entry by entry, so (1, -1, 2, "1/2") draws
+    exactly what DEFAULT_POOL draws: the same bytes and the same arc order,
+    every weight a Fraction."""
+    written = (1, -1, 2, "1/2")
+    for name, call in _entry_points(written).items():
+        G, H = call(), _entry_points(DEFAULT_POOL)[name]()
+        assert format_digraph(G) == format_digraph(H), name
+        assert list(G._arcs.items()) == list(H._arcs.items()), name
+        assert all(type(w) is Fraction for w in G._arcs.values()), name
+    for family in FAMILIES:
+        for n, seed in [(1, 0), (7, 1), (30, 3)]:
+            spec = _spec(family, n, seed)
+            G = gen(GenSpec(family, n, seed, written, base=spec.base))
+            assert format_digraph(G) == format_digraph(gen(spec)), (family, n, seed)
+
+
+@pytest.mark.parametrize("family", ["loopless-biarc-tree", "cutloop-biarc-tree", "r2-tree"])
+def test_a_repeated_tree_edge_is_caught(monkeypatch, family):
+    """A tree whose edge list repeats an edge would overwrite an arc of
+    the store; the generator's write count raises InternalMismatch instead.
+    The message is matched because a repeated edge can also make the tree
+    fail its recogniser (a leaf counted as internal gets a loop)."""
+    prufer = generate._prufer_tree
+    monkeypatch.setattr(generate, "_prufer_tree", lambda n, rng: (e := prufer(n, rng)) + e[:1])
+    with pytest.raises(InternalMismatch, match="twice"):
+        gen(GenSpec(family, n=8, seed=0))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+def test_a_repeated_growth_edge_is_caught(pair):
+    g = _Growth(2)
+    g.fresh(3)
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    g.add_edge(*pair)
+    with pytest.raises(InternalMismatch, match="twice"):
+        g.graph()
