@@ -115,20 +115,24 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
     )
 
 
+def _checked_block(d: BlockDecomposition, i: int) -> tuple[int, ...]:
+    """Block i of d; IndexOutOfRange unless 0 <= i < d.block_count, so a
+    negative i does not silently name a block from the end."""
+    if not (0 <= i < len(d.blocks)):
+        raise IndexOutOfRange(f"block index {i} not in 0..{len(d.blocks) - 1}")
+    return d.blocks[i]
+
+
 def block_subdigraph(
     G: WeightedDigraph, d: BlockDecomposition, i: int
 ) -> WeightedDigraph:
     """The sub-digraph induced on the vertices of block i."""
-    if not (0 <= i < len(d.blocks)):
-        raise IndexOutOfRange(f"block index {i} not in 0..{len(d.blocks) - 1}")
-    return G.induced_subdigraph(d.blocks[i])
+    return G.induced_subdigraph(_checked_block(d, i))
 
 
 def breve(G: WeightedDigraph, d: BlockDecomposition, i: int) -> WeightedDigraph:
     """Block i with the cut-vertices of G removed (possibly empty)."""
-    if not (0 <= i < len(d.blocks)):
-        raise IndexOutOfRange(f"block index {i} not in 0..{len(d.blocks) - 1}")
-    keep = [v for v in d.blocks[i] if v not in d.cut_vertices]
+    keep = [v for v in _checked_block(d, i) if v not in d.cut_vertices]
     return G.induced_subdigraph(keep)
 
 

@@ -8,9 +8,9 @@ the peels in `_peel_pass`, the leaves in `_direct_rank`, the mod-p leaf
 rank in `linalg.leaf_rank`.  Only the r2 summands of three vertices or
 more are copied, decomposed and peeled; smaller ones are read in closed
 form.  A digraph that is one block, with no cut-vertex for any rule to
-use, is ranked straight from its arcs (`linalg.arc_rank`) once it has
-_MOD_P_MIN_ORDER vertices.  The paper's standalone formulas, which the
-engine never calls, are in `theorems`.
+use, is ranked straight from its arc dict by `linalg.leaf_rank` once it
+has _MOD_P_MIN_ORDER vertices.  The paper's standalone formulas, which
+the engine never calls, are in `theorems`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .blocks import BlockDecomposition, decompose
+from .blocks import BlockDecomposition, _checked_block, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
 from .digraph import WeightedDigraph, oracle_rank
 from .errors import InternalMismatch
-from .linalg import RationalMatrix, SchurPeel, _int_row, _peel_rows, arc_rank, leaf_rank, rank
+from .linalg import RationalMatrix, SchurPeel, _int_row, _peel_rows, leaf_rank, rank
 from .trees import TreeKind, tree_summary
 
 # Bound here, though the engine does not call them, because perfbench's
@@ -37,15 +37,16 @@ _ZERO = Fraction(0)
 # DIRECT_RANK leaves of order k = min(rows, cols) go by k (`_direct_rank`):
 # k <= 1 and the 2 x 2 leaf are read in closed form; from this order up a
 # leaf goes to `leaf_rank` (mod p, the engine's Bareiss when that cannot
-# prove full rank); the rest, order 2 (not 2 x 2) to 15, to `rank` (the
-# oracle's Bareiss), whose calls perfbench's tracer counts: 318, 2,196 and
-# 622 of them in seed-1 passes of perfbench's closed-forms, small-mixed and
-# glued-blocks.  A G that is one block of this order or more is that leaf
-# with n = G.n, and `rank_recursive` hands its arcs to `arc_rank` (the
-# same mod-p pass and fallback) with no store and no peel pass: all 300
-# graphs of perfbench's dense-random, none of the other workloads' (seed 1
-# and the held-out seed).  A smaller one-block G keeps the peel pass, so
-# its leaf still goes to `rank`.
+# prove full rank) as a dict built from the store; the rest, order 2 (not
+# 2 x 2) to 15, to `rank` (the oracle's Bareiss), whose calls perfbench's
+# tracer counts: 318, 2,196 and 622 of them in seed-1 passes of
+# perfbench's closed-forms, small-mixed and glued-blocks.  A G that is one
+# block of this order or more is that leaf with n = G.n, and
+# `rank_recursive` hands its arc dict itself to `leaf_rank`, with no store
+# and no peel pass: all 300 graphs of perfbench's dense-random, none of
+# the other workloads' (seed 1 and the held-out seed), which send no
+# peel-pass leaf of this order to `leaf_rank` either.  A smaller one-block
+# G keeps the peel pass, so its leaf still goes to `rank`.
 # On full-rank random digraph matrices (weights 1, -1, 2, 1/2, arc density
 # 0.3) leaf_rank took 0.76-0.81x the time of `rank` at order 8, 0.41-0.43x
 # at 16 and 0.13x at 40 (three runs, best of 5 over 400 or 100 matrices
@@ -134,7 +135,7 @@ def _r0_block(W, d: BlockDecomposition, peels: dict, b: int) -> bool:
 def is_r2_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
     """Block i has exactly one cut-vertex v and loses rank 2 when v goes:
     v's border adds 2 to the rank of the rest of the block."""
-    return _r2_block(_block_rows(G, d.blocks[i]), d, {}, i)
+    return _r2_block(_block_rows(G, _checked_block(d, i)), d, {}, i)
 
 
 def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
@@ -147,7 +148,7 @@ def is_r2_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bo
 def is_r0_block(G: WeightedDigraph, d: BlockDecomposition, i: int) -> bool:
     """Removing any one of G's cut-vertices from block i keeps its rank:
     each cut-vertex's border adds 0 to the rank of the rest of the block."""
-    return _r0_block(_block_rows(G, d.blocks[i]), d, {}, i)
+    return _r0_block(_block_rows(G, _checked_block(d, i)), d, {}, i)
 
 
 def is_r0_digraph(G: WeightedDigraph, d: BlockDecomposition | None = None) -> bool:
@@ -192,8 +193,8 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     block-cut tree (`_peel_pass`), which ends in a direct rank of what is
     left of the root block.  A G that is one block of order
     _MOD_P_MIN_ORDER or more has no cut-vertex, so no rule but that direct
-    rank applies: it is ranked from its arcs by `arc_rank` and gets no
-    weight store.  Every other decomposed G gets one weight store, W =
+    rank applies: `leaf_rank` ranks its arc dict, and it gets no weight
+    store.  Every other decomposed G gets one weight store, W =
     G.out_rows(), which peels write loop residues into.  The only copies
     are cut from it by `_copy`: a tree component of a disconnected G, and
     the summands of an r2 component that have three vertices or more,
@@ -211,7 +212,7 @@ def rank_recursive(G: WeightedDigraph, oracle_check: bool = False) -> RankCertif
     if root is None:
         d = decompose(G)
         if d.block_count == 1 and G.n >= _MOD_P_MIN_ORDER:
-            root = CertNode(RuleTag.DIRECT_RANK, arc_rank(G._arcs, G.n), note=f"n={G.n}")
+            root = CertNode(RuleTag.DIRECT_RANK, leaf_rank(G._arcs, G.n, G.n), note=f"n={G.n}")
         else:
             W = G.out_rows()
             peels: dict[tuple[int, int], SchurPeel] = {}
@@ -395,7 +396,8 @@ def _direct_rank(W: list, rows: list, cols: list) -> int:
     """Rank of W on rows x cols, a DIRECT_RANK leaf: with at most one row
     or column by whether an entry is nonzero, with two rows and two
     columns by `_rank_2x2`, from order _MOD_P_MIN_ORDER up by `leaf_rank`
-    on the rows' out-dicts themselves, else by `rank` on a dense copy."""
+    on a dict of the rows' out-dict entries in cols (stored zeros kept, the
+    loops peels wrote included), else by `rank` on a dense copy."""
     k = min(len(rows), len(cols))
     if k <= 1:  # rank 1 exactly when an entry is nonzero
         return int(any(W[u].get(t) for u in rows for t in cols))
@@ -403,7 +405,9 @@ def _direct_rank(W: list, rows: list, cols: list) -> int:
         (s, t), ru, rw = cols, W[rows[0]], W[rows[1]]
         return _rank_2x2(ru.get(s), ru.get(t), rw.get(s), rw.get(t))
     if k >= _MOD_P_MIN_ORDER:
-        return leaf_rank([W[u] for u in rows], cols)
+        pos = {t: j for j, t in enumerate(cols)}
+        entries = {(i, pos[t]): x for i, u in enumerate(rows) for t, x in W[u].items() if t in pos}
+        return leaf_rank(entries, len(rows), len(cols))
     leaf = [[W[u].get(t, _ZERO) for t in cols] for u in rows]
     return rank(RationalMatrix(leaf, cols=len(cols))).rank
 

@@ -15,18 +15,18 @@ the engine it checks: a fault in one cannot hide in both, and a change to
 the engine's loop cannot move the oracle's timings.  (The engine's leaves
 of order 2 to 15, other than 2 x 2, still go to `rank`.)
 
-`leaf_rank` maps each entry a/b of sparse rows (a weight store's
-out-dicts) to a * b^-1 modulo a small prime p, in one walk; `arc_rank`
-reads the same residues from a digraph's arc dict, in one pass over the
-arcs, for a graph the engine ranks whole.  Such entries
-lie in Z_(p), the rationals whose denominator p does not divide, and
-reduction mod p is a ring map from Z_(p) onto F_p, so a minor nonzero mod
-p is nonzero over Q.  One elimination mod p, on rows packed into one
-Python int each (one field per column: a row update is one big-integer
-multiply-add, and the pivot row is reduced by folding all its fields at
-once), thus proves a lower bound on the rank, which settles a full-rank
-matrix; it stops once full rank is out of reach and hands that matrix to
-Bareiss, as it does one with a denominator p divides.  No floating point.
+`leaf_rank` takes a matrix as a {(i, j): Fraction} dict (a digraph's
+arc dict for a graph the engine ranks whole, or a leaf the engine cuts
+from its weight store) and maps each entry a/b to a * b^-1 modulo a small
+prime p, in one pass over the dict.  Such entries lie in Z_(p), the
+rationals whose denominator p does not divide, and reduction mod p is a
+ring map from Z_(p) onto F_p, so a minor nonzero mod p is nonzero over Q.
+One elimination mod p, on rows packed into one Python int each (one field
+per column: a row update is one big-integer multiply-add, and the pivot
+row is reduced by folding all its fields at once), thus proves a lower
+bound on the rank, which settles a full-rank matrix; it stops once full
+rank is out of reach and hands that matrix to Bareiss, as it does one
+with a denominator p divides.  No floating point.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ class RankResult:
     pivot_columns: tuple[int, ...]
 
 
-def _scaled(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Each pair (n, d) as the integer n * (m // d), m the lcm of the ds; and m."""
+def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    ratios = [x.as_integer_ratio() for x in row]
     scale = 1
     for _, d in ratios:
         if d != 1:
@@ -122,11 +123,6 @@ def _scaled(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
     if scale == 1:
         return [n for n, _ in ratios], 1
     return [n * (scale // d) for n, d in ratios], scale
-
-
-def _scaled_int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    return _scaled([x.as_integer_ratio() for x in row])
 
 
 def _int_row(out: dict, labels: Sequence) -> tuple[list[int], int]:
@@ -343,98 +339,48 @@ def _rank_mod_p(a: list[list[int]]) -> int:
     return r
 
 
-def _residue_rows(rows: Sequence[dict], pos: dict) -> list[list[int]] | None:
-    """The sparse rows as dense residue rows in one walk: x = a/b at label t
-    goes to column pos[t] as a * b^-1 mod _P (b^-1 computed once per b),
-    or nowhere when pos has no t.  None when _P divides a denominator."""
-    p = _P
-    ncols = len(pos)
-    inverse = {1: 1}
-    out = []
-    for row in rows:
-        res = [0] * ncols
-        for t, x in row.items():
-            j = pos.get(t)
-            if j is not None:
-                a, b = x.as_integer_ratio()
-                inv = inverse.get(b)
-                if inv is None:
-                    if b % p == 0:
-                        return None
-                    inv = inverse[b] = pow(b, -1, p)
-                res[j] = a * inv % p
-        out.append(res)
-    return out
+def leaf_rank(entries: dict, nrows: int, ncols: int) -> int:
+    """Exact rank of the nrows x ncols rational matrix with entry (i, j)
+    entries[(i, j)], absent entries zero: a digraph's arc dict, or a leaf
+    the engine reads from its weight store.
 
-
-def _arc_residues(arcs: dict, n: int) -> list[list[int]] | None:
-    """`_residue_rows` for the n x n matrix of a digraph's arc dict,
-    arcs[(u, t)] at row u and column t, in one pass over the arcs: an
-    integer weight a goes in as a mod _P with no inverse lookup and no
-    multiply.  None when _P divides a denominator."""
+    Every entry a/b whose denominator _P does not divide lies in Z_(p), and
+    reduction mod _P is a ring map from Z_(p) onto F_p that takes each
+    minor to the same minor of the residues a * b^-1 mod _P, read here in
+    one pass over the entries (an integer a goes in as a mod _P, with no
+    inverse lookup and no multiply).  So r pivots of one elimination on
+    them (`_rank_mod_p`: packed rows, each pivot row folded in place so an
+    update adds below _P * 2**16 to a field) prove rank >= r, which is the
+    rank when r = min(nrows, ncols).  Every other matrix goes to
+    `_engine_bareiss` on rows built from the entries and scaled by their
+    denominator lcm (`_int_row`), as soon as the elimination has too many
+    pivot-less columns for full rank, or at once when _P divides a
+    denominator; so a prime that divides some minor costs time, never a
+    wrong rank.  No matrix is eliminated mod _P twice.
+    """
     p = _P
-    out = [[0] * n for _ in range(n)]
+    res = [[0] * ncols for _ in range(nrows)]
     inverse = {}
-    for (u, t), x in arcs.items():
+    for (i, j), x in entries.items():
         a, b = x.as_integer_ratio()
         if b == 1:
-            out[u][t] = a % p
+            res[i][j] = a % p
             continue
         inv = inverse.get(b)
         if inv is None:
             if b % p == 0:
-                return None
+                break  # no residue: straight to Bareiss
             inv = inverse[b] = pow(b, -1, p)
-        out[u][t] = a * inv % p
-    return out
-
-
-def _bareiss_rank(rows: Sequence[dict], cols: Sequence) -> int:
-    """Exact rank of the sparse rows over cols by `_engine_bareiss`, each
-    row made dense and scaled by its denominator lcm (`_int_row`)."""
-    return len(_engine_bareiss([_int_row(row, cols)[0] for row in rows], len(rows), len(cols)))
-
-
-def leaf_rank(rows: Sequence[dict], cols: Sequence) -> int:
-    """Exact rank of the rational matrix with entry (i, j) rows[i][cols[j]]:
-    rows are sparse {label: Fraction} dicts, such as a weight store's
-    out-dicts, absent entries are zero and labels not in cols are skipped.
-
-    Every entry a/b whose denominator _P does not divide lies in Z_(p), and
-    reduction mod _P is a ring map from Z_(p) onto F_p that takes each
-    minor to the same minor of the residues a * b^-1 mod _P, read here from
-    the sparse rows (`_residue_rows`) and by `arc_rank` from a digraph's
-    arc dict (`_arc_residues`).  So r pivots of one elimination on them
-    (`_rank_mod_p`: packed rows, each pivot row folded in place so an
-    update adds below _P * 2**16 to a field) prove rank >= r, which is the
-    rank when r = min(rows, cols).  Every other matrix goes to
-    `_engine_bareiss` on its rows made dense and scaled by their
-    denominator lcm (`_bareiss_rank`, which `arc_rank` shares), as soon as
-    the elimination has too many pivot-less columns for full rank, or at
-    once when _P divides a denominator; so a prime that divides some minor
-    costs time, never a wrong rank.  No matrix is eliminated mod _P twice.
-    """
-    pos = {t: j for j, t in enumerate(cols)}
-    residues = _residue_rows(rows, pos)
-    full = min(len(rows), len(pos))
-    if residues is not None and _rank_mod_p(residues) == full:
-        return full
-    return _bareiss_rank(rows, cols)
-
-
-def arc_rank(arcs: dict, n: int) -> int:
-    """Exact rank of the n x n matrix with entry (u, t) arcs[(u, t)], a
-    digraph's arc dict, absent entries zero: `leaf_rank` with its residues
-    read from the arcs (`_arc_residues`) rather than from sparse rows.
-    Only a matrix the mod-p pass cannot prove full, or with a denominator
-    _P divides, gets rows, built from the arcs for `_bareiss_rank`."""
-    residues = _arc_residues(arcs, n)
-    if residues is not None and _rank_mod_p(residues) == n:
-        return n
-    rows: list[dict] = [{} for _ in range(n)]
-    for (u, t), x in arcs.items():
-        rows[u][t] = x
-    return _bareiss_rank(rows, range(n))
+        res[i][j] = a * inv % p
+    else:
+        full = min(nrows, ncols)
+        if _rank_mod_p(res) == full:
+            return full
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for (i, j), x in entries.items():
+        rows[i][j] = x
+    cols = range(ncols)
+    return len(_engine_bareiss([_int_row(row, cols)[0] for row in rows], nrows, ncols))
 
 
 def int_rank(a: list[list[int]]) -> int:

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digrank import block_subdigraph, breve, build, decompose
+from digrank import (
+    GenSpec,
+    block_subdigraph,
+    breve,
+    build,
+    decompose,
+    gen,
+    is_r0_block,
+    is_r2_block,
+)
 from digrank.blocks import _block_pieces
 from digrank.errors import IndexOutOfRange
 from oracles import blocks_by_networkx, cut_vertices_by_removal, cuts_by_networkx
@@ -146,6 +155,18 @@ def test_block_subdigraph_and_breve(mixed_arc_digraph_14):
     assert breve(G, d, 4).n == 1  # block (3, 12): only 12 is not a cut
     with pytest.raises(IndexOutOfRange):
         breve(G, d, 99)
+
+
+@pytest.mark.parametrize("fn", [block_subdigraph, breve, is_r2_block, is_r0_block])
+@pytest.mark.parametrize("past", [False, True], ids=["minus-one", "block-count"])
+def test_bad_block_index_is_rejected(fn, past):
+    """-1 is not the last block and block_count is not a block: all four
+    raise IndexOutOfRange through the one check in `blocks`."""
+    G = gen(GenSpec("r2-block-graph", n=12, seed=0))
+    d = decompose(G)
+    assert d.block_count == 7
+    with pytest.raises(IndexOutOfRange):
+        fn(G, d, d.block_count if past else -1)
 
 
 def test_breve_may_be_empty():

@@ -874,16 +874,18 @@ def test_nonsingular_dense_block_needs_no_bareiss(monkeypatch):
 def test_one_block_is_ranked_from_its_arcs_from_the_mod_p_order(monkeypatch, n):
     """A G that is one block below _MOD_P_MIN_ORDER keeps its weight store
     and its one `rank` call, whose spans perfbench's tracer reads; from
-    that order up it is ranked from its arcs (`arc_rank`) with no store.
-    The block of order 16 is singular, so its rank comes from Bareiss."""
+    that order up `leaf_rank` ranks its arc dict, with no store.  The
+    block of order 16 is singular, so its rank comes from Bareiss."""
     G = random_digraph(n, random.Random(0), p=0.3)
     assert decompose(G).block_count == 1
     calls = count_eliminations(monkeypatch)
-    real = engine.arc_rank
-    monkeypatch.setattr(engine, "arc_rank", lambda *a: calls.append("arcs") or real(*a))
+    real = engine.leaf_rank
+    arcs = []
+    monkeypatch.setattr(engine, "leaf_rank", lambda *a: arcs.append(a[0]) or real(*a))
     cert, d_calls, c_calls, stores = traced_rank(monkeypatch, G)
     big = n >= engine._MOD_P_MIN_ORDER
-    assert calls == (["arcs"] if big else ["rank"])
+    assert calls == (["leaf"] if big else ["rank"])
+    assert all(a is G._arcs for a in arcs) and len(arcs) == big
     assert (d_calls, c_calls, stores) == (1, 0, int(not big))
     assert cert.root.rule is RuleTag.DIRECT_RANK and cert.root.note == f"n={n}"
     monkeypatch.undo()
@@ -997,7 +999,7 @@ def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
     test accepts) with a pendant 20 joined to 19 by one arc.  With 19 -> 20,
     19's row lies outside the pendant's zero row space, so the peel
     deletes it and the root leaf is 19 x 20; with 20 -> 19 the peel deletes
-    19's column, the leaf is 20 x 19, and the residue walk skips the
+    19's column, the leaf is 20 x 19, and the leaf's entry dict skips the
     entries the block's rows have in column 19.  Both leaves have full
     rank, proved mod p with no Bareiss call."""
     G = random_digraph(20, random.Random("rect-leaf:0"), p=0.4)
@@ -1007,10 +1009,10 @@ def test_rectangular_leaf_is_ranked_from_the_store(monkeypatch, arc, note):
     calls, leaves = [], []
     real_bareiss, real_leaf = linalg._engine_bareiss, engine.leaf_rank
 
-    def counted_leaf(rows, cols):
+    def counted_leaf(entries, nrows, ncols):
         before = len(calls)
-        r = real_leaf(rows, cols)
-        leaves.append((len(rows), len(cols), r, len(calls) - before))
+        r = real_leaf(entries, nrows, ncols)
+        leaves.append((nrows, ncols, r, len(calls) - before))
         return r
 
     monkeypatch.setattr(linalg, "_engine_bareiss", lambda *a: calls.append(1) or real_bareiss(*a))

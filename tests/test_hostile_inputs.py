@@ -40,19 +40,22 @@ def recorded(calls, name, real):
 
 
 def test_denominators_of_the_mod_p_prime_take_the_bareiss_fallback(monkeypatch):
-    """Every residue read gives None and no mod-p pass runs: each rank is
-    Bareiss's."""
+    """The one leaf's residue read stops at a denominator P divides and no
+    mod-p pass runs: its rank is one Bareiss's.  (The r2 test's peel of
+    the block with a pendant is a Bareiss of its own.)"""
     P = linalg._P
     pool = [Fraction(k, P) for k in (1, -2, 5)] + [Fraction(k, 2 * P) for k in (1, -3, 7)]
     for make, n in ((block_with_pendant, 17), (one_block, engine._MOD_P_MIN_ORDER)):
         G = make(random.Random("mod-p"), n, 0.3, lambda rng: rng.choice(pool))
         calls = []
         with monkeypatch.context() as m:
-            for name in ("_residue_rows", "_arc_residues", "_rank_mod_p"):
+            for name in ("_engine_bareiss", "_rank_mod_p"):
                 m.setattr(linalg, name, recorded(calls, name, getattr(linalg, name)))
+            m.setattr(engine, "leaf_rank", recorded(calls, "leaf_rank", engine.leaf_rank))
             cert = rank_recursive(G)
-        read = "_residue_rows" if make is block_with_pendant else "_arc_residues"
-        assert calls and calls == [(read, None)] * len(calls)
+        names = [name for name, _ in calls]
+        assert "_rank_mod_p" not in names and names.count("leaf_rank") == 1
+        assert names[-2:] == ["_engine_bareiss", "leaf_rank"]
         assert cert.rank == oracle_rank(G)
 
 

@@ -310,18 +310,25 @@ mod_p_entries = st.one_of(
 
 
 def sparse(rows):
-    """Dense rows as leaf_rank's arguments: one {column: Fraction} per row,
-    zeros kept as explicit entries, and the column labels 0, 1, ..."""
+    """Dense rows as leaf_rank's arguments: the {(i, j): Fraction} dict,
+    zeros kept as explicit entries, and the shape."""
     ncols = len(rows[0]) if rows else 0
-    return [{j: Fraction(x) for j, x in enumerate(row)} for row in rows], range(ncols)
+    entries = {(i, j): Fraction(x) for i, row in enumerate(rows) for j, x in enumerate(row)}
+    return entries, len(rows), ncols
 
 
 @st.composite
 def sparse_matrices(draw):
-    """A matrix and its sparse rows, each zero entry left out or kept."""
+    """A matrix of any shape, 0 x k and k x 0 included, and its entry
+    dict, each zero entry left out or kept."""
     M = draw(matrices(ents=mod_p_entries))
-    rows = [{j: x for j, x in enumerate(row) if x or draw(st.booleans())} for row in M.to_lists()]
-    return M, rows
+    entries = {
+        (i, j): x
+        for i, row in enumerate(M.to_lists())
+        for j, x in enumerate(row)
+        if x or draw(st.booleans())
+    }
+    return M, entries
 
 
 def _counting_engine_bareiss(monkeypatch):
@@ -332,37 +339,59 @@ def _counting_engine_bareiss(monkeypatch):
     return calls
 
 
+def arc_case(M):
+    """M with its nonzero entries as an entry dict, as a digraph's arc
+    dict holds them."""
+    return M, {(i, j): M[i, j] for i in range(M.rows) for j in range(M.cols) if M[i, j]}
+
+
 @given(sparse_matrices())
-@example((RationalMatrix([[0, 0], [0, 0]]), [{0: Fraction(0)}, {}]))
-@example((RationalMatrix([[], []], cols=0), [{}, {}]))
-@example((RationalMatrix([[Fraction(1, P), 0], [0, 1]]), [{0: Fraction(1, P)}, {1: Fraction(1)}]))
-@example((RationalMatrix([[0, Fraction(5, 2 * P)]]), [{0: Fraction(0), 1: Fraction(5, 2 * P)}]))
+@example((RationalMatrix([[0, 0], [0, 0]]), {(0, 0): Fraction(0)}))
+@example((RationalMatrix([[], []], cols=0), {}))
+@example((RationalMatrix([], cols=3), {}))
+@example(
+    (RationalMatrix([[Fraction(1, P), 0], [0, 1]]), {(0, 0): Fraction(1, P), (1, 1): Fraction(1)})
+)
+@example(
+    (RationalMatrix([[0, Fraction(5, 2 * P)]]), {(0, 0): Fraction(0), (0, 1): Fraction(5, 2 * P)})
+)
 @example(
     (
         RationalMatrix([[Fraction(-(2**70), 3), Fraction(P + 1)], [Fraction(-P - 1, 7), 1]]),
-        [{0: Fraction(-(2**70), 3), 1: Fraction(P + 1)}, {0: Fraction(-P - 1, 7), 1: Fraction(1)}],
+        {
+            (0, 0): Fraction(-(2**70), 3),
+            (0, 1): Fraction(P + 1),
+            (1, 0): Fraction(-P - 1, 7),
+            (1, 1): Fraction(1),
+        },
     )
 )
 @example(
     (
         RationalMatrix([[Fraction(-P - 1, 7), Fraction(-(2**70), 3)], [Fraction(-2 * P - 2, 7), 0]]),
-        [{0: Fraction(-P - 1, 7), 1: Fraction(-(2**70), 3)}, {0: Fraction(-2 * P - 2, 7)}],
+        {
+            (0, 0): Fraction(-P - 1, 7),
+            (0, 1): Fraction(-(2**70), 3),
+            (1, 0): Fraction(-2 * P - 2, 7),
+        },
     )
 )
+@example(arc_case(RationalMatrix([[Fraction(1, P), 1], [1, 0]])))
+@example(arc_case(RationalMatrix([[1, 1], [1, P + 1]])))
+@example(arc_case(RationalMatrix([[-P - 1, 0], [0, Fraction(P, 2)]])))
+@example(arc_case(RationalMatrix([], cols=0)))
 @settings(max_examples=400, deadline=None)
 def test_leaf_rank_matches_rank(case):
-    """Exact on sparse rows; Bareiss runs at most once, and exactly once
-    when the rank is not full or P divides a denominator."""
-    M, rows = case
+    """Exact on an entry dict of any shape; Bareiss runs at most once, and
+    exactly once when the rank is not full or P divides a denominator."""
+    M, entries = case
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_engine_bareiss(mp)
-        got = leaf_rank(rows, range(M.cols))
+        got = leaf_rank(entries, M.rows, M.cols)
     expected = rank(M).rank
     assert got == expected
     assert len(calls) <= 1
-    if expected < min(M.rows, M.cols) or any(
-        x.denominator % P == 0 for row in rows for x in row.values()
-    ):
+    if expected < min(M.rows, M.cols) or any(x.denominator % P == 0 for x in entries.values()):
         assert calls == [1]
 
 
@@ -406,60 +435,6 @@ def test_int_row_is_the_scaled_dense_row(out, labels):
     assert linalg._int_row(out, labels) == linalg._scaled_int_row(
         [out.get(t, Fraction(0)) for t in labels]
     )
-
-
-def test_leaf_rank_reads_only_its_columns():
-    """Rows as a weight store holds them, out-dicts over vertex labels with
-    entries at labels the leaf does not have: the leaf is the matrix on
-    cols alone, in cols' order.  Half the cases copy row 0 to row 1 on
-    cols only, so they differ only outside cols and the leaf is deficient."""
-    rng = random.Random("leaf-labels")
-    deficient = 0
-    for i in range(60):
-        labels = rng.sample(range(100), 26)
-        cols = labels[: rng.randint(16, 20)]
-        weights = [Fraction(w) for w in (1, -1, 2, "1/2", "-5/3")]
-        rows = [
-            {t: rng.choice(weights) for t in labels if rng.random() < 0.5}
-            for _ in range(rng.randint(16, len(cols)) if i % 2 else rng.randint(16, 20))
-        ]
-        if i % 2:
-            rows[1] = {t: x for t, x in rows[0].items() if t in cols}
-            rows[1].update({t: rng.choice(weights) for t in labels if t not in cols})
-        expected = naive_rank([[row.get(t, 0) for t in cols] for row in rows])
-        assert leaf_rank(rows, cols) == expected
-        deficient += expected < min(len(rows), len(cols))
-    assert deficient >= 30
-
-
-@st.composite
-def square_matrices(draw):
-    n = draw(st.integers(0, 6))
-    return RationalMatrix([[draw(mod_p_entries) for _ in range(n)] for _ in range(n)], cols=n)
-
-
-@given(square_matrices())
-@example(RationalMatrix([[Fraction(1, P), 1], [1, 0]]))
-@example(RationalMatrix([[1, 1], [1, P + 1]]))
-@example(RationalMatrix([[-P - 1, 0], [0, Fraction(P, 2)]]))
-@example(RationalMatrix([], cols=0))
-@settings(max_examples=300, deadline=None)
-def test_arc_rank_is_leaf_rank_on_the_arcs(M):
-    """`arc_rank` reads from M's nonzero entries as a digraph's arc dict
-    the residues `leaf_rank` reads from its rows, is exact, and runs
-    Bareiss at most once: exactly once when the rank is not full or P
-    divides a denominator."""
-    n = M.rows
-    arcs = {(u, t): M[u, t] for u in range(n) for t in range(n) if M[u, t]}
-    rows = [{t: x for (u, t), x in arcs.items() if u == v} for v in range(n)]
-    assert linalg._arc_residues(arcs, n) == linalg._residue_rows(rows, {t: t for t in range(n)})
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_engine_bareiss(mp)
-        got = linalg.arc_rank(arcs, n)
-    assert got == rank(M).rank == leaf_rank(rows, range(n))
-    assert len(calls) <= 1
-    if got < n or any(x.denominator % P == 0 for x in arcs.values()):
-        assert calls == [1]
 
 
 # -- the packed mod-p kernel against the list-of-lists reference --------------

@@ -2,10 +2,14 @@
 its vertices are relabelled, when every arc is reversed (the matrix
 transposed) and when one vertex's out-arcs or in-arcs are scaled (a row or
 column times a nonzero rational), and a disjoint union ranks to the sum of
-its parts.  A relabelling moves the root block, the walk's roots and the
-peel order, a scaling changes every peel at that vertex and a union adds
-components, so each pair runs different rule paths and checks each other
-without the oracle; at n = 200 they do so where the oracle is slow.
+its parts.  Two pendants change it by the paper's case I and case III
+peels: a new vertex w with arcs u -> w and w -> u and no loop adds 2 to
+the rank of G - u, and the arc u -> w alone adds 1 to the rank of G with
+u's out-arcs (its loop included) deleted.  A relabelling moves the root
+block, the walk's roots and the peel order, a scaling changes every peel
+at that vertex, a union adds components and a pendant adds a block, so
+each pair runs different rule paths and checks each other without the
+oracle; at n = 200 they do so where the oracle is slow.
 """
 
 import random
@@ -13,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from digrank import GenSpec, build, gen, rank_recursive
+from digrank import GenSpec, build, gen, oracle_rank, rank_recursive
 from digrank.generate import FAMILIES, random_digraph
 
 
@@ -52,8 +56,11 @@ def union(*graphs):
     return build(n, arcs)
 
 
+GRID = [(7, 4), (40, 5), (200, 6)]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("n, seed", [(7, 4), (40, 5), (200, 6)])
+@pytest.mark.parametrize("n, seed", GRID)
 def test_rank_survives_scaling_a_vertex(family, n, seed):
     G = family_graph(family, n, seed)
     rng = random.Random(seed)
@@ -71,3 +78,21 @@ def test_disjoint_union_ranks_to_the_sum(i, family, n, seed):
     r_G, r_H = rank_recursive(G).rank, rank_recursive(H).rank
     assert rank_recursive(union(G, H)).rank == r_G + r_H
     assert rank_recursive(union(H, G, H)).rank == r_G + 2 * r_H
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n, seed", GRID)
+def test_pendants_add_their_peel_to_the_rest(family, n, seed):
+    G = family_graph(family, n, seed)
+    u = random.Random(seed).randrange(G.n)
+    x, y = Fraction(3, 2), Fraction(-2, 5)
+    arcs = list(G.arcs())
+    bi_arc = build(G.n + 1, arcs + [(u, G.n, x), (G.n, u, y)])
+    one_way = build(G.n + 1, arcs + [(u, G.n, x)])
+    without_u = G.delete_vertices([u])
+    without_row = build(G.n, [(a, b, w) for a, b, w in arcs if a != u])
+    pairs = [(bi_arc, without_u, 2), (one_way, without_row, 1)]
+    for H, rest, gain in pairs:
+        assert rank_recursive(H).rank == rank_recursive(rest).rank + gain
+        if n <= 40:
+            assert oracle_rank(H) == oracle_rank(rest) + gain

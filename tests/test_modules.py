@@ -71,6 +71,13 @@ def test_engine_binds_none_of_the_oracle_kernel(name):
     assert not hasattr(engine, name)
 
 
+@pytest.mark.parametrize("name", ["arc_rank", "_arc_residues", "_residue_rows", "_bareiss_rank"])
+def test_linalg_has_one_mod_p_entry(name):
+    """`leaf_rank` on an entry dict is the only mod-p entry point, with its
+    residue read and Bareiss fallback inside it."""
+    assert not hasattr(linalg, name)
+
+
 def count_kernels(monkeypatch):
     """A list that gets "oracle" per `_bareiss` call and "engine" per
     `_engine_bareiss` call."""
