@@ -115,6 +115,13 @@ def decompose(G: WeightedDigraph) -> BlockDecomposition:
     )
 
 
+def _components(d: BlockDecomposition) -> int:
+    """The number of connected components of the decomposed graph: each
+    component's block-cut tree has one more node than edges, so the
+    components number the blocks less each vertex's extra memberships."""
+    return d.block_count - sum(map(len, d.blocks)) + len(d.membership)
+
+
 def _checked_block(d: BlockDecomposition, i: int) -> tuple[int, ...]:
     """Block i of d; IndexOutOfRange unless 0 <= i < d.block_count, so a
     negative i does not silently name a block from the end."""

@@ -210,12 +210,11 @@ def _cutloop_tree(n: int, rng: random.Random, pool) -> WeightedDigraph:
 
 def _r2_tree(n, rng, pool) -> WeightedDigraph:
     G = _cutloop_tree(n, rng, pool)
-    edges = G.underlying_edges()
-    internal = sorted(_internal_vertices(G.n, edges))
+    adj = G.underlying_adjacency()
+    internal = [v for v in range(G.n) if len(adj[v]) >= 2]
     # Every cut-vertex needs a plain leaf: loop-free, joined both ways.
     # The leaves attached here touch no arc among G's vertices, so every
     # test reads G itself, and all attachments go on in one copy.
-    adj = G.underlying_adjacency()
     leaves = []
     for c in internal:
         plain = any(

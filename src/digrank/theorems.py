@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .blocks import BlockDecomposition, _block_pieces, decompose
+from .blocks import BlockDecomposition, _block_pieces, _components, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
 from .classify import Classification, CutSplit, CutVertexCase, _classify_cut
 from .digraph import EdgeKind, WeightedDigraph, _attach, build, oracle_rank
@@ -36,7 +36,7 @@ def _connected(G: WeightedDigraph, who: str, d: BlockDecomposition | None) -> Bl
     """decompose(G) (or d) when G is connected, else PreconditionViolated."""
     if d is None:
         d = decompose(G)
-    if not G.is_connected():
+    if _components(d) > 1:
         raise PreconditionViolated(f"{who} expects a connected digraph")
     return d
 
@@ -285,46 +285,30 @@ def rank_case3_peel(G: WeightedDigraph, split: CutSplit) -> int:
 # -- simple-graph families ----------------------------------------------------
 
 
-def _simple_shape(
-    G: WeightedDigraph,
-) -> tuple[BlockDecomposition, list[set[int]]] | None:
-    """(decompose(G), neighbour sets) when G is a nonempty connected unit
-    simple graph (every arc has weight 1 and its reverse, no loops), else
-    None.  The family recognisers read G through this once: one pass over
-    its arcs checks them and builds the neighbour sets, a walk over the
-    sets checks connectivity, and only then is G decomposed; every block
-    test below works from its result."""
-    if G.n == 0:
-        return None
+def _simple_shape(G: WeightedDigraph) -> BlockDecomposition | None:
+    """decompose(G) when G is a nonempty connected unit simple graph (every
+    arc has weight 1 and its reverse, no loops), else None.  The family
+    recognisers read G through this once: one pass over its arcs checks
+    them, and connectivity is read from the decomposition that follows;
+    every block test below works from it and G's arcs."""
     arcs = G._arcs
-    adj: list[set[int]] = [set() for _ in range(G.n)]
-    for (u, v), w in arcs.items():
-        if u == v or w != 1 or (v, u) not in arcs:
-            return None
-        adj[u].add(v)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != G.n:
+    if any(u == v or w != 1 or (v, u) not in arcs for (u, v), w in arcs.items()):
         return None
-    return decompose(G), adj
+    d = decompose(G)
+    return d if _components(d) == 1 else None
 
 
-def _block_sides(adj: list[set[int]], blk: Sequence[int]) -> set[frozenset[int]] | None:
-    """The sides of block blk when it is complete multipartite, else None.
+def _block_sides(arcs: dict, blk: Sequence[int]) -> set[frozenset[int]] | None:
+    """The sides of block blk of a loopless bi-arc graph with arcs `arcs`
+    when the block is complete multipartite, else None.
 
-    v's side is blk minus v's neighbours (adj[v] & blk), v included.  The
+    v's side is the vertices of blk that v has no arc to, v included.  The
     sides partition blk exactly when the block is complete multipartite,
     so it is complete when every side is one vertex and complete bipartite
     when there are two sides.
     """
-    block = frozenset(blk)
-    sides = {block - adj[v] for v in blk}
-    return sides if sum(map(len, sides)) == len(block) else None
+    sides = {frozenset(u for u in blk if (v, u) not in arcs) for v in blk}
+    return sides if sum(map(len, sides)) == len(blk) else None
 
 
 def _pendant_edges(d: BlockDecomposition) -> set[int] | None:
@@ -343,11 +327,8 @@ def _pendant_edges(d: BlockDecomposition) -> set[int] | None:
 def _complete_blocks(G: WeightedDigraph) -> BlockDecomposition | None:
     """decompose(G) when G is a block graph (a nonempty connected unit
     simple graph whose blocks are all complete), else None."""
-    shape = _simple_shape(G)
-    if shape is None:
-        return None
-    d, adj = shape
-    if all(len(_block_sides(adj, blk) or ()) == len(blk) for blk in d.blocks):
+    d = _simple_shape(G)
+    if d is not None and all(len(_block_sides(G._arcs, blk) or ()) == len(blk) for blk in d.blocks):
         return d
     return None
 
@@ -376,15 +357,14 @@ def _biblock_count(G: WeightedDigraph, r2: bool) -> int | None:
     or an r0-biblock graph, else None.  Both need complete bipartite blocks
     keeping a non-cut vertex on each side; the r2 kind exempts its pendant
     edges, exactly one per cut-vertex."""
-    shape = _simple_shape(G)
-    if shape is None:
+    d = _simple_shape(G)
+    if d is None:
         return None
-    d, adj = shape
     pend = _pendant_edges(d) if r2 else set()
     if pend is None:
         return None
     for i, blk in enumerate(d.blocks):
-        sides = _block_sides(adj, blk)
+        sides = _block_sides(G._arcs, blk)
         if sides is None or len(sides) != 2:
             return None
         if i not in pend and not all(side - d.cut_vertices for side in sides):

@@ -31,7 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .blocks import decompose
+from .blocks import _components, decompose
 from .classify import (
     CutVertexCase,
     classify_bordered,
@@ -288,9 +288,9 @@ def _r2_cut_base(rng, max_n):
     cut-vertices, with its sorted cut-vertices; else None."""
     for _ in range(200):
         G = _r2_base(rng, max_n)
-        cuts = decompose(G).cut_vertices
-        if cuts and G.is_connected():
-            return G, sorted(cuts)
+        d = decompose(G)
+        if d.cut_vertices and _components(d) == 1:
+            return G, sorted(d.cut_vertices)
     return None
 
 

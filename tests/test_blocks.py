@@ -16,7 +16,7 @@ from digrank import (
     is_r0_block,
     is_r2_block,
 )
-from digrank.blocks import _block_pieces
+from digrank.blocks import _block_pieces, _components
 from digrank.errors import IndexOutOfRange
 from oracles import blocks_by_networkx, cut_vertices_by_removal, cuts_by_networkx
 
@@ -70,11 +70,13 @@ def test_every_fixture_agrees_with_networkx(
 def test_degenerate_graphs():
     d0 = decompose(build(0, []))
     assert d0.blocks == () and d0.cut_vertices == frozenset()
+    assert _components(d0) == 0
 
     # isolated vertices form singleton blocks
     d = decompose(build(3, [(1, 1, 5)]))
     assert d.blocks == ((0,), (1,), (2,))
     assert d.pendant == (True, True, True)
+    assert _components(d) == 3
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -84,6 +86,8 @@ def test_random_graphs_match_networkx(seed):
     d = decompose(G)
     assert list(d.blocks) == blocks_by_networkx(G)
     assert set(d.cut_vertices) == cuts_by_networkx(G)
+    # the block-cut forest identity behind the sum rules' connectivity test
+    assert _components(d) == len(G.connected_components())
 
 
 def biarcs(edges):

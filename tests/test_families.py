@@ -54,19 +54,22 @@ def _unit(n, edges):
 
 def _mutants(G: WeightedDigraph, rng: random.Random):
     """G's unit simple copy with an edge removed, a chord added, a leaf
-    added; and G with one arc reweighted."""
-    edges = sorted({(min(u, v), max(u, v)) for u, v, _ in G.arcs() if u != v})
+    added; G with one arc reweighted; and, disconnected, G plus an isolated
+    vertex and G beside a shifted copy of itself."""
+    arcs = list(G.arcs())
+    edges = sorted({(min(u, v), max(u, v)) for u, v, _ in arcs if u != v})
     yield _unit(G.n, edges)
     if edges:
         gone = rng.choice(edges)
         yield _unit(G.n, [e for e in edges if e != gone])
-        arcs = list(G.arcs())
         u0, v0, w0 = rng.choice([a for a in arcs if a[0] != a[1]])
         yield build(G.n, [(u, v, 2 * w if (u, v) == (u0, v0) else w) for u, v, w in arcs])
     if G.n >= 2:
         a, b = sorted(rng.sample(range(G.n), 2))
         yield _unit(G.n, sorted(set(edges) | {(a, b)}))
     yield _unit(G.n + 1, edges + [(rng.randrange(G.n), G.n)])
+    yield build(G.n + 1, arcs)
+    yield build(2 * G.n, arcs + [(u + G.n, v + G.n, w) for u, v, w in arcs])
 
 
 def _corpus():

@@ -5,7 +5,10 @@ column times a nonzero rational), and a disjoint union ranks to the sum of
 its parts.  Two pendants change it by the paper's case I and case III
 peels: a new vertex w with arcs u -> w and w -> u and no loop adds 2 to
 the rank of G - u, and the arc u -> w alone adds 1 to the rank of G with
-u's out-arcs (its loop included) deleted.  A relabelling moves the root
+u's out-arcs (its loop included) deleted.  On an r2-digraph, the paper's
+own relations hold: rewriting the loops at its cut-vertices leaves the
+rank as it is, and single-vertex attachments at cut-vertices add the
+`rank_delta_cr2` count.  A relabelling moves the root
 block, the walk's roots and the peel order, a scaling changes every peel
 at that vertex, a union adds components and a pendant adds a block, so
 each pair runs different rule paths and checks each other without the
@@ -17,8 +20,23 @@ from fractions import Fraction
 
 import pytest
 
-from digrank import GenSpec, build, gen, oracle_rank, rank_recursive
-from digrank.generate import FAMILIES, random_digraph
+from digrank import (
+    EdgeAddition,
+    EdgeKind,
+    GenSpec,
+    PreconditionViolated,
+    apply_additions,
+    build,
+    decompose,
+    gen,
+    is_r2_digraph,
+    oracle_rank,
+    rank_delta_cr2,
+    rank_recursive,
+)
+from digrank.digraph import _weight_count
+from digrank.generate import DEFAULT_POOL, FAMILIES, random_digraph
+from digrank.theorems import _LOOP_WEIGHTS
 
 
 def family_graph(family, n, seed):
@@ -96,3 +114,62 @@ def test_pendants_add_their_peel_to_the_rest(family, n, seed):
         assert rank_recursive(H).rank == rank_recursive(rest).rank + gain
         if n <= 40:
             assert oracle_rank(H) == oracle_rank(rest) + gain
+
+
+R2_FAMILIES = ["r2-tree", "r2-block-graph", "r2-biblock-graph", "r2-extension"]
+
+
+def r2_cases(family):
+    """(G, its sorted cut-vertices, a seeded rng, whether the dense oracle
+    checks too) for each GRID graph of the family that is an r2-digraph
+    with a cut-vertex."""
+    for n, seed in GRID:
+        G = family_graph(family, n, seed)
+        d = decompose(G)
+        if d.cut_vertices and is_r2_digraph(G, d):
+            yield G, sorted(d.cut_vertices), random.Random(seed), n <= 40
+
+
+def assert_gain(G, H, gain, dense):
+    """H ranks to G's rank plus gain, by the engine and, when dense, by
+    the oracle too."""
+    assert rank_recursive(H).rank == rank_recursive(G).rank + gain
+    if dense:
+        assert oracle_rank(H) == oracle_rank(G) + gain
+
+
+@pytest.mark.parametrize("family", R2_FAMILIES)
+def test_r2_cut_vertex_loops_do_not_move_the_rank(family):
+    ran = 0
+    for G, cuts, rng, dense in r2_cases(family):
+        for _ in range(2):
+            loops = {v: rng.choice(_LOOP_WEIGHTS) for v in cuts}
+            arcs = [(u, v, w) for u, v, w in G.arcs() if u != v or u not in loops]
+            H = build(G.n, arcs + [(v, v, w) for v, w in loops.items() if w])
+            assert_gain(G, H, 0, dense)
+            ran += 1
+    assert ran
+
+
+@pytest.mark.parametrize("family", R2_FAMILIES)
+def test_r2_attachments_add_the_cr2_delta(family):
+    ran = 0
+    for G, cuts, rng, dense in r2_cases(family):
+        for _ in range(3):
+            kinds = [rng.choice(tuple(EdgeKind)) for _ in range(rng.randint(1, 4))]
+            adds = [
+                EdgeAddition(
+                    rng.choice(cuts),
+                    k,
+                    tuple(rng.choice(DEFAULT_POOL) for _ in range(_weight_count(k))),
+                    rng.random() < 0.5,
+                )
+                for k in kinds
+            ]
+            try:
+                delta = rank_delta_cr2(G, adds)
+            except PreconditionViolated:
+                continue
+            assert_gain(G, apply_additions(G, adds), delta, dense)
+            ran += 1
+    assert ran
