@@ -10,7 +10,9 @@ The generators do not go through `build`; they check what they make in
 three places instead.  Each entry point (`gen`, `random_digraph`,
 `extend_to_r2`) reads its weight pool once, where it enters: Fractions are
 kept, other entries converted once, and an empty pool, a zero entry or an
-unreadable one is rejected before anything is drawn.  Each generator then
+unreadable one is rejected before anything is drawn, as are a requested
+block size that `operator.index` does not read and a `random_digraph`
+arc probability outside [0, 1].  Each generator then
 writes its own `{(u, v): weight}` store, whose endpoints are vertices it
 made; where an edge list or the block growth could write an arc twice, it
 compares the store's size with the writes it counted, so a rewrite raises
@@ -25,11 +27,20 @@ block is added, so a draw reads them without a scan.  Leaves hung on an
 existing graph (the r2-tree's plain leaves and extras, `extend_to_r2`) are
 collected first and attached with one copy of the arcs (`_attach`), in the
 order and with the arc order that attaching them one at a time gives.
+
+Every per-arc and per-vertex draw (the Pruefer sequence, the arc and loop
+weights, the hung leaves' weights) goes through `_picks`, which draws an
+entry of a sequence as CPython 3.11's `Random.choice` does: the first
+`rng.getrandbits(k)` below its length, k the length's bit length.  It runs
+one Python frame per draw instead of two and consumes the same stream, so
+every graph and arc order is the one `rng.choice` gives.  One-off draws,
+per graph or per block, call `rng.choice`, `randrange` or `randint`.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -135,6 +146,21 @@ def _read_pool(weights: Sequence, zero: type[Exception] = InvalidSpec) -> tuple[
     return pool
 
 
+def _picks(rng: random.Random, seq: Sequence):
+    """A function that draws `seq[r]`, r the first `rng.getrandbits(k)` below n = len(seq) > 0,
+    k = n.bit_length(): `rng.choice(seq)`'s and `randrange(n)`'s draw, in one frame."""
+    n = len(seq)
+    k, bits = n.bit_length(), rng.getrandbits
+
+    def pick():
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return seq[r]
+
+    return pick
+
+
 def _require(ok: bool, spec: GenSpec) -> None:
     if not ok:
         raise InternalMismatch(
@@ -151,7 +177,8 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    pick = _picks(rng, range(n))
+    seq = [pick() for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:
         deg[x] += 1
@@ -174,11 +201,11 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
 def _biarc_arcs(edges, rng, pool) -> dict[tuple[int, int], Fraction]:
     """The arc store of both arcs of every edge, in edge order, with the
     weights drawn from pool; InternalMismatch if an arc is written twice."""
-    choice = rng.choice
+    pick = _picks(rng, pool)
     store = {}
     for (u, v) in edges:
-        store[u, v] = choice(pool)
-        store[v, u] = choice(pool)
+        store[u, v] = pick()
+        store[v, u] = pick()
     if len(store) != 2 * len(edges):
         raise InternalMismatch("the tree's edges write an arc twice")
     return store
@@ -203,8 +230,9 @@ def _cutloop_tree(n: int, rng: random.Random, pool) -> WeightedDigraph:
     looped = [v for v in internal if rng.random() < 0.6]
     if internal and not looped:
         looped = [rng.choice(internal)]
+    pick = _picks(rng, pool)
     for v in looped:  # distinct vertices, and no edge is a loop
-        store[v, v] = rng.choice(pool)
+        store[v, v] = pick()
     return WeightedDigraph(n, store)
 
 
@@ -215,16 +243,14 @@ def _r2_tree(n, rng, pool) -> WeightedDigraph:
     # Every cut-vertex needs a plain leaf: loop-free, joined both ways.
     # The leaves attached here touch no arc among G's vertices, so every
     # test reads G itself, and all attachments go on in one copy.
-    leaves = []
+    leaves, pick = [], _picks(rng, pool)
     for c in internal:
         plain = any(
             len(adj[u]) == 1 and not G.has_loop(u) and G.has_arc(c, u) and G.has_arc(u, c)
             for u in adj[c]
         )
         if not plain:
-            leaves.append(
-                (c, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool)), True)
-            )
+            leaves.append((c, EdgeKind.NC_TILDE_EDGE, (pick(), pick()), True))
     kinds = (EdgeKind.NC_TILDE_ARC, EdgeKind.NC_ARC, EdgeKind.NC_EDGE)
     for _ in range(rng.randint(1, 3) if internal else 0):
         at = rng.choice(internal)
@@ -248,24 +274,29 @@ def random_digraph(
 
     Each arc u -> v (u != v) is present with probability p (when p is None,
     p is drawn first from 0.15, 0.25 and 0.4) and each loop with
-    probability 0.15, with its weight drawn from pool; the pairs are drawn
-    in row-major order.  A negative n raises VertexOutOfRange, and the
-    pool is checked as `gen` checks it, except that a zero entry raises
-    ZeroWeight; both before any draw."""
+    probability 0.15.  The pairs are drawn in row-major order, one
+    `rng.random()` each, and a present arc's weight right after it, as
+    `rng.choice(pool)` draws it: the first `rng.getrandbits(k)` below
+    len(pool), k = len(pool).bit_length() (`_picks`).  A negative n raises
+    VertexOutOfRange, a p outside [0, 1] (NaN included) InvalidSpec, and
+    the pool is checked as `gen` checks it, except that a zero entry raises
+    ZeroWeight; all before any draw."""
     if n < 0:
         raise VertexOutOfRange(f"vertex count {n} is negative")
     pool = _read_pool(pool, ZeroWeight)
+    if p is not None and not 0 <= p <= 1:
+        raise InvalidSpec(f"arc probability must lie in [0, 1], got {p}")
     if p is None:
         p = rng.choice((0.15, 0.25, 0.4))
-    draw, choice = rng.random, rng.choice
+    draw, pick = rng.random, _picks(rng, pool)
     store = {}
     for u in range(n):
         for v in range(n):
             if u == v:
                 if draw() < 0.15:
-                    store[u, u] = choice(pool)
+                    store[u, u] = pick()
             elif draw() < p:
-                store[u, v] = choice(pool)
+                store[u, v] = pick()
     return WeightedDigraph(n, store)
 
 
@@ -328,8 +359,8 @@ class _Growth:
         """A vertex a new block may be glued to: a cut-vertex, or a non-cut
         vertex whose group keeps at least min_noncut - 1 non-cut vertices
         after losing it.  `rng.randrange(k)` is the draw `rng.choice` makes
-        from a k-long list, so this returns `rng.choice(self.cuts +
-        self.open)` without building that list."""
+        from a k-long list (the rule `_picks` states), so this returns
+        `rng.choice(self.cuts + self.open)` without building that list."""
         k = len(self.cuts) + len(self.open)
         if not k:
             raise InvalidSpec("no eligible attachment vertex; sizes too small")
@@ -348,9 +379,18 @@ class _Growth:
         return WeightedDigraph(self.n, self.arcs)
 
 
+def _size(s) -> int:
+    """A requested block size as `operator.index` reads it; InvalidSpec
+    for anything else, which `int()` would round down (2.9 -> 2)."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise InvalidSpec(f"block size {s!r} is not an integer") from None
+
+
 def _block_sizes(n: int, rng, sizes, min_size: int) -> list[int]:
     if sizes is not None:
-        out = [int(s) for s in sizes]
+        out = [_size(s) for s in sizes]
         if not out or any(s < min_size for s in out):
             raise InvalidSpec(f"block sizes must all be >= {min_size}")
         return out
@@ -395,7 +435,7 @@ def _biblock_graph(n, rng, sizes, pendants) -> WeightedDigraph:
     keeps a non-cut vertex on each side; optionally one pendant edge per
     cut-vertex afterwards."""
     if sizes is not None:
-        plan = [(int(a), int(b)) for (a, b) in sizes]
+        plan = [(_size(a), _size(b)) for (a, b) in sizes]
         if not plan or any(a < 2 or b < 2 for (a, b) in plan):
             raise InvalidSpec("biblock sizes must be pairs with both sides >= 2")
     else:
@@ -448,9 +488,9 @@ def _extend_to_r2(G: WeightedDigraph, seed: int, pool: tuple[Fraction, ...]) -> 
     """`extend_to_r2` on a pool already read, without its recogniser check."""
     d = decompose(G)
     rng = random.Random(f"extend:{seed}")
-    W, peels = G.out_rows(), {}
+    W, peels, pick = G.out_rows(), {}, _picks(rng, pool)
     leaves = [
-        (v, EdgeKind.NC_TILDE_EDGE, (rng.choice(pool), rng.choice(pool)), True)
+        (v, EdgeKind.NC_TILDE_EDGE, (pick(), pick()), True)
         for v in sorted(d.cut_vertices)
         if not any(_r2_block(W, d, peels, i) for i in d.membership[v])
     ]

@@ -321,3 +321,93 @@ def test_a_repeated_growth_edge_is_caught(pair):
     g.add_edge(*pair)
     with pytest.raises(InternalMismatch, match="twice"):
         g.graph()
+
+
+# -- the draw rule of the per-arc loops ----------------------------------------
+
+
+@pytest.mark.parametrize("length", [*range(1, 10), 16, 17, 1000])
+def test_picks_draw_what_choice_draws(length):
+    """`_picks(rng, seq)` draws what `rng.choice(seq)` (and, over a range,
+    `rng.randrange(length)`) draws from an identically seeded stream, and
+    leaves the stream in the same state."""
+    seq = tuple(Fraction(i, 3) for i in range(length))
+    for seed in (0, 1, 7, "x"):
+        rng, ref = random.Random(seed), random.Random(seed)
+        pick = generate._picks(rng, seq)
+        assert [pick() for _ in range(500)] == [ref.choice(seq) for _ in range(500)]
+        assert rng.getstate() == ref.getstate()
+        pick = generate._picks(rng, range(length))
+        assert [pick() for _ in range(500)] == [ref.randrange(length) for _ in range(500)]
+        assert rng.getstate() == ref.getstate()
+
+
+def _choice_loop_digraph(n, rng, pool, p):
+    """random_digraph's documented draws, written with `rng.choice`."""
+    store = {}
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                if rng.random() < 0.15:
+                    store[u, u] = rng.choice(pool)
+            elif rng.random() < p:
+                store[u, v] = rng.choice(pool)
+    return store
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_digraph_draws_as_a_choice_loop(seed):
+    """A 4-entry pool at p = 0.3, the dense random benchmark's call, for
+    every n up to 70 from one stream: the same arcs in the same order, and
+    the stream left where the reference loop leaves it."""
+    pool = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in range(71):
+        G = random_digraph(n, rng, pool, p=0.3)
+        assert list(G._arcs.items()) == list(_choice_loop_digraph(n, ref, pool, 0.3).items())
+        assert rng.getstate() == ref.getstate(), n
+
+
+# -- malformed generator input -----------------------------------------------
+
+
+class _NoDraws(random.Random):
+    """A stream that fails the test on any draw."""
+
+    def random(self):
+        pytest.fail("drew from the stream before rejecting the input")
+
+    def getrandbits(self, k):
+        pytest.fail("drew from the stream before rejecting the input")
+
+
+@pytest.mark.parametrize(
+    "family,sizes",
+    [
+        ("block-graph", (2.9, 3.7)),
+        ("block-graph", (3, 4.0)),
+        ("r2-block-graph", (Fraction(3), 4)),
+        ("biblock-graph", ((2.5, 3.2),)),
+        ("r2-biblock-graph", ((2, 3), (2, "3"))),
+    ],
+)
+def test_non_integer_block_sizes_are_rejected_before_any_draw(monkeypatch, family, sizes):
+    """`int()` used to round a size down (2.9 built a block of 2);
+    `operator.index` reads a size now, and anything it refuses is an
+    InvalidSpec raised before the first draw."""
+    monkeypatch.setattr(generate, "random", SimpleNamespace(Random=_NoDraws))
+    with pytest.raises(InvalidSpec, match="not an integer"):
+        gen(GenSpec(family, n=8, sizes=sizes))
+
+
+@pytest.mark.parametrize("p", [float("nan"), -3, -0.01, 1.5, float("inf")])
+def test_arc_probability_outside_0_1_is_rejected_before_any_draw(p):
+    """A NaN or negative p used to give no arcs at all."""
+    with pytest.raises(InvalidSpec, match="probability"):
+        random_digraph(5, _NoDraws(0), p=p)
+
+
+@pytest.mark.parametrize("p", [0, 0.0, 1, 1.0])
+def test_arc_probability_at_its_ends_is_accepted(p):
+    G = random_digraph(6, random.Random(0), p=p)
+    assert sum(1 for u, v, _ in G.arcs() if u != v) == (30 if p else 0)

@@ -41,8 +41,15 @@ from digrank.theorems import _LOOP_WEIGHTS
 
 def family_graph(family, n, seed):
     if family == "r2-extension":
-        base = random_digraph(n, random.Random(seed))
-        return gen(GenSpec(family, seed=seed, base=base))
+        # A sparse random digraph on n - 2 vertices with the one-way path
+        # 0 -> n-2 -> n-1 hung on it: n-2 is a cut-vertex whose two blocks
+        # are single arcs, not r2-blocks, so the extension always grows.
+        part = random_digraph(n - 2, random.Random(seed), p=min(1.0, 2 / n))
+        path = [(0, n - 2, Fraction(3)), (n - 2, n - 1, Fraction(-1, 2))]
+        base = build(n, list(part.arcs()) + path)
+        G = gen(GenSpec(family, seed=seed, base=base))
+        assert decompose(G).cut_vertices and G.n > base.n, (n, seed)
+        return G
     return gen(GenSpec(family, n=n, seed=seed))
 
 
