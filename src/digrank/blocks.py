@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import WeightedDigraph
+from .digraph import WeightedDigraph, _id
 from .errors import IndexOutOfRange, InternalMismatch
 
 
@@ -125,9 +125,7 @@ def _components(d: BlockDecomposition) -> int:
 def _checked_block(d: BlockDecomposition, i: int) -> tuple[int, ...]:
     """Block i of d; IndexOutOfRange unless 0 <= i < d.block_count, so a
     negative i does not silently name a block from the end."""
-    if not (0 <= i < len(d.blocks)):
-        raise IndexOutOfRange(f"block index {i} not in 0..{len(d.blocks) - 1}")
-    return d.blocks[i]
+    return d.blocks[_id(i, len(d.blocks), IndexOutOfRange)]
 
 
 def block_subdigraph(

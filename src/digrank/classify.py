@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .digraph import WeightedDigraph
-from .errors import InconsistentClassification, InvalidSplit, VertexOutOfRange
+from .digraph import WeightedDigraph, _id
+from .errors import InconsistentClassification, InvalidSplit
 from .linalg import (
     RationalMatrix,
     _scaled_int_rows,
@@ -119,12 +119,10 @@ class CutSplit:
 
 def make_split(G: WeightedDigraph, v: int, side: Iterable[int]) -> CutSplit:
     """Validated CutSplit; raises InvalidSplit when H leaks around v."""
-    side_set = frozenset(side)
+    v = _id(v, G.n, InvalidSplit)
+    side_set = frozenset(_id(u, G.n, InvalidSplit) for u in side)
     if v not in side_set:
         raise InvalidSplit(f"vertex {v} not in its own side")
-    for u in side_set:
-        if not (0 <= u < G.n):
-            raise InvalidSplit(f"side vertex {u} not in 0..{G.n - 1}")
     inner = side_set - {v}
     for (a, b) in G.underlying_edges():
         if (a in inner) != (b in inner) and v not in (a, b):
@@ -137,8 +135,7 @@ def side_components(G: WeightedDigraph, v: int) -> list[frozenset[int]]:
 
     For a cut-vertex these are the minimal valid splits at v.
     """
-    if not (0 <= v < G.n):
-        raise VertexOutOfRange(f"vertex {v} not in 0..{G.n - 1}")
+    v = _id(v, G.n)
     rest = [u for u in range(G.n) if u != v]
     H, labels = G.induced_with_labels(rest)
     sides = []

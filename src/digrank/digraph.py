@@ -19,19 +19,23 @@ number); `format_digraph` emits a canonical, byte-deterministic form
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    DigraphError,
     DimensionMismatch,
     DuplicateArc,
+    InvalidSpec,
     ParseError,
     VertexOutOfRange,
     ZeroWeight,
 )
-from .linalg import RationalMatrix, Vector, rank, vector
+from .linalg import RationalMatrix, Vector, rank
 
 
 class EdgeKind(Enum):
@@ -80,7 +84,7 @@ class WeightedDigraph:
 
     def __init__(self, n: int, arcs: dict[tuple[int, int], Fraction]):
         # Unchecked: outside input goes through build(), which validates;
-        # the generators write a store they have checked themselves.
+        # the parser and the generators write a store they have checked.
         self.n = n
         self._arcs = arcs
 
@@ -142,10 +146,7 @@ class WeightedDigraph:
 
         Vertices of the result are 0..|S|-1 in increasing order of original id.
         """
-        keep = sorted(set(S))
-        for v in keep:
-            if not (0 <= v < self.n):
-                raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+        keep = sorted({_id(v, self.n) for v in S})
         pos = {v: i for i, v in enumerate(keep)}
         arcs = {
             (pos[u], pos[v]): w
@@ -158,22 +159,17 @@ class WeightedDigraph:
         return self.induced_with_labels(S)[0]
 
     def delete_vertices(self, S: Iterable[int]) -> "WeightedDigraph":
-        drop = set(S)
-        for v in drop:
-            if not (0 <= v < self.n):
-                raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+        drop = {_id(v, self.n) for v in S}
         return self.induced_subdigraph(v for v in range(self.n) if v not in drop)
 
     def with_loop(self, v: int, weight) -> "WeightedDigraph":
         """Copy with the loop at v set to `weight` (removed when weight == 0)."""
-        if not (0 <= v < self.n):
-            raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
-        w = weight if type(weight) is Fraction else Fraction(weight)
+        v, w = _id(v, self.n), _weight(weight, None)  # a zero weight removes the loop
         arcs = dict(self._arcs)
-        if w == 0:
-            arcs.pop((v, v), None)
+        if w:
+            arcs[v, v] = w
         else:
-            arcs[(v, v)] = w
+            arcs.pop((v, v), None)
         return WeightedDigraph(self.n, arcs)
 
     def attach_edge(
@@ -265,14 +261,9 @@ def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph
     arcs = dict(G._arcs)
     n = G.n
     for at, kind, weights, toward_new in attachments:
-        if not (0 <= at < n):
-            raise VertexOutOfRange(f"vertex {at} not in 0..{n - 1}")
-        ws = vector(weights)
-        need = _weight_count(kind)
+        at, ws, need = _id(at, n), tuple(map(_weight, weights)), _weight_count(kind)
         if len(ws) != need:
             raise DimensionMismatch(f"{kind.value} takes {need} weights, got {len(ws)}")
-        if any(w == 0 for w in ws):
-            raise ZeroWeight(f"{kind.value} weights must be nonzero")
         ends = {"out": (n, at), "in": (at, n), "loop": (n, n)}
         ends["arc"] = ends["in"] if toward_new else ends["out"]
         for end, i in _SHAPE_ARCS[kind]:
@@ -281,25 +272,49 @@ def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph
     return WeightedDigraph(n, arcs)
 
 
-def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
-    """The validating constructor, for every graph from outside the
-    package: the parser's, a caller's.
+def _id(i, n: float, error: type[DigraphError] = VertexOutOfRange, least: int = 0) -> int:
+    """A vertex id (or block index) as `operator.index` reads it, so True
+    is 1 and 2.0 or "3" is refused, and no store holds a float or a bool
+    key; `error` unless least <= i < n."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        raise error(f"{i!r} is not an integer") from None
+    if not least <= k < n:
+        raise error(f"{k} not in {least}..{n - 1}")
+    return k
 
-    `arcs` yields (u, v, weight) triples; weight is anything Fraction
-    accepts.  Rejects out-of-range endpoints, zero weights and duplicate
-    (u, v) pairs.  The generators in `generate` check their pools and
-    writes themselves and build the store directly.
+
+def _count(n, least: int = 0, error: type[DigraphError] = VertexOutOfRange) -> int:
+    """A count of vertices: `_id` with no upper end."""
+    return _id(n, math.inf, error, least)
+
+
+def _weight(w, zero: type[DigraphError] | None = ZeroWeight) -> Fraction:
+    """An arc weight as a Fraction: InvalidSpec when Fraction cannot read it
+    ("x", None, NaN, inf), and `zero` when it is 0 unless zero is None."""
+    if type(w) is not Fraction:
+        try:
+            w = Fraction(w)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+            raise InvalidSpec(f"weight {w!r} is not a rational number: {e}") from None
+    if zero is not None and not w:
+        raise zero("weights must be nonzero")
+    return w
+
+
+def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
+    """The validating constructor for a caller's graph, whose `arcs`
+    yields (u, v, weight) triples, read by `_count`, `_id` and `_weight`:
+    a non-integer or negative n and an endpoint outside 0..n-1 raise
+    VertexOutOfRange, a weight Fraction cannot read InvalidSpec, a zero
+    weight ZeroWeight, and a second arc (u, v) DuplicateArc.  The parser
+    and the generators check what they read and write the store directly.
     """
-    if n < 0:
-        raise VertexOutOfRange(f"vertex count {n} is negative")
+    n = _count(n)
     store: dict[tuple[int, int], Fraction] = {}
     for (u, v, w) in arcs:
-        if not 0 <= u < n > v >= 0:
-            raise VertexOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-        if type(w) is not Fraction:
-            w = Fraction(w)
-        if not w:
-            raise ZeroWeight(f"arc ({u}, {v}) has zero weight")
+        u, v, w = _id(u, n), _id(v, n), _weight(w)
         if (u, v) in store:
             raise DuplicateArc(f"arc ({u}, {v}) given twice")
         store[u, v] = w
@@ -321,8 +336,7 @@ def _parse_int(tok: str) -> int:
 def parse_digraph(text: str) -> WeightedDigraph:
     """Parse the plain-text digraph format; ParseError carries a line number."""
     n: int | None = None
-    arcs: list[tuple[int, int, Fraction]] = []
-    seen: set[tuple[int, int]] = set()
+    store: dict[tuple[int, int], Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,13 +370,12 @@ def parse_digraph(text: str) -> WeightedDigraph:
             raise ParseError(f"weight {tok!r} has zero denominator", lineno)
         if w == 0:
             raise ParseError(f"arc ({u}, {v}) has zero weight", lineno)
-        if (u, v) in seen:
+        if (u, v) in store:
             raise ParseError(f"duplicate arc ({u}, {v})", lineno)
-        seen.add((u, v))
-        arcs.append((u, v, w))
+        store[u, v] = w
     if n is None:
         raise ParseError("missing header 'digraph <n>'")
-    return build(n, arcs)
+    return WeightedDigraph(n, store)
 
 
 def format_digraph(G: WeightedDigraph) -> str:

@@ -19,7 +19,7 @@ class DuplicateArc(DigraphError):
 
 
 class VertexOutOfRange(DigraphError):
-    """An arc endpoint is not in [0, n)."""
+    """A vertex id is not an integer in [0, n), or a vertex count not one >= 0."""
 
 
 class DimensionMismatch(DigraphError):
@@ -47,7 +47,7 @@ class NotAForest(DigraphError):
 
 
 class InvalidSpec(DigraphError):
-    """A generator spec is malformed (unknown family, bad sizes, ...)."""
+    """A malformed generator spec (unknown family, bad n or sizes, ...) or unreadable weight."""
 
 
 class ParseError(DigraphError):

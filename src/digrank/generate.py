@@ -8,16 +8,15 @@ its own promise - that is a bug canary, not an expected failure.
 
 The generators do not go through `build`; they check what they make in
 three places instead.  Each entry point (`gen`, `random_digraph`,
-`extend_to_r2`) reads its weight pool once, where it enters: Fractions are
-kept, other entries converted once, and an empty pool, a zero entry or an
-unreadable one is rejected before anything is drawn, as are a requested
-block size that `operator.index` does not read and a `random_digraph`
-arc probability outside [0, 1].  Each generator then
-writes its own `{(u, v): weight}` store, whose endpoints are vertices it
-made; where an edge list or the block growth could write an arc twice, it
-compares the store's size with the writes it counted, so a rewrite raises
-InternalMismatch instead of overwriting the arc.  Last, `_require` runs the
-family's recogniser on the finished graph.
+`extend_to_r2`) reads its order, block sizes and weight pool once, where
+they enter, with `build`'s readers (`digraph._count`, `_weight`), and
+rejects a bad one, sizes of the wrong shape, an empty pool and a
+`random_digraph` arc probability outside [0, 1] before anything is drawn.
+Each generator then writes its own `{(u, v): weight}` store, whose
+endpoints are vertices it made; where an edge list or the block growth
+could write an arc twice, it compares the store's size with the writes it
+counted, so a rewrite raises InternalMismatch instead of overwriting the
+arc.  Last, `_require` runs the family's recogniser on the finished graph.
 
 Every generator runs in time linear in its output, give or take a sorted
 insertion.  The block-graph families grow one block at a time in `_Growth`,
@@ -40,18 +39,16 @@ per graph or per block, call `rng.choice`, `randrange` or `randint`.
 from __future__ import annotations
 
 import heapq
-import operator
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .blocks import decompose
-from .digraph import EdgeKind, WeightedDigraph, _attach, _weight_count
+from .digraph import EdgeKind, WeightedDigraph, _attach, _count, _weight, _weight_count
 from .engine import _r2_block, is_r2_digraph
-from .errors import InternalMismatch, InvalidSpec, VertexOutOfRange, ZeroWeight
-from .linalg import vector
+from .errors import InternalMismatch, InvalidSpec, ZeroWeight
 from .theorems import _complete_blocks, is_r0_biblock_graph, is_r2_biblock_graph, is_r2_block_graph
 from .trees import TreeKind, classify_tree, is_r2_tree_digraph
 
@@ -91,36 +88,35 @@ class GenSpec:
 def gen(spec: GenSpec) -> WeightedDigraph:
     if spec.family not in FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
-    if spec.family != "r2-extension" and spec.n < 1:
-        raise InvalidSpec(f"family {spec.family!r} needs n >= 1, got {spec.n}")
+    n = spec.n if spec.family == "r2-extension" else _count(spec.n, 1, InvalidSpec)
     pool = _read_pool(spec.weight_pool)
-    rng = random.Random(f"{spec.family}:{spec.n}:{spec.seed}")
+    rng = random.Random(f"{spec.family}:{n}:{spec.seed}")
     if spec.family == "loopless-biarc-tree":
-        G = _biarc_tree(spec.n, rng, pool)
+        G = _biarc_tree(n, rng, pool)
         _require(classify_tree(G) is TreeKind.LOOPLESS_BI_ARC, spec)
     elif spec.family == "cutloop-biarc-tree":
-        G = _cutloop_tree(spec.n, rng, pool)
+        G = _cutloop_tree(n, rng, pool)
         kind = classify_tree(G)
         _require(
             kind in (TreeKind.CUT_LOOP_BI_ARC, TreeKind.LOOPLESS_BI_ARC), spec
         )
     elif spec.family == "r2-tree":
-        G = _r2_tree(spec.n, rng, pool)
+        G = _r2_tree(n, rng, pool)
         _require(is_r2_tree_digraph(G), spec)
     elif spec.family == "block-graph":
-        G = _block_graph(spec.n, rng, spec.sizes, min_size=2, managed=False)
+        G = _block_graph(n, rng, spec.sizes, min_size=2, managed=False)
         _require(_complete_blocks(G) is not None, spec)
     elif spec.family == "r2-block-graph":
-        G = _block_graph(spec.n, rng, spec.sizes, min_size=3, managed=True)
+        G = _block_graph(n, rng, spec.sizes, min_size=3, managed=True)
         _require(is_r2_block_graph(G), spec)
     elif spec.family == "biblock-graph":
-        G = _biblock_graph(spec.n, rng, spec.sizes, pendants=False)
+        G = _biblock_graph(n, rng, spec.sizes, pendants=False)
         _require(is_r0_biblock_graph(G), spec)
     elif spec.family == "r2-biblock-graph":
-        G = _biblock_graph(spec.n, rng, spec.sizes, pendants=True)
+        G = _biblock_graph(n, rng, spec.sizes, pendants=True)
         _require(is_r2_biblock_graph(G), spec)
     elif spec.family == "random-digraph":
-        G = random_digraph(spec.n, rng, pool)
+        G = random_digraph(n, rng, pool)
     else:  # r2-extension
         if spec.base is None:
             raise InvalidSpec("r2-extension needs a base digraph")
@@ -130,19 +126,14 @@ def gen(spec: GenSpec) -> WeightedDigraph:
 
 
 def _read_pool(weights: Sequence, zero: type[Exception] = InvalidSpec) -> tuple[Fraction, ...]:
-    """The weight pool as a tuple of Fractions, read once where it enters.
-
-    Fractions are kept as they are and any other entry is converted once.
-    An unreadable entry or an empty pool raises InvalidSpec and a zero entry
-    raises `zero`, before anything is drawn from the pool."""
-    try:
-        pool = vector(weights)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-        raise InvalidSpec(f"weight pool entry is not a rational number: {e}") from None
+    """The weight pool as a tuple of Fractions, each entry read once where
+    it enters by `_weight`: an unreadable entry raises InvalidSpec and a
+    zero entry `zero`, and an empty pool InvalidSpec, before any draw."""
+    if not isinstance(weights, Iterable):
+        raise InvalidSpec(f"weight pool {weights!r} is not a sequence")
+    pool = tuple(_weight(w, zero) for w in weights)
     if not pool:
-        raise InvalidSpec("weight pool must be nonempty and zero-free")
-    if not all(pool):
-        raise zero("weight pool must be nonempty and zero-free")
+        raise InvalidSpec("weight pool must be nonempty")
     return pool
 
 
@@ -277,12 +268,11 @@ def random_digraph(
     probability 0.15.  The pairs are drawn in row-major order, one
     `rng.random()` each, and a present arc's weight right after it, as
     `rng.choice(pool)` draws it: the first `rng.getrandbits(k)` below
-    len(pool), k = len(pool).bit_length() (`_picks`).  A negative n raises
-    VertexOutOfRange, a p outside [0, 1] (NaN included) InvalidSpec, and
-    the pool is checked as `gen` checks it, except that a zero entry raises
-    ZeroWeight; all before any draw."""
-    if n < 0:
-        raise VertexOutOfRange(f"vertex count {n} is negative")
+    len(pool), k = len(pool).bit_length() (`_picks`).  An n that is not a
+    nonnegative integer raises VertexOutOfRange, a p outside [0, 1] (NaN
+    included) InvalidSpec, and the pool is checked as `gen` checks it,
+    except that a zero entry raises ZeroWeight; all before any draw."""
+    n = _count(n)
     pool = _read_pool(pool, ZeroWeight)
     if p is not None and not 0 <= p <= 1:
         raise InvalidSpec(f"arc probability must lie in [0, 1], got {p}")
@@ -379,21 +369,21 @@ class _Growth:
         return WeightedDigraph(self.n, self.arcs)
 
 
-def _size(s) -> int:
-    """A requested block size as `operator.index` reads it; InvalidSpec
-    for anything else, which `int()` would round down (2.9 -> 2)."""
+def _requested(sizes, width: int, least: int) -> list[tuple[int, ...]]:
+    """One `width`-tuple of sizes per block (a biblock's pair of sides), each read by `_count`
+    (2.9 is refused, not rounded down); InvalidSpec unless every size >= least."""
     try:
-        return operator.index(s)
+        blocks = [tuple(s) if width > 1 else (s,) for s in sizes]
     except TypeError:
-        raise InvalidSpec(f"block size {s!r} is not an integer") from None
+        blocks = []
+    if not blocks or any(len(b) != width for b in blocks):
+        raise InvalidSpec(f"sizes {sizes!r}: want a nonempty sequence of sizes (biblocks: pairs)")
+    return [tuple(_count(s, least, InvalidSpec) for s in b) for b in blocks]
 
 
 def _block_sizes(n: int, rng, sizes, min_size: int) -> list[int]:
     if sizes is not None:
-        out = [_size(s) for s in sizes]
-        if not out or any(s < min_size for s in out):
-            raise InvalidSpec(f"block sizes must all be >= {min_size}")
-        return out
+        return [s for (s,) in _requested(sizes, 1, min_size)]
     out = [rng.randint(min_size, max(min_size, 4))]
     total = out[0]
     while total < n:
@@ -435,9 +425,7 @@ def _biblock_graph(n, rng, sizes, pendants) -> WeightedDigraph:
     keeps a non-cut vertex on each side; optionally one pendant edge per
     cut-vertex afterwards."""
     if sizes is not None:
-        plan = [(_size(a), _size(b)) for (a, b) in sizes]
-        if not plan or any(a < 2 or b < 2 for (a, b) in plan):
-            raise InvalidSpec("biblock sizes must be pairs with both sides >= 2")
+        plan = _requested(sizes, 2, 2)
     else:
         plan = [(rng.randint(2, 3), rng.randint(2, 3))]
         total = sum(plan[0])

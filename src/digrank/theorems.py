@@ -18,13 +18,12 @@ from typing import Iterable, Sequence
 from .blocks import BlockDecomposition, _block_pieces, _components, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
 from .classify import Classification, CutSplit, CutVertexCase, _classify_cut
-from .digraph import EdgeKind, WeightedDigraph, _attach, build, oracle_rank
+from .digraph import EdgeKind, WeightedDigraph, _attach, _id, build, oracle_rank
 from .engine import _block_rows, _cut_peel, is_r0_digraph, is_r2_digraph
 from .errors import (
     InconsistentClassification,
     InternalMismatch,
     PreconditionViolated,
-    VertexOutOfRange,
 )
 from .linalg import SchurPeel
 
@@ -107,15 +106,11 @@ def build_genr2(
     arcs = [(u, v, w) for (u, v, w) in G.arcs()]
     n = G.n
     for att in attachments:
-        if not (0 <= att.at < G.n):
-            raise VertexOutOfRange(f"attachment point {att.at} outside base digraph")
-        if not (0 <= att.w_vertex < att.W.n):
-            raise VertexOutOfRange(f"w_vertex {att.w_vertex} outside its digraph")
-        off = n
+        at, w_vertex = _id(att.at, G.n), _id(att.w_vertex, att.W.n) + n
         for (u, v, w) in att.W.arcs():
-            arcs.append((u + off, v + off, w))
-        arcs.append((att.at, att.w_vertex + off, Fraction(att.into_w)))
-        arcs.append((att.w_vertex + off, att.at, Fraction(att.out_of_w)))
+            arcs.append((u + n, v + n, w))
+        arcs.append((at, w_vertex, att.into_w))
+        arcs.append((w_vertex, at, att.out_of_w))
         n += att.W.n
     return build(n, arcs)
 

@@ -40,7 +40,15 @@ from .classify import (
     side_components,
 )
 from .certificate import RuleTag
-from .digraph import EdgeKind, WeightedDigraph, _weight_count, build, format_digraph, oracle_rank
+from .digraph import (
+    EdgeKind,
+    WeightedDigraph,
+    _count,
+    _weight_count,
+    build,
+    format_digraph,
+    oracle_rank,
+)
 from .engine import rank_recursive
 from .errors import (
     DigraphError,
@@ -584,10 +592,8 @@ def run_suite(
     if name not in SUITE_DEFAULTS:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_DEFAULTS)}")
     fn, default_count, default_max_n = SUITE_DEFAULTS[name]
-    count = default_count if count is None else count
-    max_n = default_max_n if max_n is None else max_n
-    if count < 1 or max_n < 4:
-        raise UnknownSuite("count must be >= 1 and max-n >= 4")
+    count = _count(default_count if count is None else count, 1, UnknownSuite)
+    max_n = _count(default_max_n if max_n is None else max_n, 4, UnknownSuite)
     rng = random.Random(f"{name}:{seed}")
     start = time.perf_counter()
     instances, failures, extra = fn(count, max_n, rng)
