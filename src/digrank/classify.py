@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .digraph import WeightedDigraph, _id
+from .digraph import WeightedDigraph, _id, _iter
 from .errors import InconsistentClassification, InvalidSplit
 from .linalg import (
     RationalMatrix,
@@ -120,7 +120,7 @@ class CutSplit:
 def make_split(G: WeightedDigraph, v: int, side: Iterable[int]) -> CutSplit:
     """Validated CutSplit; raises InvalidSplit when H leaks around v."""
     v = _id(v, G.n, InvalidSplit)
-    side_set = frozenset(_id(u, G.n, InvalidSplit) for u in side)
+    side_set = frozenset(_id(u, G.n, InvalidSplit) for u in _iter(side, InvalidSplit))
     if v not in side_set:
         raise InvalidSplit(f"vertex {v} not in its own side")
     inner = side_set - {v}

@@ -83,8 +83,9 @@ class WeightedDigraph:
     __slots__ = ("n", "_arcs")
 
     def __init__(self, n: int, arcs: dict[tuple[int, int], Fraction]):
-        # Unchecked: outside input goes through build(), which validates;
-        # the parser and the generators write a store they have checked.
+        # Unchecked: outside input goes through build() or another caller
+        # of _grow, which validate; the parser and the generators write a
+        # store they have checked.
         self.n = n
         self._arcs = arcs
 
@@ -146,7 +147,7 @@ class WeightedDigraph:
 
         Vertices of the result are 0..|S|-1 in increasing order of original id.
         """
-        keep = sorted({_id(v, self.n) for v in S})
+        keep = sorted({_id(v, self.n) for v in _iter(S, VertexOutOfRange)})
         pos = {v: i for i, v in enumerate(keep)}
         arcs = {
             (pos[u], pos[v]): w
@@ -159,7 +160,7 @@ class WeightedDigraph:
         return self.induced_with_labels(S)[0]
 
     def delete_vertices(self, S: Iterable[int]) -> "WeightedDigraph":
-        drop = {_id(v, self.n) for v in S}
+        drop = {_id(v, self.n) for v in _iter(S, VertexOutOfRange)}
         return self.induced_subdigraph(v for v in range(self.n) if v not in drop)
 
     def with_loop(self, v: int, weight) -> "WeightedDigraph":
@@ -255,21 +256,20 @@ def oracle_rank(G: WeightedDigraph) -> int:
 def _attach(G: WeightedDigraph, attachments: Iterable[tuple]) -> WeightedDigraph:
     """G with one fresh vertex per (at, kind, weights, toward_new), in order,
     as `attach_edge` would attach them one at a time: the i-th gets id
-    G.n + i and may attach to any vertex before it.  G's arcs are copied
-    once, and each shape's arcs follow in `_SHAPE_ARCS` order, so the arc
-    order is that of the one-at-a-time chain too."""
-    arcs = dict(G._arcs)
-    n = G.n
+    G.n + i and may attach to any vertex before it.  Each shape's arcs go
+    to `_grow` in `_SHAPE_ARCS` order, which reads their weights, so the
+    arc order is that of the one-at-a-time chain too."""
+    arcs, n = [], G.n
     for at, kind, weights, toward_new in attachments:
-        at, ws, need = _id(at, n), tuple(map(_weight, weights)), _weight_count(kind)
+        at, kind, ws = _id(at, n), _kind(kind), tuple(_iter(weights))
+        need = _weight_count(kind)
         if len(ws) != need:
             raise DimensionMismatch(f"{kind.value} takes {need} weights, got {len(ws)}")
         ends = {"out": (n, at), "in": (at, n), "loop": (n, n)}
         ends["arc"] = ends["in"] if toward_new else ends["out"]
-        for end, i in _SHAPE_ARCS[kind]:
-            arcs[ends[end]] = ws[i]
+        arcs += [(*ends[end], ws[i]) for end, i in _SHAPE_ARCS[kind]]
         n += 1
-    return WeightedDigraph(n, arcs)
+    return _grow(G, n - G.n, arcs)
 
 
 def _id(i, n: float, error: type[DigraphError] = VertexOutOfRange, least: int = 0) -> int:
@@ -290,6 +290,23 @@ def _count(n, least: int = 0, error: type[DigraphError] = VertexOutOfRange) -> i
     return _id(n, math.inf, error, least)
 
 
+def _iter(xs, error: type[DigraphError] = InvalidSpec) -> Iterator:
+    """iter(xs) for a container a caller passed; `error` when xs is not
+    iterable."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise error(f"{xs!r} is not iterable") from None
+
+
+def _kind(kind) -> EdgeKind:
+    """An attachment shape: InvalidSpec for anything but an EdgeKind, its
+    value string included."""
+    if not isinstance(kind, EdgeKind):
+        raise InvalidSpec(f"{kind!r} is not an EdgeKind")
+    return kind
+
+
 def _weight(w, zero: type[DigraphError] | None = ZeroWeight) -> Fraction:
     """An arc weight as a Fraction: InvalidSpec when Fraction cannot read it
     ("x", None, NaN, inf), and `zero` when it is 0 unless zero is None."""
@@ -303,22 +320,35 @@ def _weight(w, zero: type[DigraphError] | None = ZeroWeight) -> Fraction:
     return w
 
 
-def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
-    """The validating constructor for a caller's graph, whose `arcs`
-    yields (u, v, weight) triples, read by `_count`, `_id` and `_weight`:
-    a non-integer or negative n and an endpoint outside 0..n-1 raise
-    VertexOutOfRange, a weight Fraction cannot read InvalidSpec, a zero
-    weight ZeroWeight, and a second arc (u, v) DuplicateArc.  The parser
-    and the generators check what they read and write the store directly.
-    """
-    n = _count(n)
-    store: dict[tuple[int, int], Fraction] = {}
-    for (u, v, w) in arcs:
+def _grow(G: WeightedDigraph, k: int, arcs: Iterable[tuple]) -> WeightedDigraph:
+    """G with k fresh vertices G.n..G.n+k-1 and the arcs of `arcs`, the one
+    writer of a digraph built from another.  G's store is copied once and
+    each (u, v, weight) triple is read once, by `_id` and `_weight` against
+    the new order: DuplicateArc for an arc G or an earlier triple has, and
+    InvalidSpec when arcs is not an iterable of triples."""
+    n, store = G.n + k, dict(G._arcs)
+    for t in _iter(arcs):
+        try:
+            u, v, w = t
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"arc {t!r} is not a (u, v, weight) triple") from None
         u, v, w = _id(u, n), _id(v, n), _weight(w)
         if (u, v) in store:
             raise DuplicateArc(f"arc ({u}, {v}) given twice")
         store[u, v] = w
     return WeightedDigraph(n, store)
+
+
+def build(n: int, arcs: Iterable[tuple]) -> WeightedDigraph:
+    """The validating constructor for a caller's graph: `_grow` of the empty
+    digraph by n vertices, n read by `_count`.  A non-integer or negative n
+    and an endpoint outside 0..n-1 raise VertexOutOfRange, a weight
+    Fraction cannot read InvalidSpec, a zero weight ZeroWeight, a second arc
+    (u, v) DuplicateArc, and arcs that are not an iterable of (u, v, weight)
+    triples InvalidSpec.  The parser and the generators check what they
+    read and write the store directly.
+    """
+    return _grow(WeightedDigraph(0, {}), _count(n), arcs)
 
 
 _INT_RE = re.compile(r"-?[0-9]+")

@@ -54,8 +54,7 @@ _ZERO = Fraction(0)
 # rank-deficient and pay for both: 1,769 of the 3,957 leaves (order 2-10)
 # of a seed-1 pass of small-mixed, 186 of the 1,369 (order 2-5) of
 # closed-forms.  Sent to leaf_rank, these workloads' small leaves took
-# 2.4-2.6x as long (measured while leaves of order <= 1 and R0 summands
-# still went to `rank` too).
+# 2.4-2.6x as long.
 _MOD_P_MIN_ORDER = 16
 
 

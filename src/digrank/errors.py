@@ -47,7 +47,11 @@ class NotAForest(DigraphError):
 
 
 class InvalidSpec(DigraphError):
-    """A malformed generator spec (unknown family, bad n or sizes, ...) or unreadable weight."""
+    """A malformed input that is not a vertex: a generator spec (unknown
+    family, bad n or sizes, ...), a weight Fraction cannot read, an arc that
+    is not a (u, v, weight) triple, an attachment kind that is not an
+    EdgeKind, or a container (arcs, weights, attachments) that is not
+    iterable."""
 
 
 class ParseError(DigraphError):

@@ -43,6 +43,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .blocks import decompose
@@ -269,13 +270,14 @@ def random_digraph(
     `rng.random()` each, and a present arc's weight right after it, as
     `rng.choice(pool)` draws it: the first `rng.getrandbits(k)` below
     len(pool), k = len(pool).bit_length() (`_picks`).  An n that is not a
-    nonnegative integer raises VertexOutOfRange, a p outside [0, 1] (NaN
-    included) InvalidSpec, and the pool is checked as `gen` checks it,
-    except that a zero entry raises ZeroWeight; all before any draw."""
+    nonnegative integer raises VertexOutOfRange, a p that is not a real
+    number in [0, 1] ("0.5" and NaN included) InvalidSpec, and the pool
+    is checked as `gen` checks it, except that a zero entry raises
+    ZeroWeight; all before any draw."""
     n = _count(n)
     pool = _read_pool(pool, ZeroWeight)
-    if p is not None and not 0 <= p <= 1:
-        raise InvalidSpec(f"arc probability must lie in [0, 1], got {p}")
+    if p is not None and not (isinstance(p, Real) and 0 <= p <= 1):
+        raise InvalidSpec(f"arc probability must be a number in [0, 1], got {p!r}")
     if p is None:
         p = rng.choice((0.15, 0.25, 0.4))
     draw, pick = rng.random, _picks(rng, pool)

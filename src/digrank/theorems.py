@@ -18,12 +18,24 @@ from typing import Iterable, Sequence
 from .blocks import BlockDecomposition, _block_pieces, _components, decompose
 from .certificate import CertNode, RankCertificate, RuleTag
 from .classify import Classification, CutSplit, CutVertexCase, _classify_cut
-from .digraph import EdgeKind, WeightedDigraph, _attach, _id, build, oracle_rank
+from .digraph import (
+    EdgeKind,
+    WeightedDigraph,
+    _attach,
+    _count,
+    _grow,
+    _id,
+    _iter,
+    _kind,
+    oracle_rank,
+)
 from .engine import _block_rows, _cut_peel, is_r0_digraph, is_r2_digraph
 from .errors import (
     InconsistentClassification,
     InternalMismatch,
+    InvalidSpec,
     PreconditionViolated,
+    VertexOutOfRange,
 )
 from .linalg import SchurPeel
 
@@ -102,17 +114,15 @@ class DigraphAttachment:
 def build_genr2(
     G: WeightedDigraph, attachments: Sequence[DigraphAttachment]
 ) -> WeightedDigraph:
-    """The glued digraph; W vertex ids are shifted past the previous total."""
-    arcs = [(u, v, w) for (u, v, w) in G.arcs()]
-    n = G.n
-    for att in attachments:
+    """The glued digraph: G grown (`_grow`) by each W, its vertex ids
+    shifted past the previous total, and the two arcs of its bridge."""
+    arcs, n = [], G.n
+    for att in _iter(attachments):
         at, w_vertex = _id(att.at, G.n), _id(att.w_vertex, att.W.n) + n
-        for (u, v, w) in att.W.arcs():
-            arcs.append((u + n, v + n, w))
-        arcs.append((at, w_vertex, att.into_w))
-        arcs.append((w_vertex, at, att.out_of_w))
+        arcs += [(u + n, v + n, w) for (u, v, w) in att.W.arcs()]
+        arcs += [(at, w_vertex, att.into_w), (w_vertex, at, att.out_of_w)]
         n += att.W.n
-    return build(n, arcs)
+    return _grow(G, n - G.n, arcs)
 
 
 def rank_genr2(
@@ -143,17 +153,20 @@ def apply_additions(
     G: WeightedDigraph, additions: Sequence[EdgeAddition]
 ) -> WeightedDigraph:
     """G with the additions attached in order, from one copy of its arcs."""
-    return _attach(G, ((a.at, a.kind, a.weights, a.toward_new) for a in additions))
+    return _attach(G, ((a.at, a.kind, a.weights, a.toward_new) for a in _iter(additions)))
 
 
 def rank_delta_cr2(G: WeightedDigraph, additions: Sequence[EdgeAddition]) -> int:
     """Rank gained by attaching new vertices at cut-vertices of an r2-digraph.
 
     Loop-carrying attachments (NC_EDGE, NC_ARC) contribute 1 apiece;
-    the loop-free shapes contribute 0.
+    the loop-free shapes contribute 0.  Additions that are not iterable,
+    or a kind that is not an EdgeKind, raise InvalidSpec.
     """
+    additions = list(_iter(additions))
+    loops = sum(_kind(a.kind) in (EdgeKind.NC_EDGE, EdgeKind.NC_ARC) for a in additions)
     _r2_decomposition(G, "rank_delta_cr2", [add.at for add in additions])
-    return sum(1 for a in additions if a.kind in (EdgeKind.NC_EDGE, EdgeKind.NC_ARC))
+    return loops
 
 
 _LOOP_WEIGHTS = tuple(map(Fraction, (0, 1, -1, 2, Fraction(1, 2), 3)))
@@ -161,8 +174,9 @@ _LOOP_WEIGHTS = tuple(map(Fraction, (0, 1, -1, 2, Fraction(1, 2), 3)))
 
 def loop_invariance_check(G: WeightedDigraph, trials: int = 10, seed: int = 0) -> bool:
     """Rewrite the loops at cut-vertices of an r2-digraph at random; the
-    rank must never move.  Returns False on the first counterexample."""
-    d = decompose(G)
+    rank must never move.  Returns False on the first counterexample.
+    trials must be a nonnegative integer (InvalidSpec)."""
+    trials, d = _count(trials, error=InvalidSpec), decompose(G)
     if not is_r2_digraph(G, d):
         raise PreconditionViolated("loop invariance only claimed for r2-digraphs")
     base = oracle_rank(G)
@@ -185,8 +199,9 @@ def check_lemma_2rin(
     subset S of `vertices` and raises InternalMismatch if the full-set
     answer and the all-subsets answer ever disagree (they are equivalent).
     """
-    vs = sorted(set(vertices))
-    if len(vs) != len(vertices):
+    given = [_id(v, G.n) for v in _iter(vertices, VertexOutOfRange)]
+    vs = sorted(set(given))
+    if len(vs) != len(given):
         raise PreconditionViolated("vertices must be distinct")
     rg = oracle_rank(G)
     main = rg == oracle_rank(G.delete_vertices(vs)) + 2 * len(vs)

@@ -44,6 +44,7 @@ from .digraph import (
     EdgeKind,
     WeightedDigraph,
     _count,
+    _grow,
     _weight_count,
     build,
     format_digraph,
@@ -361,12 +362,11 @@ def _plant_case2(rng, max_n):
     if rng.random() < 0.5:
         G0 = G0.with_loop(v, 0)
         a, b = G0.n, G0.n + 1
-        arcs = [(u, w, x) for (u, w, x) in G0.arcs()]
+        arcs = []
         for (s, t) in ((v, a), (a, b)):
             arcs.append((s, t, rng.choice(DEFAULT_POOL)))
             arcs.append((t, s, rng.choice(DEFAULT_POOL)))
-        G = build(G0.n + 2, arcs)
-        return G, v, frozenset({v, a, b})
+        return _grow(G0, 2, arcs), v, frozenset({v, a, b})
     alpha = G0.loop_weight(v)
     if alpha == 0:
         alpha = rng.choice(DEFAULT_POOL)
@@ -375,10 +375,7 @@ def _plant_case2(rng, max_n):
     y = rng.choice(DEFAULT_POOL)
     beta = x * y / alpha  # makes alpha - x*(y/beta) vanish
     a = G0.n
-    arcs = [(u, w, t) for (u, w, t) in G0.arcs()]
-    arcs += [(v, a, x), (a, v, y), (a, a, beta)]
-    G = build(G0.n + 1, arcs)
-    return G, v, frozenset({v, a})
+    return _grow(G0, 1, [(v, a, x), (a, v, y), (a, a, beta)]), v, frozenset({v, a})
 
 
 def _scaled_biblock(rng, max_n):
@@ -388,7 +385,7 @@ def _scaled_biblock(rng, max_n):
     d = decompose(G)
     scales = [rng.choice(DEFAULT_POOL) for _ in d.blocks]
     arcs = []
-    for (u, w, t) in G.arcs():
+    for (u, w), t in G._arcs.items():
         (i,) = set(d.membership[u]) & set(d.membership[w])  # the block of u -> w
         arcs.append((u, w, t * scales[i]))
     return build(G.n, arcs)
@@ -399,13 +396,11 @@ def _check_thm_r0f(rng, max_n):
     G = _scaled_biblock(rng, max_n)
     if rng.random() < 0.4:
         # one non-r0 block is allowed: hang a triangle somewhere
-        u = rng.randrange(G.n)
-        arcs = [(a, b, w) for (a, b, w) in G.arcs()]
-        p, q = G.n, G.n + 1
+        u, p, q = rng.randrange(G.n), G.n, G.n + 1
+        arcs = []
         for (s, t) in ((u, p), (p, q), (q, u)):
-            arcs.append((s, t, Fraction(1)))
-            arcs.append((t, s, Fraction(1)))
-        G = build(G.n + 2, arcs)
+            arcs += [(s, t, 1), (t, s, 1)]
+        G = _grow(G, 2, arcs)
     try:
         got = rank_r0_digraph(G)
     except PreconditionViolated as e:

@@ -244,3 +244,19 @@ def test_connectivity_helpers():
     assert not G.is_connected()
     assert G.connected_components() == [(0, 1), (2,), (3, 4)]
     assert sorted(G.underlying_edges()) == [(0, 1), (3, 4)]
+
+
+def test_equal_digraphs_compare_and_hash_equal():
+    """Equality reads n and the arc weights, not the order arcs were given in."""
+    G = build(3, [(0, 1, 1), (1, 0, Fraction(1, 2)), (2, 2, -3)])
+    same = build(3, [(2, 2, Fraction(-6, 2)), (1, 0, Fraction(1, 2)), (0, 1, Fraction(1))])
+    assert G == same and hash(G) == hash(same)
+    assert build(0, []) == build(0, []) and hash(build(0, [])) == hash(build(0, []))
+    for other in (
+        build(4, [(0, 1, 1), (1, 0, Fraction(1, 2)), (2, 2, -3)]),
+        build(3, [(0, 1, 1), (1, 0, Fraction(1, 2)), (2, 2, 3)]),
+        build(3, [(0, 1, 1), (1, 0, Fraction(1, 2))]),
+        build(3, [(0, 1, 1), (0, 2, Fraction(1, 2)), (2, 2, -3)]),
+        format_digraph(G),
+    ):
+        assert G != other

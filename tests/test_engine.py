@@ -1447,3 +1447,34 @@ def test_r2_test_settles_each_cut_with_its_pendant_edge(monkeypatch, seed):
     assert cert.root.rule is RuleTag.R2_DIGRAPH
     assert cert.rank == oracle_rank(G) == G.n
     assert len(d.cut_vertices) >= 3 and sizes == [1] * len(d.cut_vertices)
+
+
+def _two_triangles(loop):
+    """Two unit bi-arc triangles sharing cut-vertex 0, with loop `loop` at 0.
+    Each triangle's residue at 0 is 2, so with loop 2 both blocks are
+    r0-blocks, and with no loop neither is an r0- or an r2-block."""
+    arcs = []
+    for u, v in ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)):
+        arcs += [(u, v, 1), (v, u, 1)]
+    return build(5, arcs).with_loop(0, loop)
+
+
+def test_rank_r0_digraph_refuses_a_looped_cut_vertex_of_an_r0_digraph():
+    """The loop test fires only when the r0-block test passes."""
+    G = _two_triangles(2)
+    assert is_r0_digraph(G, decompose(G))
+    with pytest.raises(PreconditionViolated, match=r"cut-vertices \[0\] carry loops"):
+        rank_r0_digraph(G)
+
+
+@pytest.mark.parametrize("loop,holds", [(2, True), (0, False)])
+def test_is_r0_digraph_decomposes_when_given_no_decomposition(loop, holds):
+    G = _two_triangles(loop)
+    assert is_r0_digraph(G) is is_r0_digraph(G, decompose(G)) is holds
+
+
+def test_loop_invariance_check_refuses_a_digraph_that_is_not_r2():
+    G = _two_triangles(0)
+    assert not is_r2_digraph(G)
+    with pytest.raises(PreconditionViolated, match="r2-digraphs"):
+        loop_invariance_check(G)

@@ -17,23 +17,29 @@ import pytest
 
 from digrank import (
     DigraphAttachment,
+    EdgeAddition,
     EdgeKind,
     GenSpec,
+    apply_additions,
     block_subdigraph,
     build,
     build_genr2,
+    check_lemma_2rin,
     decompose,
     engine,
     extend_to_r2,
     gen,
     generate,
     is_r2_block,
+    loop_invariance_check,
     make_split,
     oracle_rank,
     random_digraph,
+    rank_delta_cr2,
     rank_recursive,
     run_suite,
     side_components,
+    theorems,
 )
 from digrank import linalg
 from digrank.errors import (
@@ -206,6 +212,54 @@ def test_a_non_integer_count_id_or_index_is_refused(monkeypatch, call, error, x)
 def test_a_weight_fraction_cannot_read_is_refused(call, error, w):
     with pytest.raises(error):
         call(w)
+
+
+# Each entry point given a container that is not one (not iterable, or an
+# arc that is not a (u, v, weight) triple) or a kind that is not an
+# EdgeKind: the call, and the error it must raise.
+MALFORMED = {
+    "build-None": (lambda: build(3, None), InvalidSpec),
+    "build-pair": (lambda: build(3, [(0, 1)]), InvalidSpec),
+    "build-quadruple": (lambda: build(3, [(0, 1, 1, 1)]), InvalidSpec),
+    "build-int-arc": (lambda: build(3, [5]), InvalidSpec),
+    "attach_edge-weights": (lambda: P3.attach_edge(0, EdgeKind.NC_ARC, 5), InvalidSpec),
+    "attach_edge-kind": (lambda: P3.attach_edge(0, "nc-arc", (1, 1)), InvalidSpec),
+    "apply_additions-weights": (
+        lambda: apply_additions(P3, [EdgeAddition(1, EdgeKind.NC_ARC, 5)]),
+        InvalidSpec,
+    ),
+    "apply_additions-kind": (
+        lambda: apply_additions(P3, [EdgeAddition(1, "nc-arc", (1, 1))]),
+        InvalidSpec,
+    ),
+    "apply_additions-None": (lambda: apply_additions(P3, None), InvalidSpec),
+    "build_genr2-None": (lambda: build_genr2(P3, None), InvalidSpec),
+    "rank_delta_cr2-int": (lambda: rank_delta_cr2(P3, 5), InvalidSpec),
+    "rank_delta_cr2-kind": (
+        lambda: rank_delta_cr2(P3, [EdgeAddition(1, "nc-arc", (1, 1))]),
+        InvalidSpec,
+    ),
+    "induced_subdigraph-None": (lambda: P3.induced_subdigraph(None), VertexOutOfRange),
+    "delete_vertices-None": (lambda: P3.delete_vertices(None), VertexOutOfRange),
+    "make_split-int": (lambda: make_split(P3, 1, 5), InvalidSplit),
+    "check_lemma_2rin-int": (lambda: check_lemma_2rin(P3, 5), VertexOutOfRange),
+    "random_digraph-p-str": (lambda: random_digraph(3, NoDraws(0), p="0.5"), InvalidSpec),
+    "loop_invariance_check-trials": (lambda: loop_invariance_check(P3, trials=2.5), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("call,error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_container_or_kind_is_refused(monkeypatch, call, error):
+    """Refused with the class the entry point raises for a bad value of that
+    argument, before any decomposition, oracle rank or draw."""
+
+    def no_work(*args, **kwargs):
+        pytest.fail("did work before rejecting the input")
+
+    for name in ("decompose", "oracle_rank", "_r2_decomposition"):
+        monkeypatch.setattr(theorems, name, no_work)
+    with pytest.raises(error):
+        call()
 
 
 def test_a_pool_that_is_not_a_sequence_is_refused():

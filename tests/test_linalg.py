@@ -639,3 +639,33 @@ def test_rank_deficient_leaf_gets_its_exact_rank_from_bareiss(monkeypatch):
     calls = _counting_engine_bareiss(monkeypatch)
     assert leaf_rank(*sparse(rows)) == expected
     assert calls == [1]
+
+
+def test_a_declared_width_must_match_the_rows():
+    assert RationalMatrix([[1, 2]], cols=2).cols == 2
+    assert RationalMatrix([], cols=3).cols == 3
+    for k in (0, 1, 3):
+        with pytest.raises(DimensionMismatch, match=f"expected {k} columns, got 2"):
+            RationalMatrix([[1, 2], [3, 4]], cols=k)
+
+
+def test_bordered_rejects_a_y_of_the_wrong_length():
+    B = RationalMatrix([[5, 6], [7, 8]])
+    for y in ((4,), (4, 9, 1)):
+        with pytest.raises(DimensionMismatch, match="rows"):
+            bordered(1, (2, 3), y, B)
+
+
+def test_equal_matrices_compare_and_hash_equal():
+    A = RationalMatrix([[1, 2], [3, 4]])
+    same = RationalMatrix([(Fraction(2, 2), Fraction(4, 2)), [3, 4]], cols=2)
+    assert A == same and hash(A) == hash(same)
+    assert RationalMatrix([], cols=2) == RationalMatrix([], cols=2)
+    for other in (
+        RationalMatrix([[1, 2], [3, 5]]),
+        RationalMatrix([[1, 2]]),
+        A.transpose(),
+        [[1, 2], [3, 4]],
+    ):
+        assert A != other
+    assert RationalMatrix([], cols=2) != RationalMatrix([], cols=3)
